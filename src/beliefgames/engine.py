@@ -2,15 +2,20 @@
 
 The filters evolve autonomously from the signal traces, the controls are a
 function of the current beliefs only (linear-state game), and the stock
-integrates the controls, so the coupled system is advanced with one
-fixed-step fourth-order sweep whose stages re-solve the equilibrium from the
-stage-level beliefs.  Signals are zero-order-hold and the step size divides
-the hold interval, so no step straddles a signal jump.
+integrates the controls.  Signals are zero-order-hold and the step size
+divides the hold interval, so no step straddles a signal jump.
 
-Two updating schemes are supported: "continuous" integrates the belief ODEs,
-"discrete" applies Euler jumps once per signal epoch (at the end of each
-hold interval, which keeps kappa/alpha at epoch boundaries identical across
-schemes).
+Two updating schemes are supported.  "continuous" uses the exact solutions
+of the belief ODEs: with the signal held, the Normal-Gamma mean and the
+Kalman-Bucy mean are rational functions of the signal prefix sums, and beta
+has an exact increment per step.  "discrete" applies Euler jumps once per
+signal epoch (at the end of each hold interval, which keeps kappa/alpha at
+epoch boundaries identical across schemes).
+
+Both schemes solve the controls for the whole run in one call of the array
+kernel, at every time an RK4 stage of the stock needs them, and advance the
+stock by classical RK4, whose step is affine in the stock.  One guard pass
+over the run then raises the typed error of the earliest unhealthy time.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +36,7 @@ from .equilibrium import (
 from .errors import (
     DegenerateDiscountError,
     NonFiniteStateError,
+    SingularSystemError,
     TraceCoverageError,
 )
 from .kalman import KalmanBelief, step_discrete_kalman
@@ -167,20 +174,10 @@ class Trajectory:
         return ",".join(cols)
 
     def to_csv(self, path: str | Path) -> None:
-        lines = [self.header()]
-        n = self.n_players
-        for i in range(self.t.size):
-            cells = [
-                f"{self.t[i]:.17g}",
-                f"{self.S[i]:.17g}",
-                f"{self.x_real[i]:.17g}",
-                f"{self.x_bar[i]:.17g}",
-                f"{self.var_mu[i]:.17g}",
-            ]
-            cells += [f"{self.tau_bar[i, j]:.17g}" for j in range(n)]
-            cells += [f"{self.P[i, j]:.17g}" for j in range(n)]
-            cells += [f"{self.u[i, j]:.17g}" for j in range(n)]
-            lines.append(",".join(cells))
+        columns = (self.t, self.S, self.x_real, self.x_bar, self.var_mu)
+        table = np.column_stack(columns + (self.tau_bar, self.P, self.u))
+        row = ",".join(["%.17g"] * table.shape[1])
+        lines = [self.header()] + [row % tuple(r) for r in table.tolist()]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -219,8 +216,8 @@ def simulate(
 ) -> Trajectory:
     """Advance the coupled system over the horizon.
 
-    Exactly one of ``traces`` and ``seed`` must be given.  At each grid point
-    the controls are re-solved from current beliefs; the stock uses the
+    Exactly one of ``traces`` and ``seed`` must be given.  The controls are
+    re-solved from the current beliefs at every stock stage; the stock uses the
     realized signal x(t) in "realized" mode or the current estimate in
     "expected" mode.
     """
@@ -229,244 +226,226 @@ def simulate(
     if traces is None:
         traces = default_traces(scn, cfg, seed)
     _validate_traces(traces, cfg, scn.params.n)
-    if cfg.scheme == "continuous":
-        return _run_continuous(scn, cfg, traces)
-    return _run_discrete(scn, cfg, traces)
+    # Non-finite values are reported by the guard pass, with their time.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _run(scn, cfg, traces)
 
 
-class _Recorder:
-    def __init__(self, n_pts: int, n: int):
-        self.t = np.empty(n_pts)
-        self.S = np.empty(n_pts)
-        self.x_real = np.empty(n_pts)
-        self.x_bar = np.empty(n_pts)
-        self.var_mu = np.empty(n_pts)
-        self.tau_bar = np.empty((n_pts, n))
-        self.P = np.empty((n_pts, n))
-        self.u = np.empty((n_pts, n))
+class _Path(NamedTuple):
+    """Belief columns on the grid plus the points where the controls are solved."""
 
-    def write(self, idx, t, s_val, x_real, x_bar, var, tau_row, p_row, u_row):
-        self.t[idx] = t
-        self.S[idx] = s_val
-        self.x_real[idx] = x_real
-        self.x_bar[idx] = x_bar
-        self.var_mu[idx] = var
-        self.tau_bar[idx] = tau_row
-        self.P[idx] = p_row
-        self.u[idx] = u_row
+    x_bar: np.ndarray
+    beta: np.ndarray
+    var_mu: np.ndarray
+    tau_bar: np.ndarray
+    P: np.ndarray
+    t_ctrl: np.ndarray  # control points, in time order
+    x_ctrl: np.ndarray
+    tau_ctrl: np.ndarray
+    stage: np.ndarray  # control point of the stages s = 0, h/2, h of each step
+    record: np.ndarray  # control point whose u is recorded at each grid point
+    x_stage: np.ndarray  # believed x at the stages, for expected dynamics
 
-    def build(self) -> Trajectory:
-        return Trajectory(
-            t=self.t,
-            S=self.S,
-            x_real=self.x_real,
-            x_bar=self.x_bar,
-            var_mu=self.var_mu,
-            tau_bar=self.tau_bar,
-            P=self.P,
-            u=self.u,
+
+def _prefix(held: np.ndarray, prior, width: float, repeats: int, size: int):
+    """Prefix sums of (held - prior) * width over ``size`` half steps, where
+    each held value covers ``repeats`` half steps; row 0 is zero."""
+    out = np.zeros((size + 1,) + held.shape[1:])
+    steps = np.repeat((held - prior) * width, repeats, axis=0)
+    np.cumsum(steps[:size], axis=0, out=out[1:])
+    return out
+
+
+def _continuous_path(
+    scn: Scenario, cfg: SimConfig, traces: TraceSet, t, epoch, spe: int
+) -> _Path:
+    h = cfg.h_ode
+    n_steps = t.size - 1
+    n_half = 2 * n_steps
+    t_half = np.arange(n_half + 1) * (0.5 * h)
+    used = epoch[-2] + 1  # epochs the steps fall in
+    eco = traces.ecological.values
+    y = np.column_stack([tr.values[:used] for tr in traces.cost])
+    tau0, p0, r = np.array(scn.tau0), np.array(scn.p0), np.array(scn.r)
+    # Exact filter means in innovation form, from prefix sums of the held
+    # signals: a signal equal to the prior mean leaves the mean bit-identical.
+    x_half = _prefix(eco[:used], scn.mu0, 0.5 * h, 2 * spe, n_half)
+    x_half /= scn.kappa0 + 1.0 + t_half
+    x_half += scn.mu0
+    tau_half = _prefix(y, tau0, 0.5 * h, 2 * spe, n_half)
+    tau_half *= p0
+    tau_half /= p0 * t_half[:, None] + r
+    tau_half += tau0
+    x_bar = x_half[::2].copy()
+    # Exact beta increment per step: with K = kappa + 1 and d = x - x_bar at
+    # the step start, K*d stays constant while the signal is held.
+    ka = scn.kappa0 + 1.0 + t[:-1]
+    kb = scn.kappa0 + 1.0 + t[1:]
+    d = eco[epoch[:-1]] - x_bar[:-1]
+    d_beta = 0.5 * d * d * ka * h / kb * (1.0 - 0.5 * (ka + kb) / (ka * kb))
+    beta = np.cumsum(np.concatenate(([scn.beta0], d_beta)))
+    kappa, alpha = scn.kappa0 + t, scn.alpha0 + 0.5 * t
+    steps = np.arange(n_steps)
+    stage = np.stack((2 * steps, 2 * steps + 1, 2 * steps + 2))
+    x_stage = x_half[stage]
+    if cfg.control_refresh == "step":
+        ctrl = (t_half, x_half, tau_half)
+        record = 2 * np.arange(n_steps + 1)
+    else:
+        # Controls frozen at the start of the epoch each step falls in.
+        starts = 2 * spe * np.arange(used)
+        ctrl = (t_half[starts], x_half[starts], tau_half[starts])
+        stage = np.broadcast_to(epoch[:-1], stage.shape)
+        record = np.concatenate(([0], epoch[:-1]))
+    return _Path(
+        x_bar,
+        beta,
+        np.where(alpha > 1.0, beta / (kappa * (alpha - 1.0)), np.nan),
+        tau_half[::2].copy(),
+        p0 * r / (t[:, None] * p0 + r),
+        *ctrl,
+        stage,
+        record,
+        x_stage,
+    )
+
+
+def _discrete_path(
+    scn: Scenario, cfg: SimConfig, traces: TraceSet, t, epoch, spe: int
+) -> _Path:
+    n = scn.params.n
+    dt = cfg.dt_signal
+    eco = traces.ecological.values
+    motion = scn.motion_prior()
+    payoff = [scn.payoff_prior(j) for j in range(n)]
+    # One row per belief state: mu_hat, beta, variance, tau_hat_j, P_j.
+    states = np.full((epoch[-1] + 1, 3 + 2 * n), np.nan)
+    for k in range(states.shape[0]):
+        if k:
+            # End of epoch k-1: absorb the signal that was held over it.
+            try:
+                motion = step_discrete(motion, eco[k - 1], dt)
+                payoff = [
+                    step_discrete_kalman(b, tr.values[k - 1], dt)
+                    for b, tr in zip(payoff, traces.cost)
+                ]
+            except NonFiniteStateError:
+                break  # the guard pass names the first grid point left without a state
+        var = motion.estimator_variance() if motion.alpha > 1.0 else math.nan
+        states[k] = (
+            motion.mu_hat,
+            motion.beta,
+            var,
+            *(b.tau_hat for b in payoff),
+            *(b.P for b in payoff),
         )
+    stage = np.broadcast_to(epoch[:-1], (3, t.size - 1))
+    return _Path(
+        states[epoch, 0],
+        states[epoch, 1],
+        states[epoch, 2],
+        states[epoch, 3 : 3 + n],
+        states[epoch, 3 + n :],
+        t[::spe],
+        states[:, 0],
+        states[:, 3 : 3 + n],
+        stage,
+        epoch,
+        states[stage, 0],
+    )
 
 
-def _guard_finite(t: float, mu: float, beta: float, tau_hat, s_val: float) -> None:
-    if (
-        not math.isfinite(mu)
-        or not math.isfinite(beta)
-        or not math.isfinite(s_val)
-        or any(not math.isfinite(v) for v in tau_hat)
-    ):
-        raise NonFiniteStateError(f"non-finite state encountered at t={t:.6g}")
+def _stock(s0: float, h: float, drive: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Classical RK4 for S' = drive - lam*S on every step.
+
+    ``drive`` and ``lam`` hold one row per stage time s = 0, h/2, h (the two
+    midpoint stages share a row).  Each stage slope is affine in S, k = p + q*S,
+    so the step is S_{i+1} = A_i S_i + B_i; only that recurrence is a loop.
+    """
+    (c1, c2, c4), (l1, l2, l4) = drive, lam
+    h2 = 0.5 * h
+    p1, q1 = c1, -l1
+    p2, q2 = c2 - l2 * h2 * p1, -l2 * (1.0 + h2 * q1)
+    p3, q3 = c2 - l2 * h2 * p2, -l2 * (1.0 + h2 * q2)
+    p4, q4 = c4 - l4 * h * p3, -l4 * (1.0 + h * q3)
+    sixth = h / 6.0
+    gain = 1.0 + sixth * (q1 + 2.0 * (q2 + q3) + q4)
+    shift = sixth * (p1 + 2.0 * (p2 + p3) + p4)
+
+    def walk(s):
+        yield s
+        for a_i, b_i in zip(gain.tolist(), shift.tolist()):
+            s = a_i * s + b_i
+            yield s
+
+    return np.fromiter(walk(s0), float, gain.size + 1)
 
 
-def _guard_published_coefficient(t: float, x_bar: float, delta: float, rho: float):
-    if abs(1.0 - x_bar * delta - rho) <= EPS_SINGULAR:
-        raise DegenerateDiscountError(
-            f"1 - x_bar*delta - rho singular at t={t:.6g} (x_bar={x_bar:.6g})"
-        )
+def _guard(t, finite, x_bar, p: GameParams, kernel_hit) -> None:
+    """Raise the typed error of the earliest unhealthy time.
+
+    At equal t a non-finite state comes first, then the published coefficient
+    1 - x_bar*delta - rho, then the kernel denominator ``kernel_hit = (t, den)``.
+    """
+    found = []
+    if not finite.all():
+        i = int(np.argmin(finite))
+        msg = f"non-finite state encountered at t={t[i]:.6g}"
+        found.append((t[i], 0, NonFiniteStateError(msg)))
+    published = np.abs(1.0 - x_bar * p.delta - p.rho) <= EPS_SINGULAR
+    if published.any():
+        i = int(np.argmax(published))
+        msg = f"1 - x_bar*delta - rho singular at t={t[i]:.6g} (x_bar={x_bar[i]:.6g})"
+        found.append((t[i], 1, DegenerateDiscountError(msg)))
+    if kernel_hit is not None:
+        t_k, den = kernel_hit
+        msg = f"value-slope denominator {den!r} ~ 0 at t={t_k:.6g}"
+        found.append((t_k, 2, SingularSystemError(msg)))
+    if found:
+        raise min(found, key=lambda hit: hit[:2])[2]
 
 
-def _run_continuous(scn: Scenario, cfg: SimConfig, traces: TraceSet) -> Trajectory:
+def _run(scn: Scenario, cfg: SimConfig, traces: TraceSet) -> Trajectory:
     p = scn.params
-    n = p.n
-    a, tau_true, delta, rho = p.a, p.tau, p.delta, p.rho
     h = cfg.h_ode
     n_steps = _exact_ratio(cfg.horizon, h, "horizon/h_ode")
     spe = _exact_ratio(cfg.dt_signal, h, "dt_signal/h_ode")
+    t = h * np.arange(n_steps + 1)
+    epoch = np.arange(n_steps + 1) // spe
     eco = traces.ecological.values
-    costs = [tr.values for tr in traces.cost]
-    kappa0, alpha0 = scn.kappa0, scn.alpha0
-    p0, r = scn.p0, scn.r
-    realized = cfg.dynamics_mode == "realized"
-    clamp = cfg.clamp_controls
-    per_stage = cfg.control_refresh == "step"
-
-    mu = scn.mu0
-    beta = scn.beta0
-    tau_hat = list(scn.tau0)
-    s_val = p.s0
-
-    rec = _Recorder(n_steps + 1, n)
-
-    def p_exact(j: int, t: float) -> float:
-        return p0[j] * r[j] / (t * p0[j] + r[j])
-
-    def controls_at(x_bar, tau_bar):
-        u = control_kernel(a, tau_true, tau_bar, x_bar, delta, rho)
-        if clamp:
-            u = [v if v > 0.0 else 0.0 for v in u]
-        return u
-
-    def record(idx: int, t: float, epoch: int) -> None:
-        _guard_finite(t, mu, beta, tau_hat, s_val)
-        _guard_published_coefficient(t, mu, delta, rho)
-        kappa = kappa0 + t
-        alpha = alpha0 + 0.5 * t
-        var = beta / (kappa * (alpha - 1.0)) if alpha > 1.0 else math.nan
-        u = u_frozen if not per_stage else controls_at(mu, tau_hat)
-        rec.write(
-            idx,
-            t,
-            s_val,
-            eco[min(epoch, len(eco) - 1)],
-            mu,
-            var,
-            tau_hat,
-            [p_exact(j, t) for j in range(n)],
-            u,
-        )
-
-    u_frozen = controls_at(mu, tau_hat)
-    record(0, 0.0, 0)
-    h2 = 0.5 * h
-    for i in range(n_steps):
-        t = i * h
-        k = i // spe
-        x = eco[k]
-        ys = [costs[j][k] for j in range(n)]
-        if not per_stage and i % spe == 0:
-            u_frozen = controls_at(mu, tau_hat)
-
-        def stage(s, mu_s, beta_s, tau_s, stock_s):
-            kap = kappa0 + t + s
-            den = kap + 1.0
-            innov = x - mu_s
-            d_mu = innov / den
-            d_beta = kap * innov * innov / (2.0 * den)
-            d_tau = [
-                (p_exact(j, t + s) / r[j]) * (ys[j] - tau_s[j]) for j in range(n)
-            ]
-            u = u_frozen if not per_stage else controls_at(mu_s, tau_s)
-            total_u = sum(u)
-            xd = x if realized else mu_s
-            d_stock = xd * total_u - (1.0 - xd * delta) * stock_s
-            return d_mu, d_beta, d_tau, d_stock
-
-        k1 = stage(0.0, mu, beta, tau_hat, s_val)
-        k2 = stage(
-            h2,
-            mu + h2 * k1[0],
-            beta + h2 * k1[1],
-            [tau_hat[j] + h2 * k1[2][j] for j in range(n)],
-            s_val + h2 * k1[3],
-        )
-        k3 = stage(
-            h2,
-            mu + h2 * k2[0],
-            beta + h2 * k2[1],
-            [tau_hat[j] + h2 * k2[2][j] for j in range(n)],
-            s_val + h2 * k2[3],
-        )
-        k4 = stage(
-            h,
-            mu + h * k3[0],
-            beta + h * k3[1],
-            [tau_hat[j] + h * k3[2][j] for j in range(n)],
-            s_val + h * k3[3],
-        )
-        sixth = h / 6.0
-        mu += sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        beta += sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-        tau_hat = [
-            tau_hat[j] + sixth * (k1[2][j] + 2.0 * (k2[2][j] + k3[2][j]) + k4[2][j])
-            for j in range(n)
-        ]
-        s_val += sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
-        record(i + 1, (i + 1) * h, (i + 1) // spe)
-    return rec.build()
-
-
-def _run_discrete(scn: Scenario, cfg: SimConfig, traces: TraceSet) -> Trajectory:
-    p = scn.params
-    n = p.n
-    a, tau_true, delta, rho = p.a, p.tau, p.delta, p.rho
-    h = cfg.h_ode
-    dt = cfg.dt_signal
-    n_steps = _exact_ratio(cfg.horizon, h, "horizon/h_ode")
-    spe = _exact_ratio(dt, h, "dt_signal/h_ode")
-    eco = traces.ecological.values
-    costs = [tr.values for tr in traces.cost]
-    realized = cfg.dynamics_mode == "realized"
-    clamp = cfg.clamp_controls
-
-    motion = scn.motion_prior()
-    payoff = [scn.payoff_prior(j) for j in range(n)]
-    s_val = p.s0
-
-    rec = _Recorder(n_steps + 1, n)
-
-    def controls_now():
-        u = control_kernel(
-            a, tau_true, tuple(b.tau_hat for b in payoff), motion.mu_hat, delta, rho
-        )
-        if clamp:
-            u = [v if v > 0.0 else 0.0 for v in u]
-        return u
-
-    def record(idx: int, t: float, epoch: int, u) -> None:
-        tau_row = [b.tau_hat for b in payoff]
-        _guard_finite(t, motion.mu_hat, motion.beta, tau_row, s_val)
-        _guard_published_coefficient(t, motion.mu_hat, delta, rho)
-        var = (
-            motion.estimator_variance() if motion.alpha > 1.0 else math.nan
-        )
-        rec.write(
-            idx,
-            t,
-            s_val,
-            eco[min(epoch, len(eco) - 1)],
-            motion.mu_hat,
-            var,
-            tau_row,
-            [b.P for b in payoff],
-            u,
-        )
-
-    u_epoch = controls_now()
-    record(0, 0.0, 0, u_epoch)
-    h2 = 0.5 * h
-    for i in range(n_steps):
-        k = i // spe
-        if i % spe == 0:
-            u_epoch = controls_now()
-        total_u = sum(u_epoch)
-        xd = eco[k] if realized else motion.mu_hat
-        drive = xd * total_u
-        lam = 1.0 - xd * delta
-        # RK4 on dS = drive - lam*S (constant coefficients within the epoch)
-        k1 = drive - lam * s_val
-        k2 = drive - lam * (s_val + h2 * k1)
-        k3 = drive - lam * (s_val + h2 * k2)
-        k4 = drive - lam * (s_val + h * k3)
-        s_val += h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-        if (i + 1) % spe == 0:
-            # End of epoch k: absorb the signal that was held over it.
-            motion = step_discrete(motion, eco[k], dt)
-            payoff = [
-                step_discrete_kalman(payoff[j], costs[j][k], dt) for j in range(n)
-            ]
-            u_epoch = controls_now()
-        record(i + 1, (i + 1) * h, (i + 1) // spe, u_epoch)
-    return rec.build()
+    build = _continuous_path if cfg.scheme == "continuous" else _discrete_path
+    path = build(scn, cfg, traces, t, epoch, spe)
+    # Solve the controls up to the first singular kernel denominator only.
+    den = 1.0 + p.rho - path.x_ctrl * p.delta
+    singular = np.abs(den) <= EPS_SINGULAR
+    m = int(np.argmax(singular)) if singular.any() else den.size
+    u = control_kernel(p.a, p.tau, path.tau_ctrl[:m], path.x_ctrl[:m], p.delta, p.rho)
+    if cfg.clamp_controls:
+        u = np.where(u > 0.0, u, 0.0)
+    stage = path.stage[:, : path.stage[2].searchsorted(m)]
+    if cfg.dynamics_mode == "realized":
+        xd = np.broadcast_to(eco[epoch[: stage.shape[1]]], stage.shape)
+    else:
+        xd = path.x_stage[:, : stage.shape[1]]
+    S = _stock(p.s0, h, xd * u.sum(axis=1)[stage], 1.0 - xd * p.delta)
+    finite = (
+        np.isfinite(path.x_bar)
+        & np.isfinite(path.beta)
+        & np.isfinite(path.tau_bar).all(axis=1)
+    )
+    finite[: S.size] &= np.isfinite(S)
+    kernel_hit = (path.t_ctrl[m], float(den[m])) if m < den.size else None
+    _guard(t, finite, path.x_bar, p, kernel_hit)
+    return Trajectory(
+        t=t,
+        S=S,
+        x_real=eco[np.minimum(epoch, eco.size - 1)],
+        x_bar=path.x_bar,
+        var_mu=path.var_mu,
+        tau_bar=path.tau_bar,
+        P=path.P,
+        u=u[path.record],
+    )
 
 
 @dataclass(frozen=True)

@@ -147,31 +147,40 @@ def closed_form_value_slope(
 def control_kernel(
     a: tuple[float, ...],
     tau: tuple[float, ...],
-    tau_bar: tuple[float, ...],
-    x_bar: float,
+    tau_bar: tuple[float, ...] | np.ndarray,
+    x_bar: float | np.ndarray,
     delta: float,
     rho: float,
-) -> list[float]:
-    """Scalar fast path for the equilibrium controls (no numpy, no recording).
+) -> list[float] | np.ndarray:
+    """Fast path for the equilibrium controls, broadcasting over time.
 
     Uses the aggregation identity of the intercept system instead of a matrix
     solve; must stay numerically equal to solve_equilibrium (pinned by tests).
+    A scalar ``x_bar`` with one ``tau_bar`` row gives a list of n floats;
+    ``x_bar`` of shape (T,) with ``tau_bar`` of shape (T, n) gives a (T, n)
+    array.  Players are summed in order, so each row equals the scalar call
+    bit for bit.
     """
+    x_bar = np.asarray(x_bar, dtype=float)
+    tau_bar = np.asarray(tau_bar, dtype=float)
     den = 1.0 + rho - x_bar * delta
-    if abs(den) <= EPS_SINGULAR:
-        raise SingularSystemError(f"value-slope denominator {den!r} ~ 0")
+    singular = np.abs(den) <= EPS_SINGULAR
+    if singular.any():
+        raise SingularSystemError(
+            f"value-slope denominator {float(den[singular][0])!r} ~ 0"
+        )
     f2 = -0.5 * x_bar / den
     n = len(a)
     total_tb = 0.0
-    for tb in tau_bar:
-        total_tb += tb
-    sum_rhs = 0.0
     for i in range(n):
-        sum_rhs += a[i] - f2 * (total_tb - tau_bar[i])
+        total_tb = total_tb + tau_bar[..., i]
+    rhs = [a[i] - f2 * (total_tb - tau_bar[..., i]) for i in range(n)]
+    sum_rhs = 0.0
+    for v in rhs:
+        sum_rhs = sum_rhs + v
     sum_f1 = sum_rhs / (n + 1.0)
-    return [
-        a[i] - f2 * (total_tb - tau_bar[i]) - sum_f1 + f2 * tau[i] for i in range(n)
-    ]
+    u = np.stack([rhs[i] - sum_f1 + f2 * tau[i] for i in range(n)], axis=-1)
+    return u.tolist() if u.ndim == 1 else u
 
 
 def foc_residual(
@@ -211,12 +220,7 @@ def solve_equilibrium(p: GameParams, b: BeliefProfile) -> EquilibriumSolution:
     total_tb = sum(b.tau_bar)
     rhs = np.array([p.a[i] - f2 * (total_tb - b.tau_bar[i]) for i in range(n)])
     system = np.eye(n) + np.ones((n, n))
-    try:
-        f1 = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"intercept system singular (cond ~ {np.linalg.cond(system):.3g})"
-        ) from exc
+    f1 = np.linalg.solve(system, rhs)  # I + 11^T has eigenvalues 1 and n+1
     f1_t = tuple(float(v) for v in f1)
     controls = tuple(f1_t[i] + f2 * p.tau[i] for i in range(n))
     return EquilibriumSolution(

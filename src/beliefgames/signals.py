@@ -191,7 +191,10 @@ def save_trace(trace: SignalTrace, path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> SignalTrace:
-    """Read a trace written by :func:`save_trace`; round-trips bit-exactly."""
+    """Read a trace written by :func:`save_trace`; round-trips bit-exactly.
+
+    Each row's t must lie within 1e-9*dt of t0 + k*dt for data row k.
+    """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -212,12 +215,18 @@ def load_trace(path: str | Path) -> SignalTrace:
     if header != "t,value":
         raise TraceFormatError(f"{path}: expected header 't,value', got {header!r}")
     values = []
-    for row in rows:
+    for k, row in enumerate(rows):
         cells = row.split(",")
         if len(cells) != 2:
             raise TraceFormatError(f"{path}: malformed row {row!r}")
         try:
+            t = float(cells[0])
             values.append(float(cells[1]))
         except ValueError as exc:
             raise TraceFormatError(f"{path}: non-numeric value in {row!r}") from exc
+        if abs(t - (t0 + k * dt)) > 1e-9 * dt:
+            raise TraceFormatError(
+                f"{path}: data row {k + 1} {row!r} has t={t!r}, "
+                f"expected {t0 + k * dt!r} from t0 and dt"
+            )
     return SignalTrace(t0=t0, dt=dt, values=np.array(values), label=label)

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefgames import (
     DegenerateDiscountError,
@@ -10,18 +12,23 @@ from beliefgames import (
     Scenario,
     SignalTrace,
     SimConfig,
+    SingularSystemError,
     TraceCoverageError,
     TraceSet,
+    Trajectory,
+    belief_path,
     compare_schemes,
     convergence_diagnostics,
     default_traces,
     discounted_payoff,
+    kalman_path,
     simulate,
     step_discrete,
     step_discrete_kalman,
     variance_closed_form,
     window_diagnostics,
 )
+from conftest import max_rel_gap
 
 TRAJ_FIELDS = ("t", "S", "x_real", "x_bar", "var_mu", "tau_bar", "P", "u")
 
@@ -33,6 +40,11 @@ def constant_traces(n_players, dt, count, eco=0.0, cost=0.7):
         for j in range(n_players)
     )
     return TraceSet(ecological=eco_tr, cost=cost_tr)
+
+
+def held_traces(eco_values):
+    eco = SignalTrace(t0=0.0, dt=0.02, values=eco_values, label="eco")
+    return TraceSet(eco, constant_traces(2, 0.02, len(eco)).cost)
 
 
 def test_grid_shape_and_epoch_count(two_player_scenario, base_config):
@@ -297,3 +309,116 @@ def test_discounted_payoff_large_rho_asymptotics(two_player_params):
     est = discounted_payoff(traj, p, 0, 2.0)
     g0 = traj.u[0, 0] * (p.a[0] - traj.u[0].sum()) - p.tau[0] * traj.S[0]
     assert est.value * p.rho == pytest.approx(g0, rel=0.1)
+
+
+def test_csv_matches_per_cell_reference(tmp_path):
+    n, rows = 3, 9
+    rng = np.random.default_rng(17)
+    table = rng.standard_normal((rows, 5 + 3 * n)) * 10.0 ** rng.integers(
+        -30, 30, (rows, 5 + 3 * n)
+    )
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1]
+    table.flat[rng.choice(table.size, len(special), replace=False)] = special
+    traj = Trajectory(
+        t=table[:, 0],
+        S=table[:, 1],
+        x_real=table[:, 2],
+        x_bar=table[:, 3],
+        var_mu=table[:, 4],
+        tau_bar=table[:, 5 : 5 + n],
+        P=table[:, 5 + n : 5 + 2 * n],
+        u=table[:, 5 + 2 * n :],
+    )
+    out = tmp_path / "trajectory.csv"
+    traj.to_csv(out)
+    expected = [traj.header()] + [",".join(f"{v:.17g}" for v in row) for row in table]
+    assert out.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("scheme", ["continuous", "discrete"])
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_non_finite_state_names_earliest_time(two_player_params, scheme):
+    scn = Scenario(params=two_player_params, mu_true=0.5, sigma=0.2, mu0=0.5)
+    eco = np.full(500, 0.5)
+    eco[25:] = 1e300  # held from t=0.5; beta overflows over the step to t=0.52
+    with pytest.raises(NonFiniteStateError, match=r"at t=0\.52$"):
+        simulate(scn, SimConfig(scheme=scheme), traces=held_traces(eco))
+
+
+def test_published_coefficient_guard_names_earliest_time(two_player_params):
+    # x_bar(t) = 3.375 t / (2 + t) crosses (1 - rho)/delta = 1.125 at t=1 exactly.
+    scn = Scenario(params=two_player_params, mu_true=0.5, sigma=0.2, mu0=0.0)
+    with pytest.raises(DegenerateDiscountError, match=r"at t=1 \(x_bar=1\.125\)"):
+        simulate(scn, SimConfig(), traces=held_traces(np.full(500, 3.375)))
+
+
+def kernel_singular_at_0_99():
+    # x_bar(t) = X t / (2 + t) reaches (1 + rho)/delta = 1.375 at t=0.99, the
+    # midpoint stage of the step from 0.98 to 1.0.
+    return np.full(500, 1.375 * 2.99 / 0.99)
+
+
+def test_kernel_denominator_guard_names_stage_time(two_player_params):
+    scn = Scenario(params=two_player_params, mu_true=0.5, sigma=0.2, mu0=0.0)
+    with pytest.raises(SingularSystemError, match=r"~ 0 at t=0\.99$"):
+        simulate(scn, SimConfig(), traces=held_traces(kernel_singular_at_0_99()))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_earliest_guard_wins_over_guard_order(two_player_params):
+    # The kernel denominator is singular at t=0.99 and the state overflows at
+    # t=1.22; the earlier time wins although non-finite states rank first.
+    scn = Scenario(params=two_player_params, mu_true=0.5, sigma=0.2, mu0=0.0)
+    eco = kernel_singular_at_0_99()
+    eco[60:] = 1e300
+    with pytest.raises(SingularSystemError, match=r"at t=0\.99$"):
+        simulate(scn, SimConfig(), traces=held_traces(eco))
+    eco[:60] = 0.5
+    with pytest.raises(NonFiniteStateError, match=r"at t=1\.22$"):
+        simulate(scn, SimConfig(), traces=held_traces(eco))
+
+
+player_prior = st.tuples(
+    st.floats(-1.0, 2.0), st.floats(0.2, 5.0), st.floats(0.1, 2.0)
+)  # tau0, p0, r
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    players=st.lists(player_prior, min_size=1, max_size=3),
+    dt=st.sampled_from([0.02, 0.05, 0.1]),
+    ratio=st.sampled_from([1, 2, 5, 10, 25, 50]),
+    epochs=st.integers(4, 16),
+    mu0=st.floats(-1.0, 1.0),
+    kappa0=st.floats(0.2, 5.0),
+    alpha0=st.floats(1.1, 4.0),
+    beta0=st.floats(0.05, 2.0),
+    mode=st.sampled_from(["realized", "expected"]),
+    seed=st.integers(0, 2**16),
+)
+def test_continuous_beliefs_match_rk4_oracles(
+    players, dt, ratio, epochs, mu0, kappa0, alpha0, beta0, mode, seed
+):
+    n = len(players)
+    tau0, p0, r = (tuple(v) for v in zip(*players))
+    p = GameParams(a=(3.0,) * n, tau=(1.0,) * n, delta=0.8, rho=0.1, s0=0.1)
+    scn = Scenario(
+        params=p, mu_true=0.5, sigma=0.3, mu0=mu0, kappa0=kappa0, alpha0=alpha0,
+        beta0=beta0, tau0=tau0, p0=p0, r=r,
+    )
+    cfg = SimConfig(
+        dt_signal=dt, h_ode=dt / ratio, horizon=dt * epochs, dynamics_mode=mode
+    )
+    traces = default_traces(scn, cfg, seed)
+    traj = simulate(scn, cfg, traces=traces)
+    h_oracle, stride = dt / 50, 50 // ratio
+    motion = belief_path(scn.motion_prior(), traces.ecological, cfg.horizon, h_oracle)
+
+    def sup_rel(observed, expected):
+        return np.max(np.abs(observed - expected)) / np.max(np.abs(expected))
+
+    assert sup_rel(traj.x_bar, motion.mu_hat[::stride]) <= 1e-10
+    assert max_rel_gap(traj.var_mu, motion.estimator_variance()[::stride]) <= 1e-10
+    for j in range(n):
+        payoff = kalman_path(scn.payoff_prior(j), traces.cost[j], cfg.horizon, h_oracle)
+        assert sup_rel(traj.tau_bar[:, j], payoff.tau_hat[::stride]) <= 1e-10

@@ -143,6 +143,17 @@ def test_load_rejects_malformed_files(tmp_path):
         load_trace(bad_cell)
 
 
+def test_load_rejects_tampered_time_column(tmp_path):
+    path = tmp_path / "trace.csv"
+    save_trace(SignalTrace(t0=0.5, dt=0.25, values=np.arange(6.0), label="eco"), path)
+    lines = path.read_text().splitlines()
+    assert lines[5] == "1.25,3"
+    lines[5] = "1.2500001,3"  # data row 4, off by 4e-7*dt
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError, match=r"data row 4 '1\.2500001,3'"):
+        load_trace(path)
+
+
 def test_trace_rejects_non_finite_values():
     with pytest.raises(ValueError):
         SignalTrace(t0=0.0, dt=0.1, values=np.array([1.0, np.nan]))
