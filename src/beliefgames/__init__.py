@@ -75,7 +75,6 @@ from .oracles import (
 from .signals import (
     SignalTrace,
     TraceSeed,
-    hold_value,
     load_trace,
     sample_cost_trace,
     sample_ecological_trace,

@@ -165,3 +165,7 @@ def cmd_verify(cfg: ScenarioConfig):
             raise click.ClickException("verification failed")
     except BeliefGameError as exc:
         raise click.ClickException(str(exc)) from exc
+
+
+if __name__ == "__main__":
+    main()

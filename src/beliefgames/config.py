@@ -17,6 +17,7 @@ from pathlib import Path
 from .engine import Scenario, SimConfig
 from .equilibrium import EPS_SINGULAR, GameParams
 from .errors import ConfigError
+from .signals import _step_count
 
 _SCHEMES = ("continuous", "discrete")
 _MODES = ("realized", "expected")
@@ -206,11 +207,10 @@ def parse_config_text(text: str, origin: str = "<string>") -> ScenarioConfig:
     if horizon is not None and horizon <= 0.0:
         errs.append(f"[sim] horizon: must be positive, got {horizon}")
     if dt_signal and h_ode and dt_signal > 0 and h_ode > 0:
-        q = dt_signal / h_ode
-        if abs(q - round(q)) > 1e-9 * max(1.0, q) or round(q) < 1:
-            errs.append(
-                f"[sim] h_ode: {h_ode} must divide dt_signal {dt_signal} exactly"
-            )
+        try:
+            _step_count(dt_signal, h_ode, "[sim] h_ode")
+        except ValueError as exc:
+            errs.append(str(exc))
     if seed is not None and not 0 <= seed < 2**64:
         errs.append(f"[sim] seed: must fit in an unsigned 64-bit integer, got {seed}")
     if (

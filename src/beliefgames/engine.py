@@ -10,7 +10,11 @@ of the belief ODEs: with the signal held, the Normal-Gamma mean and the
 Kalman-Bucy mean are rational functions of the signal prefix sums, and beta
 has an exact increment per step.  "discrete" applies Euler jumps once per
 signal epoch (at the end of each hold interval, which keeps kappa/alpha at
-epoch boundaries identical across schemes).
+epoch boundaries identical across schemes), in one plain scan over the
+epochs that repeats the arithmetic of ``normal_gamma.step_discrete`` and
+``kalman.step_discrete_kalman`` operation for operation.  Neither scheme
+calls those modules; they stay the standalone API and the reference
+integrators the tests compare against.
 
 Both schemes solve the controls for the whole run in one call of the array
 kernel, at every time an RK4 stage of the stock needs them, and advance the
@@ -38,13 +42,13 @@ from .errors import (
     NonFiniteStateError,
     SingularSystemError,
     TraceCoverageError,
+    UndefinedVarianceError,
 )
-from .kalman import KalmanBelief, step_discrete_kalman
-from .normal_gamma import NormalGammaBelief, step_discrete
 from .signals import (
     SignalTrace,
     TraceSeed,
     _sample_count,
+    _step_count,
     sample_cost_trace,
     sample_ecological_trace,
 )
@@ -88,12 +92,6 @@ class Scenario:
         if any(v <= 0.0 for v in self.p0) or any(v <= 0.0 for v in self.r):
             raise ValueError("p0 and r entries must be positive")
 
-    def motion_prior(self) -> NormalGammaBelief:
-        return NormalGammaBelief(self.mu0, self.kappa0, self.alpha0, self.beta0)
-
-    def payoff_prior(self, player: int) -> KalmanBelief:
-        return KalmanBelief(self.tau0[player], self.p0[player], self.r[player])
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -103,18 +101,15 @@ class SimConfig:
     horizon: float = 10.0
     dynamics_mode: str = "realized"
     clamp_controls: bool = False
-    control_refresh: str = "step"
 
     def __post_init__(self):
         if self.scheme not in ("continuous", "discrete"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.dynamics_mode not in ("realized", "expected"):
             raise ValueError(f"unknown dynamics_mode {self.dynamics_mode!r}")
-        if self.control_refresh not in ("step", "epoch"):
-            raise ValueError(f"unknown control_refresh {self.control_refresh!r}")
         if self.dt_signal <= 0.0 or self.h_ode <= 0.0 or self.horizon <= 0.0:
             raise ValueError("dt_signal, h_ode, horizon must be positive")
-        _exact_ratio(self.dt_signal, self.h_ode, "dt_signal/h_ode")
+        _step_count(self.dt_signal, self.h_ode, "dt_signal/h_ode")
 
 
 @dataclass(frozen=True)
@@ -179,14 +174,6 @@ class Trajectory:
         row = ",".join(["%.17g"] * table.shape[1])
         lines = [self.header()] + [row % tuple(r) for r in table.tolist()]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _exact_ratio(total: float, step: float, what: str) -> int:
-    q = total / step
-    r = round(q)
-    if r < 1 or abs(q - r) > 1e-9 * max(1.0, abs(q)):
-        raise ValueError(f"{what}: {step} does not divide {total}")
-    return int(r)
 
 
 def _validate_traces(traces: TraceSet, cfg: SimConfig, n: int) -> None:
@@ -287,71 +274,62 @@ def _continuous_path(
     kappa, alpha = scn.kappa0 + t, scn.alpha0 + 0.5 * t
     steps = np.arange(n_steps)
     stage = np.stack((2 * steps, 2 * steps + 1, 2 * steps + 2))
-    x_stage = x_half[stage]
-    if cfg.control_refresh == "step":
-        ctrl = (t_half, x_half, tau_half)
-        record = 2 * np.arange(n_steps + 1)
-    else:
-        # Controls frozen at the start of the epoch each step falls in.
-        starts = 2 * spe * np.arange(used)
-        ctrl = (t_half[starts], x_half[starts], tau_half[starts])
-        stage = np.broadcast_to(epoch[:-1], stage.shape)
-        record = np.concatenate(([0], epoch[:-1]))
     return _Path(
         x_bar,
         beta,
         np.where(alpha > 1.0, beta / (kappa * (alpha - 1.0)), np.nan),
         tau_half[::2].copy(),
         p0 * r / (t[:, None] * p0 + r),
-        *ctrl,
+        t_half,
+        x_half,
+        tau_half,
         stage,
-        record,
-        x_stage,
+        2 * np.arange(n_steps + 1),
+        x_half[stage],
     )
 
 
 def _discrete_path(
     scn: Scenario, cfg: SimConfig, traces: TraceSet, t, epoch, spe: int
 ) -> _Path:
-    n = scn.params.n
     dt = cfg.dt_signal
-    eco = traces.ecological.values
-    motion = scn.motion_prior()
-    payoff = [scn.payoff_prior(j) for j in range(n)]
-    # One row per belief state: mu_hat, beta, variance, tau_hat_j, P_j.
-    states = np.full((epoch[-1] + 1, 3 + 2 * n), np.nan)
-    for k in range(states.shape[0]):
-        if k:
-            # End of epoch k-1: absorb the signal that was held over it.
-            try:
-                motion = step_discrete(motion, eco[k - 1], dt)
-                payoff = [
-                    step_discrete_kalman(b, tr.values[k - 1], dt)
-                    for b, tr in zip(payoff, traces.cost)
-                ]
-            except NonFiniteStateError:
-                break  # the guard pass names the first grid point left without a state
-        var = motion.estimator_variance() if motion.alpha > 1.0 else math.nan
-        states[k] = (
-            motion.mu_hat,
-            motion.beta,
-            var,
-            *(b.tau_hat for b in payoff),
-            *(b.P for b in payoff),
-        )
+    used = epoch[-1]  # epochs that end within the horizon
+    y = np.column_stack([tr.values[:used] for tr in traces.cost])
+    r = np.array(scn.r)
+    # One belief state per epoch boundary: the prior, then the Euler jump that
+    # absorbs the signal held over each epoch, in the operation order of
+    # step_discrete and step_discrete_kalman so the columns match them bit for
+    # bit.  Non-finite values propagate and are reported by the guard pass.
+    mu, beta, kappa, alpha = scn.mu0, scn.beta0, scn.kappa0, scn.alpha0
+    tau, P = np.array(scn.tau0), np.array(scn.p0)
+    motion, payoff = [(mu, beta, kappa, alpha)], [(tau, P)]
+    for x, y_k in zip(traces.ecological.values[:used].tolist(), y):
+        innov = x - mu
+        den = kappa + 1.0
+        mu = mu + dt * (innov / den)
+        beta = beta + dt * (kappa * innov * innov / (2.0 * den))
+        kappa = kappa + dt
+        alpha = alpha + 0.5 * dt
+        tau = tau + dt * ((P / r) * (y_k - tau))
+        P = P + dt * (-P * P / r)
+        motion.append((mu, beta, kappa, alpha))
+        payoff.append((tau, P))
+    mu, beta, kappa, alpha = np.array(motion).T
+    tau, P = (np.array(col) for col in zip(*payoff))
+    var = np.where(alpha > 1.0, beta / (kappa * (alpha - 1.0)), np.nan)
     stage = np.broadcast_to(epoch[:-1], (3, t.size - 1))
     return _Path(
-        states[epoch, 0],
-        states[epoch, 1],
-        states[epoch, 2],
-        states[epoch, 3 : 3 + n],
-        states[epoch, 3 + n :],
+        mu[epoch],
+        beta[epoch],
+        var[epoch],
+        tau[epoch],
+        P[epoch],
         t[::spe],
-        states[:, 0],
-        states[:, 3 : 3 + n],
+        mu,
+        tau,
         stage,
         epoch,
-        states[stage, 0],
+        mu[stage],
     )
 
 
@@ -381,26 +359,33 @@ def _stock(s0: float, h: float, drive: np.ndarray, lam: np.ndarray) -> np.ndarra
     return np.fromiter(walk(s0), float, gain.size + 1)
 
 
-def _guard(t, finite, x_bar, p: GameParams, kernel_hit) -> None:
+def _guard(t, finite, x_bar, P, p: GameParams, kernel_hit) -> None:
     """Raise the typed error of the earliest unhealthy time.
 
-    At equal t a non-finite state comes first, then the published coefficient
-    1 - x_bar*delta - rho, then the kernel denominator ``kernel_hit = (t, den)``.
+    At equal t a non-finite state comes first, then an error variance P_j that
+    is not positive (a discrete Kalman step with dt*P_j/R_j >= 1), then the
+    published coefficient 1 - x_bar*delta - rho, then the kernel denominator
+    ``kernel_hit = (t, den)``.
     """
     found = []
     if not finite.all():
         i = int(np.argmin(finite))
         msg = f"non-finite state encountered at t={t[i]:.6g}"
         found.append((t[i], 0, NonFiniteStateError(msg)))
+    not_positive = np.argwhere(P <= 0.0)
+    if not_positive.size:
+        i, j = not_positive[0]
+        msg = f"error variance P_{j + 1}={P[i, j]} not positive at t={t[i]:.6g}"
+        found.append((t[i], 1, UndefinedVarianceError(msg)))
     published = np.abs(1.0 - x_bar * p.delta - p.rho) <= EPS_SINGULAR
     if published.any():
         i = int(np.argmax(published))
         msg = f"1 - x_bar*delta - rho singular at t={t[i]:.6g} (x_bar={x_bar[i]:.6g})"
-        found.append((t[i], 1, DegenerateDiscountError(msg)))
+        found.append((t[i], 2, DegenerateDiscountError(msg)))
     if kernel_hit is not None:
         t_k, den = kernel_hit
         msg = f"value-slope denominator {den!r} ~ 0 at t={t_k:.6g}"
-        found.append((t_k, 2, SingularSystemError(msg)))
+        found.append((t_k, 3, SingularSystemError(msg)))
     if found:
         raise min(found, key=lambda hit: hit[:2])[2]
 
@@ -408,8 +393,8 @@ def _guard(t, finite, x_bar, p: GameParams, kernel_hit) -> None:
 def _run(scn: Scenario, cfg: SimConfig, traces: TraceSet) -> Trajectory:
     p = scn.params
     h = cfg.h_ode
-    n_steps = _exact_ratio(cfg.horizon, h, "horizon/h_ode")
-    spe = _exact_ratio(cfg.dt_signal, h, "dt_signal/h_ode")
+    n_steps = _step_count(cfg.horizon, h, "horizon/h_ode")
+    spe = _step_count(cfg.dt_signal, h, "dt_signal/h_ode")
     t = h * np.arange(n_steps + 1)
     epoch = np.arange(n_steps + 1) // spe
     eco = traces.ecological.values
@@ -435,7 +420,7 @@ def _run(scn: Scenario, cfg: SimConfig, traces: TraceSet) -> Trajectory:
     )
     finite[: S.size] &= np.isfinite(S)
     kernel_hit = (path.t_ctrl[m], float(den[m])) if m < den.size else None
-    _guard(t, finite, path.x_bar, p, kernel_hit)
+    _guard(t, finite, path.x_bar, path.P, p, kernel_hit)
     return Trajectory(
         t=t,
         S=S,
@@ -474,8 +459,7 @@ def compare_schemes(
     if not dt_list:
         raise ValueError("dt_list must be non-empty")
     dt_fine = min(dt_list)
-    strides = {dt: _exact_ratio(dt, dt_fine, f"dt={dt} vs dt_fine") for dt in dt_list}
-    _exact_ratio(dt_fine, cfg.h_ode, "dt_fine/h_ode")
+    strides = {dt: _step_count(dt, dt_fine, f"dt={dt} vs dt_fine") for dt in dt_list}
     fine = default_traces(scn, replace(cfg, dt_signal=dt_fine), seed)
     rows = []
     for dt in dt_list:

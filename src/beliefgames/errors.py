@@ -26,7 +26,8 @@ class SingularSystemError(BeliefGameError):
 
 
 class UndefinedVarianceError(BeliefGameError):
-    """The estimator variance statistic is undefined (gamma shape <= 1)."""
+    """A variance is undefined: the estimator variance at gamma shape <= 1, or
+    a discrete Kalman error variance P_j that is no longer positive."""
 
 
 class GridUnderflowError(BeliefGameError):

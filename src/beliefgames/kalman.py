@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import NonFiniteStateError, TraceCoverageError
-from .signals import SignalTrace
+from .signals import SignalTrace, _step_count
 
 
 @dataclass(frozen=True)
@@ -71,16 +70,6 @@ def mean_closed_form(trace: SignalTrace, p0: float, r: float, t: float) -> float
     return p0 * trace.integral(0.0, t) / (t * p0 + r)
 
 
-def _exact_steps(total: float, step: float, what: str) -> int:
-    if step <= 0.0:
-        raise ValueError(f"{what}: step size must be positive, got {step}")
-    q = total / step
-    r = round(q)
-    if abs(q - r) > 1e-9 * max(1.0, abs(q)):
-        raise ValueError(f"{what}: {step} does not divide {total}")
-    return int(r)
-
-
 def _rk4_pair(tau, p, r, y, h, p_exact):
     # p_exact(s) gives the exact variance at relative stage time s when the
     # closed form is in use; otherwise P rides along in the integrator.
@@ -121,8 +110,8 @@ def integrate_kalman(
         raise ValueError(f"unknown p_mode {p_mode!r}")
     if duration < 0.0:
         raise ValueError("duration must be non-negative")
-    n = _exact_steps(duration, h, "integrate_kalman duration")
-    _exact_steps(trace.dt, h, "integrate_kalman hold interval")
+    n = _step_count(duration, h, "integrate_kalman duration")
+    _step_count(trace.dt, h, "integrate_kalman hold interval")
     if not trace.covers(b.t, b.t + duration):
         raise TraceCoverageError(
             f"trace [{trace.t0!r}, {trace.end!r}) does not cover the update "
@@ -147,12 +136,6 @@ class KalmanPath:
     tau_hat: np.ndarray
     P: np.ndarray
 
-    def write_csv(self, path: str | Path, player: int = 1) -> None:
-        lines = [f"t,tau_hat_{player},P_{player}"]
-        for i in range(self.t.size):
-            lines.append(f"{self.t[i]:.17g},{self.tau_hat[i]:.17g},{self.P[i]:.17g}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
 
 def kalman_path(
     b: KalmanBelief,
@@ -162,7 +145,7 @@ def kalman_path(
     p_mode: str = "exact",
 ) -> KalmanPath:
     """Like :func:`integrate_kalman`, recording every grid point."""
-    n = _exact_steps(duration, h, "kalman_path duration")
+    n = _step_count(duration, h, "kalman_path duration")
     t = b.t + h * np.arange(n + 1)
     tau_arr = np.empty(n + 1)
     p_arr = np.empty(n + 1)

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import NonFiniteStateError, TraceCoverageError, UndefinedVarianceError
-from .signals import SignalTrace
+from .signals import SignalTrace, _step_count
 
 
 @dataclass(frozen=True)
@@ -85,16 +84,6 @@ def step_discrete(b: NormalGammaBelief, x: float, dt: float) -> NormalGammaBelie
     )
 
 
-def _exact_steps(total: float, step: float, what: str) -> int:
-    if step <= 0.0:
-        raise ValueError(f"{what}: step size must be positive, got {step}")
-    q = total / step
-    r = round(q)
-    if abs(q - r) > 1e-9 * max(1.0, abs(q)):
-        raise ValueError(f"{what}: {step} does not divide {total}")
-    return int(r)
-
-
 def _rk4_mu_beta(
     mu: float, beta: float, kappa0: float, x: float, h: float
 ) -> tuple[float, float]:
@@ -115,38 +104,22 @@ def _rk4_mu_beta(
     return mu_next, beta_next
 
 
-def _check_coverage(b: NormalGammaBelief, trace: SignalTrace, duration: float) -> None:
-    if not trace.covers(b.t, b.t + duration):
-        raise TraceCoverageError(
-            f"trace [{trace.t0!r}, {trace.end!r}) does not cover the update "
-            f"window [{b.t!r}, {b.t + duration!r}]"
-        )
-
-
 def integrate_continuous(
     b: NormalGammaBelief, trace: SignalTrace, duration: float, h: float
 ) -> NormalGammaBelief:
     """Advance the belief by ``duration`` under the held signal.
 
-    ``h`` must divide both the duration and the trace's hold interval, so no
-    integration step ever straddles a signal jump.  kappa and alpha bypass the
-    integrator (they are affine in time).
+    This is the last grid point of :func:`belief_path`; kappa and alpha are
+    advanced in closed form (they are affine in time).
     """
     if duration < 0.0:
         raise ValueError("duration must be non-negative")
-    n = _exact_steps(duration, h, "integrate_continuous duration")
-    _exact_steps(trace.dt, h, "integrate_continuous hold interval")
-    _check_coverage(b, trace, duration)
-    mu, beta = b.mu_hat, b.beta
-    for i in range(n):
-        t_rel = i * h
-        x = trace.value_at(b.t + t_rel + 0.5 * h)
-        mu, beta = _rk4_mu_beta(mu, beta, b.kappa + t_rel, x, h)
+    path = belief_path(b, trace, duration, h)
     return NormalGammaBelief(
-        mu_hat=mu,
+        mu_hat=float(path.mu_hat[-1]),
         kappa=b.kappa + duration,
         alpha=b.alpha + 0.5 * duration,
-        beta=beta,
+        beta=float(path.beta[-1]),
         t=b.t + duration,
     )
 
@@ -169,24 +142,22 @@ class BeliefPath:
         out[ok] = self.beta[ok] / denom[ok]
         return out
 
-    def write_csv(self, path: str | Path) -> None:
-        var = self.estimator_variance()
-        lines = ["t,mu_hat,kappa,alpha,beta,est_variance"]
-        for i in range(self.t.size):
-            lines.append(
-                f"{self.t[i]:.17g},{self.mu_hat[i]:.17g},{self.kappa[i]:.17g},"
-                f"{self.alpha[i]:.17g},{self.beta[i]:.17g},{var[i]:.17g}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
 
 def belief_path(
     b: NormalGammaBelief, trace: SignalTrace, duration: float, h: float
 ) -> BeliefPath:
-    """Like :func:`integrate_continuous`, recording every grid point."""
-    n = _exact_steps(duration, h, "belief_path duration")
-    _exact_steps(trace.dt, h, "belief_path hold interval")
-    _check_coverage(b, trace, duration)
+    """Integrate the belief over ``duration`` by RK4, recording every grid point.
+
+    ``h`` must divide both the duration and the trace's hold interval, so no
+    integration step ever straddles a signal jump.
+    """
+    n = _step_count(duration, h, "belief_path duration")
+    _step_count(trace.dt, h, "belief_path hold interval")
+    if not trace.covers(b.t, b.t + duration):
+        raise TraceCoverageError(
+            f"trace [{trace.t0!r}, {trace.end!r}) does not cover the update "
+            f"window [{b.t!r}, {b.t + duration!r}]"
+        )
     t = b.t + h * np.arange(n + 1)
     mu_arr = np.empty(n + 1)
     beta_arr = np.empty(n + 1)

@@ -129,9 +129,16 @@ class SignalTrace:
         )
 
 
-def hold_value(trace: SignalTrace, s: float) -> float:
-    """Module-level alias for :meth:`SignalTrace.value_at`."""
-    return trace.value_at(s)
+def _step_count(total: float, step: float, what: str) -> int:
+    """Number of steps of size ``step`` in ``total``.  Raises ValueError unless
+    ``step`` is positive and divides ``total``; only a zero total gives 0."""
+    if not step > 0.0:
+        raise ValueError(f"{what}: step size must be positive, got {step}")
+    q = total / step
+    r = round(q)
+    if (r < 1 and total != 0.0) or abs(q - r) > 1e-9 * max(1.0, abs(q)):
+        raise ValueError(f"{what}: {step} does not divide {total}")
+    return int(r)
 
 
 def _sample_count(horizon: float, dt: float) -> int:

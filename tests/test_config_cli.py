@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import beliefgames
 from beliefgames import ConfigError, load_trace
 from beliefgames.cli import main
 from beliefgames.config import default_config, default_config_text, parse_config_text
@@ -28,7 +33,7 @@ def test_step_not_dividing_signal_interval_rejected():
     text = default_config_text().replace("h_ode = 0.02", "h_ode = 0.015")
     with pytest.raises(ConfigError) as err:
         parse_config_text(text)
-    assert any("h_ode" in v for v in err.value.violations)
+    assert any("h_ode" in v and "divide" in v for v in err.value.violations)
 
 
 def test_singular_truth_rejected():
@@ -78,6 +83,25 @@ def test_gen_traces_and_reload(runner, tmp_path):
     assert len(eco) == 500
     assert (out / "trace_cost_1.csv").exists()
     assert (out / "trace_cost_2.csv").exists()
+
+
+def test_module_entry_point_runs_commands(tmp_path):
+    # `python -m beliefgames.cli` must dispatch to the command group.
+    src = str(Path(beliefgames.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "artifacts"
+    result = subprocess.run(
+        [sys.executable, "-m", "beliefgames.cli", "--out", str(out), "gen-traces"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    for name in ("trace_ecological.csv", "trace_cost_1.csv", "trace_cost_2.csv"):
+        assert (out / name).exists(), result.stdout
+    assert len(load_trace(out / "trace_ecological.csv")) == 500
 
 
 def test_simulate_writes_trajectory(runner, tmp_path):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from beliefgames import (
     DegenerateDiscountError,
     GameParams,
+    KalmanBelief,
     NonFiniteStateError,
+    NormalGammaBelief,
     Scenario,
     SignalTrace,
     SimConfig,
@@ -16,6 +18,7 @@ from beliefgames import (
     TraceCoverageError,
     TraceSet,
     Trajectory,
+    UndefinedVarianceError,
     belief_path,
     compare_schemes,
     convergence_diagnostics,
@@ -122,28 +125,61 @@ def test_stock_refinement_is_fourth_order(two_player_scenario):
     assert d1 / d2 >= 8.0
 
 
-def test_discrete_scheme_matches_stepwise_updates(two_player_scenario):
-    """The discrete run's belief columns must reproduce the standalone
-    discrete update operators applied per signal epoch."""
-    cfg = SimConfig(scheme="discrete", dt_signal=0.1, h_ode=0.05, horizon=1.0)
-    traces = default_traces(two_player_scenario, cfg, 13)
-    traj = simulate(two_player_scenario, cfg, traces=traces)
+discrete_player_prior = st.tuples(
+    st.floats(-1.0, 2.0), st.floats(0.01, 0.95), st.floats(0.1, 2.0)
+)  # tau0, dt*p0/r, r
 
-    motion = two_player_scenario.motion_prior()
-    payoff = [two_player_scenario.payoff_prior(j) for j in range(2)]
-    for k in range(10):
-        motion = step_discrete(motion, float(traces.ecological.values[k]), 0.1)
-        payoff = [
-            step_discrete_kalman(payoff[j], float(traces.cost[j].values[k]), 0.1)
-            for j in range(2)
-        ]
-        idx = 2 * (k + 1)  # two ODE steps per epoch
-        assert traj.x_bar[idx] == pytest.approx(motion.mu_hat, rel=1e-15)
-        assert traj.tau_bar[idx, 0] == pytest.approx(payoff[0].tau_hat, rel=1e-15)
-        assert traj.P[idx, 1] == pytest.approx(payoff[1].P, rel=1e-15)
-    # Between epochs the beliefs hold their values.
-    assert traj.x_bar[1] == traj.x_bar[0]
-    assert traj.x_bar[3] == traj.x_bar[2]
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    players=st.lists(discrete_player_prior, min_size=1, max_size=4),
+    dt=st.sampled_from([0.02, 0.05, 0.1]),
+    ratio=st.sampled_from([1, 2, 5, 10]),
+    epochs=st.integers(1, 16),
+    mu0=st.floats(-1.0, 1.0),
+    kappa0=st.floats(0.2, 5.0),
+    alpha0=st.floats(1.1, 4.0),
+    beta0=st.floats(0.0, 2.0),
+    mode=st.sampled_from(["realized", "expected"]),
+    seed=st.integers(0, 2**16),
+)
+def test_discrete_scheme_matches_stepwise_updates(
+    players, dt, ratio, epochs, mu0, kappa0, alpha0, beta0, mode, seed
+):
+    """The discrete run's belief columns reproduce the standalone discrete
+    update operators applied per signal epoch, bit for bit."""
+    n = len(players)
+    tau0, gain, r = (tuple(v) for v in zip(*players))
+    p0 = tuple(g * r_j / dt for g, r_j in zip(gain, r))
+    p = GameParams(a=(3.0,) * n, tau=(1.0,) * n, delta=0.8, rho=0.1, s0=0.1)
+    scn = Scenario(
+        params=p, mu_true=0.5, sigma=0.3, mu0=mu0, kappa0=kappa0, alpha0=alpha0,
+        beta0=beta0, tau0=tau0, p0=p0, r=r,
+    )
+    cfg = SimConfig(
+        scheme="discrete", dt_signal=dt, h_ode=dt / ratio, horizon=dt * epochs,
+        dynamics_mode=mode,
+    )
+    traces = default_traces(scn, cfg, seed)
+    traj = simulate(scn, cfg, traces=traces)
+
+    motion = NormalGammaBelief(mu0, kappa0, alpha0, beta0)
+    payoff = [KalmanBelief(*prior) for prior in zip(tau0, p0, r)]
+    for k in range(epochs + 1):
+        if k:
+            motion = step_discrete(motion, float(traces.ecological.values[k - 1]), dt)
+            payoff = [
+                step_discrete_kalman(b, float(tr.values[k - 1]), dt)
+                for b, tr in zip(payoff, traces.cost)
+            ]
+        i = k * ratio  # the epoch boundary
+        assert traj.x_bar[i] == motion.mu_hat
+        assert traj.var_mu[i] == motion.estimator_variance()
+        assert traj.tau_bar[i].tolist() == [b.tau_hat for b in payoff]
+        assert traj.P[i].tolist() == [b.P for b in payoff]
+        # Between epochs the beliefs hold their values.
+        for column in (traj.x_bar, traj.var_mu, traj.tau_bar, traj.P):
+            assert np.all(column[i : i + ratio] == column[i])
 
 
 def test_discrete_and_continuous_share_hyperparameter_clock(two_player_scenario):
@@ -223,17 +259,6 @@ def test_clamp_mode_floors_controls_at_zero():
     assert np.min(plain.u) < 0.0
     assert np.min(clamped.u) == 0.0
     assert not np.array_equal(plain.S, clamped.S)
-
-
-def test_epoch_refresh_mode_stays_close_to_per_step(two_player_scenario):
-    cfg = SimConfig(dt_signal=0.02, h_ode=0.002, horizon=2.0)
-    traces = default_traces(two_player_scenario, cfg, 8)
-    per_step = simulate(two_player_scenario, cfg, traces=traces)
-    per_epoch = simulate(
-        two_player_scenario, replace(cfg, control_refresh="epoch"), traces=traces
-    )
-    gap = np.max(np.abs(per_step.u - per_epoch.u))
-    assert 0.0 < gap < 0.01
 
 
 def test_uncovered_traces_rejected(two_player_scenario, base_config):
@@ -378,6 +403,20 @@ def test_earliest_guard_wins_over_guard_order(two_player_params):
         simulate(scn, SimConfig(), traces=held_traces(eco))
 
 
+def test_discrete_kalman_variance_leaving_positive_axis_names_time(two_player_params):
+    # dt*P0/R = 2.25 for player 1: P_1 = 9 - 0.25*81 = -11.25 after one epoch.
+    scn = Scenario(
+        params=two_player_params, mu_true=0.5, sigma=0.2, p0=(9.0, 1.0), r=(1.0, 0.25)
+    )
+    cfg = SimConfig(scheme="discrete", dt_signal=0.25, h_ode=0.05, horizon=1.0)
+    expect = r"P_1=-11\.25 not positive at t=0\.25$"
+    with pytest.raises(UndefinedVarianceError, match=expect):
+        simulate(scn, cfg, seed=1)
+    # A guard hazard at an earlier time still wins.
+    with pytest.raises(DegenerateDiscountError, match=r"at t=0 "):
+        simulate(replace(scn, mu0=1.125), cfg, seed=1)
+
+
 player_prior = st.tuples(
     st.floats(-1.0, 2.0), st.floats(0.2, 5.0), st.floats(0.1, 2.0)
 )  # tau0, p0, r
@@ -412,7 +451,8 @@ def test_continuous_beliefs_match_rk4_oracles(
     traces = default_traces(scn, cfg, seed)
     traj = simulate(scn, cfg, traces=traces)
     h_oracle, stride = dt / 50, 50 // ratio
-    motion = belief_path(scn.motion_prior(), traces.ecological, cfg.horizon, h_oracle)
+    prior = NormalGammaBelief(mu0, kappa0, alpha0, beta0)
+    motion = belief_path(prior, traces.ecological, cfg.horizon, h_oracle)
 
     def sup_rel(observed, expected):
         return np.max(np.abs(observed - expected)) / np.max(np.abs(expected))
@@ -420,5 +460,6 @@ def test_continuous_beliefs_match_rk4_oracles(
     assert sup_rel(traj.x_bar, motion.mu_hat[::stride]) <= 1e-10
     assert max_rel_gap(traj.var_mu, motion.estimator_variance()[::stride]) <= 1e-10
     for j in range(n):
-        payoff = kalman_path(scn.payoff_prior(j), traces.cost[j], cfg.horizon, h_oracle)
+        prior = KalmanBelief(tau0[j], p0[j], r[j])
+        payoff = kalman_path(prior, traces.cost[j], cfg.horizon, h_oracle)
         assert sup_rel(traj.tau_bar[:, j], payoff.tau_hat[::stride]) <= 1e-10

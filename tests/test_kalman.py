@@ -140,13 +140,8 @@ def test_estimates_tighten_with_horizon_across_seeds():
     assert wins >= 95
 
 
-def test_path_recording_and_export(tmp_path):
+def test_path_recording_and_export():
     trace = SignalTrace(t0=0.0, dt=0.5, values=np.array([1.0, 2.0]))
     path = kalman_path(KalmanBelief(0.0, 1.0, 1.0), trace, 1.0, 0.25)
     assert path.t.size == 5
     assert np.all(np.diff(path.P) < 0)
-    out = tmp_path / "kalman.csv"
-    path.write_csv(out, player=2)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,tau_hat_2,P_2"
-    assert len(lines) == 6

@@ -10,7 +10,6 @@ from beliefgames import (
     TraceCoverageError,
     TraceFormatError,
     TraceSeed,
-    hold_value,
     load_trace,
     sample_cost_trace,
     sample_ecological_trace,
@@ -66,21 +65,21 @@ def test_cost_trace_mean_obeys_law_of_large_numbers():
 
 def test_hold_value_examples():
     trace = SignalTrace(t0=0.0, dt=0.02, values=np.arange(5.0), label="x")
-    assert hold_value(trace, 0.019) == 0.0
-    assert hold_value(trace, 0.02) == 1.0
-    assert hold_value(trace, trace.end - 1e-6) == 4.0
+    assert trace.value_at(0.019) == 0.0
+    assert trace.value_at(0.02) == 1.0
+    assert trace.value_at(trace.end - 1e-6) == 4.0
     with pytest.raises(TraceCoverageError):
-        hold_value(trace, trace.end)
+        trace.value_at(trace.end)
     with pytest.raises(TraceCoverageError):
-        hold_value(trace, -0.01)
+        trace.value_at(-0.01)
 
 
 def test_hold_value_is_right_continuous_with_boundary_jumps():
     trace = SignalTrace(t0=1.0, dt=0.5, values=np.array([2.0, -3.0, 7.0]))
     for k, expect in enumerate(trace.values):
         edge = 1.0 + 0.5 * k
-        assert hold_value(trace, edge) == expect
-        assert hold_value(trace, edge + 0.25) == expect
+        assert trace.value_at(edge) == expect
+        assert trace.value_at(edge + 0.25) == expect
 
 
 def test_integral_matches_manual_sum():
