@@ -3,10 +3,7 @@ differential games with online Bayesian belief updating."""
 
 from .config import ScenarioConfig, default_config, parse_config
 from .engine import (
-    DiagnosticsWindow,
-    PayoffEstimate,
     Scenario,
-    SchemeGap,
     SimConfig,
     TraceSet,
     Trajectory,
@@ -19,7 +16,6 @@ from .engine import (
 )
 from .equilibrium import (
     BeliefProfile,
-    EquilibriumSolution,
     GameParams,
     c_bar,
     check_nonnegativity,
@@ -54,7 +50,6 @@ from .kalman import (
     variance_closed_form,
 )
 from .normal_gamma import (
-    BeliefPath,
     NormalGammaBelief,
     belief_derivative,
     belief_path,
@@ -64,10 +59,6 @@ from .normal_gamma import (
 )
 from .oracles import (
     BayesGrid,
-    BestResponseResult,
-    CheckResult,
-    GridPosterior,
-    VerificationReport,
     best_response_value,
     closed_form_cross_check,
     grid_bayes_posterior,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import astuple
 from pathlib import Path
 
 import click
@@ -12,29 +13,42 @@ from .engine import TraceSet, compare_schemes, default_traces, simulate
 from .equilibrium import BeliefProfile, equilibrium_report
 from .errors import BeliefGameError
 from .oracles import closed_form_cross_check
-from .signals import load_trace, save_trace
+from .signals import _write_csv, load_trace, save_trace
 
 _NOTE = "scenario constants are repository defaults, not published values"
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports the package's typed errors and invalid values as one-line CLI
+    errors (exit 1, no traceback), whichever command raises them."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (BeliefGameError, ValueError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 @click.option("--config", "config_path", default=None, help="Scenario INI file.")
 @click.option("--seed", type=int, default=None, help="Override the configured seed.")
 @click.option("--out", default=None, help="Override the output directory.")
 @click.pass_context
 def main(ctx, config_path, seed, out):
     """Differential-game simulation with online Bayesian belief updating."""
-    try:
-        cfg = parse_config(config_path) if config_path else default_config()
-        ctx.obj = cfg.with_overrides(seed=seed, out_dir=out)
-    except BeliefGameError as exc:
-        raise click.ClickException(str(exc)) from exc
+    cfg = parse_config(config_path) if config_path else default_config()
+    ctx.obj = cfg.with_overrides(seed=seed, out_dir=out)
 
 
 def _out_dir(cfg: ScenarioConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _trace_paths(out: Path, n: int) -> list[Path]:
@@ -80,21 +94,18 @@ def cmd_simulate(cfg: ScenarioConfig, dt, horizon, scheme, traces_dir):
         overrides["horizon"] = horizon
     if scheme is not None:
         overrides["scheme"] = scheme
-    try:
-        cfg = cfg.with_overrides(**overrides)
-        out = _out_dir(cfg)
-        if traces_dir is not None:
-            paths = _trace_paths(Path(traces_dir), cfg.scenario.params.n)
-            loaded = [load_trace(p) for p in paths]
-            tset = TraceSet(ecological=loaded[0], cost=tuple(loaded[1:]))
-            traj = simulate(cfg.scenario, cfg.sim, traces=tset)
-        else:
-            traj = simulate(cfg.scenario, cfg.sim, seed=cfg.seed)
-        path = out / "trajectory.csv"
-        traj.to_csv(path)
-        click.echo(f"wrote {path} ({traj.t.size} grid points)")
-    except (BeliefGameError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    cfg = cfg.with_overrides(**overrides)
+    out = _out_dir(cfg)
+    if traces_dir is not None:
+        paths = _trace_paths(Path(traces_dir), cfg.scenario.params.n)
+        loaded = [load_trace(p) for p in paths]
+        tset = TraceSet(ecological=loaded[0], cost=tuple(loaded[1:]))
+        traj = simulate(cfg.scenario, cfg.sim, traces=tset)
+    else:
+        traj = simulate(cfg.scenario, cfg.sim, seed=cfg.seed)
+    path = out / "trajectory.csv"
+    traj.to_csv(path)
+    click.echo(f"wrote {path} ({traj.t.size} grid points)")
 
 
 @main.command("compare-dt")
@@ -107,64 +118,44 @@ def cmd_simulate(cfg: ScenarioConfig, dt, horizon, scheme, traces_dir):
 @click.pass_obj
 def cmd_compare_dt(cfg: ScenarioConfig, dt_list):
     """Sweep signal intervals and write the discrete-vs-continuous gap table."""
-    try:
-        dts = [float(v) for v in dt_list.split(",") if v.strip()]
-        rows = compare_schemes(cfg.scenario, cfg.sim, dts, cfg.seed)
-        out = _out_dir(cfg)
-        path = out / "dt_gaps.csv"
-        lines = ["dt,gap_x_bar,gap_tau_bar,gap_u,gap_S"]
-        for row in rows:
-            lines.append(
-                f"{row.dt_signal:.17g},{row.x_bar:.17g},{row.tau_bar:.17g},"
-                f"{row.u:.17g},{row.stock:.17g}"
-            )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        click.echo(f"wrote {path}")
-    except (BeliefGameError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    dts = [float(v) for v in dt_list.split(",") if v.strip()]
+    rows = compare_schemes(cfg.scenario, cfg.sim, dts, cfg.seed)
+    path = _out_dir(cfg) / "dt_gaps.csv"
+    head = ["dt,gap_x_bar,gap_tau_bar,gap_u,gap_S"]
+    _write_csv(path, head, [astuple(r) for r in rows])
+    click.echo(f"wrote {path}")
 
 
 @main.command("equilibrium")
 @click.pass_obj
 def cmd_equilibrium(cfg: ScenarioConfig):
     """Solve the equilibrium at converged beliefs and write equilibrium.json."""
-    try:
-        scn = cfg.scenario
-        beliefs = BeliefProfile(x_bar=scn.mu_true, tau_bar=scn.params.tau)
-        report = equilibrium_report(
-            scn.params,
-            beliefs,
-            mu_true=scn.mu_true,
-            include_value_intercepts=True,
-        )
-        report["note"] = _NOTE
-        out = _out_dir(cfg)
-        path = out / "equilibrium.json"
-        path.write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        click.echo(f"wrote {path}")
-    except BeliefGameError as exc:
-        raise click.ClickException(str(exc)) from exc
+    scn = cfg.scenario
+    beliefs = BeliefProfile(x_bar=scn.mu_true, tau_bar=scn.params.tau)
+    report = equilibrium_report(
+        scn.params,
+        beliefs,
+        mu_true=scn.mu_true,
+        include_value_intercepts=True,
+    )
+    path = _out_dir(cfg) / "equilibrium.json"
+    _write_json(path, {**report, "note": _NOTE})
+    click.echo(f"wrote {path}")
 
 
 @main.command("verify")
 @click.pass_obj
 def cmd_verify(cfg: ScenarioConfig):
     """Run the closed-form oracle suite; exit nonzero on any failed check."""
-    try:
-        report = closed_form_cross_check([(cfg.scenario, cfg.sim, cfg.seed)])
-        out = _out_dir(cfg)
-        path = out / "verification.json"
-        report.write_json(path, extra={"note": _NOTE})
-        for check in report.checks:
-            status = "PASS" if check.passed else "FAIL"
-            click.echo(f"{status} {check.name}: observed={check.observed:.3g}")
-        click.echo(f"wrote {path}")
-        if not report.all_passed:
-            raise click.ClickException("verification failed")
-    except BeliefGameError as exc:
-        raise click.ClickException(str(exc)) from exc
+    report = closed_form_cross_check([(cfg.scenario, cfg.sim, cfg.seed)])
+    path = _out_dir(cfg) / "verification.json"
+    _write_json(path, {**report.as_dict(), "note": _NOTE})
+    for check in report.checks:
+        status = "PASS" if check.passed else "FAIL"
+        click.echo(f"{status} {check.name}: observed={check.observed:.3g}")
+    click.echo(f"wrote {path}")
+    if not report.all_passed:
+        raise click.ClickException("verification failed")
 
 
 if __name__ == "__main__":

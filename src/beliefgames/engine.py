@@ -25,7 +25,7 @@ over the run then raises the typed error of the earliest unhealthy time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -49,6 +49,7 @@ from .signals import (
     TraceSeed,
     _sample_count,
     _step_count,
+    _write_csv,
     sample_cost_trace,
     sample_ecological_trace,
 )
@@ -171,9 +172,7 @@ class Trajectory:
     def to_csv(self, path: str | Path) -> None:
         columns = (self.t, self.S, self.x_real, self.x_bar, self.var_mu)
         table = np.column_stack(columns + (self.tau_bar, self.P, self.u))
-        row = ",".join(["%.17g"] * table.shape[1])
-        lines = [self.header()] + [row % tuple(r) for r in table.tolist()]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_csv(path, [self.header()], table)
 
 
 def _validate_traces(traces: TraceSet, cfg: SimConfig, n: int) -> None:
@@ -496,15 +495,7 @@ class DiagnosticsWindow:
     control_gap: float
 
     def as_dict(self) -> dict:
-        return {
-            "t_lo": self.t_lo,
-            "t_hi": self.t_hi,
-            "x_gap": self.x_gap,
-            "tau_gap": self.tau_gap,
-            "var_mu": self.var_mu,
-            "p_max": self.p_max,
-            "control_gap": self.control_gap,
-        }
+        return asdict(self)
 
 
 def window_diagnostics(

@@ -14,7 +14,7 @@ consistent with the coefficient-matched system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -311,21 +311,7 @@ class NonnegativityReport:
         return self.intercept_ok and self.type_ok and self.discount_ok
 
     def as_dict(self) -> dict:
-        return {
-            "intercept_ok": self.intercept_ok,
-            "intercept_value": self.intercept_value,
-            "type_ok": self.type_ok,
-            "type_value": self.type_value,
-            "discount_ok": self.discount_ok,
-            "discount_value": self.discount_value,
-            "tau_lower": self.tau_lower,
-            "tau_upper": self.tau_upper,
-            "min_controls": None
-            if self.min_controls is None
-            else list(self.min_controls),
-            "min_stock": self.min_stock,
-            "all_ok": self.all_ok,
-        }
+        return {**asdict(self), "all_ok": self.all_ok}
 
 
 def check_nonnegativity(

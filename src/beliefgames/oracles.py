@@ -7,10 +7,8 @@ integrates the raw expected dynamics and quadratures the payoff.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +22,7 @@ from .equilibrium import (
     known_state_controls,
     known_state_equilibrium,
     solve_equilibrium,
+    value_slope,
 )
 from .errors import GridUnderflowError
 from .kalman import (
@@ -253,14 +252,6 @@ class VerificationReport:
             "checks": [c.as_dict() for c in self.checks],
         }
 
-    def write_json(self, path: str | Path, extra: dict | None = None) -> None:
-        payload = self.as_dict()
-        if extra:
-            payload.update(extra)
-        Path(path).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-
 
 def _check_h(dt: float, target: float = 1e-3) -> float:
     # Largest step <= target that divides the hold interval exactly.
@@ -369,7 +360,7 @@ def closed_form_cross_check(
             abs(cf_controls[i] - sol.controls[i]) for i in range(params.n)
         )
         cf_slope = closed_form_value_slope(1.0, scn.mu_true, params.delta, params.rho)
-        sol_slope = sol.value_slopes[0] / params.tau[0] if params.tau[0] else 0.0
+        sol_slope = value_slope(1.0, scn.mu_true, params.delta, params.rho)
         known_cf = known_state_controls(params, scn.mu_true)
         known_sol = known_state_equilibrium(params, scn.mu_true)
         delta_known = max(

@@ -187,14 +187,20 @@ def sample_cost_trace(
     return SignalTrace(t0=0.0, dt=dt, values=values, label=label)
 
 
+def _write_csv(path: str | Path, head: list[str], table) -> None:
+    """Write the ``head`` lines, then one ``%.17g`` line per row of the float
+    ``table``: the one CSV encoder of every artifact."""
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.17g"] * table.shape[1])
+    lines = head + [row % tuple(r) for r in table.tolist()]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def save_trace(trace: SignalTrace, path: str | Path) -> None:
     """Write a trace as CSV: a `# label,dt,t0` comment row, then t,value rows."""
-    path = Path(path)
-    lines = [f"# {trace.label},{trace.dt:.17g},{trace.t0:.17g}", "t,value"]
-    for k, v in enumerate(trace.values):
-        t = trace.t0 + k * trace.dt
-        lines.append(f"{t:.17g},{v:.17g}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    t = trace.t0 + np.arange(len(trace)) * trace.dt
+    meta = f"# {trace.label},{trace.dt:.17g},{trace.t0:.17g}"
+    _write_csv(path, [meta, "t,value"], np.column_stack((t, trace.values)))
 
 
 def load_trace(path: str | Path) -> SignalTrace:
@@ -221,19 +227,19 @@ def load_trace(path: str | Path) -> SignalTrace:
         raise TraceFormatError(f"{path}: non-numeric metadata: {exc}") from exc
     if header != "t,value":
         raise TraceFormatError(f"{path}: expected header 't,value', got {header!r}")
-    values = []
-    for k, row in enumerate(rows):
-        cells = row.split(",")
-        if len(cells) != 2:
-            raise TraceFormatError(f"{path}: malformed row {row!r}")
-        try:
-            t = float(cells[0])
-            values.append(float(cells[1]))
-        except ValueError as exc:
-            raise TraceFormatError(f"{path}: non-numeric value in {row!r}") from exc
-        if abs(t - (t0 + k * dt)) > 1e-9 * dt:
-            raise TraceFormatError(
-                f"{path}: data row {k + 1} {row!r} has t={t!r}, "
-                f"expected {t0 + k * dt!r} from t0 and dt"
-            )
-    return SignalTrace(t0=t0, dt=dt, values=np.array(values), label=label)
+    try:
+        table = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        raise TraceFormatError(f"{path}: malformed data rows: {exc}") from exc
+    if table.shape[1] != 2:
+        raise TraceFormatError(f"{path}: rows need 2 cells, got {table.shape[1]}")
+    t, values = table.T
+    expected = t0 + np.arange(len(rows)) * dt
+    off = np.flatnonzero(np.abs(t - expected) > 1e-9 * dt)
+    if off.size:
+        k = int(off[0])
+        raise TraceFormatError(
+            f"{path}: data row {k + 1} {rows[k]!r} has t={float(t[k])!r}, "
+            f"expected {float(expected[k])!r} from t0 and dt"
+        )
+    return SignalTrace(t0=t0, dt=dt, values=values, label=label)

@@ -198,3 +198,15 @@ def test_bad_config_file_fails_cleanly(runner, tmp_path):
     result = runner.invoke(main, ["--config", str(bad), "simulate"])
     assert result.exit_code != 0
     assert "delta" in result.output
+
+
+def test_verify_reports_value_errors_without_traceback(runner, tmp_path):
+    cfg = tmp_path / "odd_horizon.ini"
+    text = default_config_text().replace("horizon = 10.0", "horizon = 10.0005")
+    cfg.write_text(text)
+    out = tmp_path / "artifacts"
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "verify"])
+    assert result.exit_code == 1
+    assert "does not divide" in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output

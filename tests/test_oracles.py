@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -156,13 +159,18 @@ def test_cross_check_empty_run_set_yields_empty_report():
     assert report.all_passed
 
 
-def test_cross_check_report_round_trips_to_json(tmp_path):
+def test_cross_check_report_round_trips_to_json():
     report = closed_form_cross_check([default_case()])
-    path = tmp_path / "verification.json"
-    report.write_json(path, extra={"note": "test"})
-    import json
-
-    back = json.loads(path.read_text())
+    back = json.loads(json.dumps(report.as_dict()))
     assert back["all_passed"] is True
-    assert back["note"] == "test"
     assert len(back["checks"]) == len(report.checks)
+    assert back == report.as_dict()
+
+
+def test_value_slope_delta_with_zero_first_cost_type():
+    scn, sim, seed = default_case()
+    scn = replace(scn, params=replace(scn.params, tau=(0.0, 1.2)))
+    report = closed_form_cross_check([(scn, sim, seed)])
+    (check,) = [c for c in report.checks if c.name == "published-value-slope-delta"]
+    # Solver unit slope -1/(1 + rho - mu*delta) = -1/0.7 vs the published -2.0.
+    assert check.observed == pytest.approx(2.0 - 1.0 / 0.7, rel=1e-9)

@@ -141,6 +141,21 @@ def test_load_rejects_malformed_files(tmp_path):
     with pytest.raises(TraceFormatError):
         load_trace(bad_cell)
 
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("# lab,0.5,0.0\nt,value\n0,1\n0.5,2,3\n1,4\n")
+    with pytest.raises(TraceFormatError):
+        load_trace(ragged)
+
+    one_cell = tmp_path / "one_cell.csv"
+    one_cell.write_text("# lab,0.5,0.0\nt,value\n0\n0.5\n")
+    with pytest.raises(TraceFormatError):
+        load_trace(one_cell)
+
+    inline_hash = tmp_path / "inline_hash.csv"
+    inline_hash.write_text("# lab,0.5,0.0\nt,value\n0,1#x\n")
+    with pytest.raises(TraceFormatError):
+        load_trace(inline_hash)
+
 
 def test_load_rejects_tampered_time_column(tmp_path):
     path = tmp_path / "trace.csv"
@@ -149,7 +164,8 @@ def test_load_rejects_tampered_time_column(tmp_path):
     assert lines[5] == "1.25,3"
     lines[5] = "1.2500001,3"  # data row 4, off by 4e-7*dt
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceFormatError, match=r"data row 4 '1\.2500001,3'"):
+    msg = r"data row 4 '1\.2500001,3' has t=1\.2500001, expected 1\.25 from t0 and dt"
+    with pytest.raises(TraceFormatError, match=msg):
         load_trace(path)
 
 
