@@ -83,14 +83,24 @@ class EquilibriumSolution:
     foc_residual: float
 
 
-def c_bar(x_bar: float, delta: float, rho: float) -> float:
-    """The published discounting coefficient -x_bar / (1 - x_bar*delta - rho)."""
+def _published_denominator(x_bar: float, delta: float, rho: float) -> float:
+    # 1 - x_bar*delta - rho, shared by the published coefficient and slope.
     den = 1.0 - x_bar * delta - rho
     if abs(den) <= EPS_SINGULAR:
         raise DegenerateDiscountError(
             f"1 - x_bar*delta - rho = {den!r} is numerically singular"
         )
-    return -x_bar / den
+    return den
+
+
+def _max_gap(a, b) -> float:
+    # Largest elementwise |a_i - b_i|: how far a published form is off.
+    return max(abs(x - y) for x, y in zip(a, b))
+
+
+def c_bar(x_bar: float, delta: float, rho: float) -> float:
+    """The published discounting coefficient -x_bar / (1 - x_bar*delta - rho)."""
+    return -x_bar / _published_denominator(x_bar, delta, rho)
 
 
 def _maximized_rhs(
@@ -136,12 +146,7 @@ def closed_form_value_slope(
     tau_i: float, x_bar: float, delta: float, rho: float
 ) -> float:
     """Published slope -tau_i / (1 - x_bar*delta - rho), kept for comparison."""
-    den = 1.0 - x_bar * delta - rho
-    if abs(den) <= EPS_SINGULAR:
-        raise DegenerateDiscountError(
-            f"1 - x_bar*delta - rho = {den!r} is numerically singular"
-        )
-    return -tau_i / den
+    return -tau_i / _published_denominator(x_bar, delta, rho)
 
 
 def control_kernel(
@@ -232,36 +237,29 @@ def solve_equilibrium(p: GameParams, b: BeliefProfile) -> EquilibriumSolution:
     )
 
 
-def closed_form_controls(p: GameParams, b: BeliefProfile) -> tuple[float, ...]:
-    """Published closed-form controls, evaluated verbatim for comparison."""
+def _published_controls(p: GameParams, c: float, tau_total: float, own):
+    # The form both published control formulas share:
+    # a_i - sum(a)/(n+1) - (n^2-n+2)/(4(n+1)) * c * tau_total + own_i.
     n = p.n
-    cb = c_bar(b.x_bar, p.delta, p.rho)
     a_total = sum(p.a)
-    tb_total = sum(b.tau_bar)
     coef = (n * n - n + 2.0) / (4.0 * (n + 1.0))
     return tuple(
-        p.a[i]
-        - a_total / (n + 1.0)
-        - coef * cb * tb_total
-        + 0.5 * cb * (0.5 * n * b.tau_bar[i] + p.tau[i])
-        for i in range(n)
+        p.a[i] - a_total / (n + 1.0) - coef * c * tau_total + own[i] for i in range(n)
     )
+
+
+def closed_form_controls(p: GameParams, b: BeliefProfile) -> tuple[float, ...]:
+    """Published closed-form controls, evaluated verbatim for comparison."""
+    cb = c_bar(b.x_bar, p.delta, p.rho)
+    own = [0.5 * cb * (0.5 * p.n * tb + t) for tb, t in zip(b.tau_bar, p.tau)]
+    return _published_controls(p, cb, sum(b.tau_bar), own)
 
 
 def known_state_controls(p: GameParams, mu_true: float) -> tuple[float, ...]:
     """Published full-information controls, evaluated verbatim for comparison."""
-    n = p.n
     c = c_bar(mu_true, p.delta, p.rho)
-    a_total = sum(p.a)
-    tau_total = sum(p.tau)
-    coef = (n * n - n + 2.0) / (4.0 * (n + 1.0))
-    return tuple(
-        p.a[i]
-        - a_total / (n + 1.0)
-        - coef * c * tau_total
-        + 0.25 * (n + 2.0) * c * p.tau[i]
-        for i in range(n)
-    )
+    own = [0.25 * (p.n + 2.0) * c * t for t in p.tau]
+    return _published_controls(p, c, sum(p.tau), own)
 
 
 def known_state_equilibrium(p: GameParams, mu_true: float) -> EquilibriumSolution:
@@ -386,13 +384,9 @@ def equilibrium_report(
         "closed_form": {
             "c_bar": c_bar(b.x_bar, p.delta, p.rho),
             "controls": list(cf),
-            "control_delta_max": max(
-                abs(cf[i] - sol.controls[i]) for i in range(p.n)
-            ),
+            "control_delta_max": _max_gap(cf, sol.controls),
             "value_slopes": list(cf_slopes),
-            "value_slope_delta_max": max(
-                abs(cf_slopes[i] - sol.value_slopes[i]) for i in range(p.n)
-            ),
+            "value_slope_delta_max": _max_gap(cf_slopes, sol.value_slopes),
         },
         "nonnegativity": check_nonnegativity(p, tau_lower, tau_upper).as_dict(),
     }
@@ -404,8 +398,6 @@ def equilibrium_report(
         report["known_state"] = {
             "solver_controls": list(known_sol.controls),
             "closed_form_controls": list(known_cf),
-            "control_delta_max": max(
-                abs(known_cf[i] - known_sol.controls[i]) for i in range(p.n)
-            ),
+            "control_delta_max": _max_gap(known_cf, known_sol.controls),
         }
     return report

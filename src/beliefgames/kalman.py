@@ -65,69 +65,28 @@ def variance_closed_form(p0: float, r: float, elapsed: float) -> float:
     return p0 * r / (elapsed * p0 + r)
 
 
-def mean_closed_form(trace: SignalTrace, p0: float, r: float, t: float) -> float:
-    """Closed-form estimate p0 * integral(y) / (t p0 + r); valid for tau_hat(0) = 0."""
+def mean_closed_form(trace: SignalTrace, p0: float, r: float, t):
+    """Closed form p0 * integral(y) / (t p0 + r) at time(s) t; needs tau_hat(0) = 0."""
     return p0 * trace.integral(0.0, t) / (t * p0 + r)
 
 
 def _rk4_pair(tau, p, r, y, h, p_exact):
-    # p_exact(s) gives the exact variance at relative stage time s when the
-    # closed form is in use; otherwise P rides along in the integrator.
-    if p_exact is not None:
+    # p_exact holds the exact variance at the start, middle and end of the
+    # step when the closed form is in use: P is then read off, not integrated.
+    # Otherwise (None) P rides along in the integrator.
+    def rates(stage, state_tau, state_p):
+        if p_exact is not None:
+            return (p_exact[stage] / r) * (y - state_tau), 0.0
+        return (state_p / r) * (y - state_tau), -state_p * state_p / r
 
-        def rates(s, state_tau, _state_p):
-            ps = p_exact(s)
-            return (ps / r) * (y - state_tau), 0.0
-
-    else:
-
-        def rates(_s, state_tau, state_p):
-            return (state_p / r) * (y - state_tau), -state_p * state_p / r
-
-    k1t, k1p = rates(0.0, tau, p)
-    k2t, k2p = rates(0.5 * h, tau + 0.5 * h * k1t, p + 0.5 * h * k1p)
-    k3t, k3p = rates(0.5 * h, tau + 0.5 * h * k2t, p + 0.5 * h * k2p)
-    k4t, k4p = rates(h, tau + h * k3t, p + h * k3p)
+    k1t, k1p = rates(0, tau, p)
+    k2t, k2p = rates(1, tau + 0.5 * h * k1t, p + 0.5 * h * k1p)
+    k3t, k3p = rates(1, tau + 0.5 * h * k2t, p + 0.5 * h * k2p)
+    k4t, k4p = rates(2, tau + h * k3t, p + h * k3p)
     tau_next = tau + h * (k1t + 2.0 * (k2t + k3t) + k4t) / 6.0
-    p_next = p + h * (k1p + 2.0 * (k2p + k3p) + k4p) / 6.0
-    return tau_next, p_next
-
-
-def integrate_kalman(
-    b: KalmanBelief,
-    trace: SignalTrace,
-    duration: float,
-    h: float,
-    p_mode: str = "exact",
-) -> KalmanBelief:
-    """Advance the filter by ``duration`` under the held observation signal.
-
-    ``p_mode="exact"`` (default) propagates P by its closed form and
-    integrates only tau_hat; ``p_mode="ode"`` integrates both, which exists
-    for cross-checking the closed form.
-    """
-    if p_mode not in ("exact", "ode"):
-        raise ValueError(f"unknown p_mode {p_mode!r}")
-    if duration < 0.0:
-        raise ValueError("duration must be non-negative")
-    n = _step_count(duration, h, "integrate_kalman duration")
-    _step_count(trace.dt, h, "integrate_kalman hold interval")
-    if not trace.covers(b.t, b.t + duration):
-        raise TraceCoverageError(
-            f"trace [{trace.t0!r}, {trace.end!r}) does not cover the update "
-            f"window [{b.t!r}, {b.t + duration!r}]"
-        )
-    tau, p = b.tau_hat, b.P
-    for i in range(n):
-        t_rel = i * h
-        y = trace.value_at(b.t + t_rel + 0.5 * h)
-        if p_mode == "exact":
-            p_exact = lambda s, base=t_rel: variance_closed_form(b.P, b.R, base + s)
-            tau, _ = _rk4_pair(tau, p, b.R, y, h, p_exact)
-            p = variance_closed_form(b.P, b.R, t_rel + h)
-        else:
-            tau, p = _rk4_pair(tau, p, b.R, y, h, None)
-    return KalmanBelief(tau_hat=tau, P=p, R=b.R, t=b.t + duration)
+    if p_exact is not None:
+        return tau_next, p_exact[2]
+    return tau_next, p + h * (k1p + 2.0 * (k2p + k3p) + k4p) / 6.0
 
 
 @dataclass(frozen=True)
@@ -144,14 +103,54 @@ def kalman_path(
     h: float,
     p_mode: str = "exact",
 ) -> KalmanPath:
-    """Like :func:`integrate_kalman`, recording every grid point."""
+    """Integrate the filter over ``duration`` by RK4, recording every grid point.
+
+    ``p_mode="exact"`` (default) takes P from its closed form, anchored at
+    ``b``, and integrates only tau_hat; ``p_mode="ode"`` integrates both,
+    which exists for cross-checking the closed form.  ``h`` must divide both
+    the duration and the trace's hold interval.  A non-finite state raises
+    :class:`NonFiniteStateError` naming its first grid time.
+    """
+    if p_mode not in ("exact", "ode"):
+        raise ValueError(f"unknown p_mode {p_mode!r}")
+    if duration < 0.0:
+        raise ValueError("duration must be non-negative")
     n = _step_count(duration, h, "kalman_path duration")
+    _step_count(trace.dt, h, "kalman_path hold interval")
+    if not trace.covers(b.t, b.t + duration):
+        raise TraceCoverageError(
+            f"trace [{trace.t0!r}, {trace.end!r}) does not cover the update "
+            f"window [{b.t!r}, {b.t + duration!r}]"
+        )
     t = b.t + h * np.arange(n + 1)
     tau_arr = np.empty(n + 1)
     p_arr = np.empty(n + 1)
-    tau_arr[0], p_arr[0] = b.tau_hat, b.P
-    state = b
+    tau, p = b.tau_hat, b.P
+    tau_arr[0], p_arr[0] = tau, p
     for i in range(n):
-        state = integrate_kalman(state, trace, h, h, p_mode=p_mode)
-        tau_arr[i + 1], p_arr[i + 1] = state.tau_hat, state.P
+        t_rel = i * h
+        y = trace.value_at(b.t + t_rel + 0.5 * h)
+        p_exact = None
+        if p_mode == "exact":
+            stages = (t_rel, t_rel + 0.5 * h, t_rel + h)
+            p_exact = [variance_closed_form(b.P, b.R, s) for s in stages]
+        tau, p = _rk4_pair(tau, p, b.R, y, h, p_exact)
+        tau_arr[i + 1], p_arr[i + 1] = tau, p
+    bad = np.flatnonzero(~(np.isfinite(tau_arr) & np.isfinite(p_arr)))
+    if bad.size:
+        raise NonFiniteStateError(f"non-finite Kalman state at t={float(t[bad[0]])!r}")
     return KalmanPath(t=t, tau_hat=tau_arr, P=p_arr)
+
+
+def integrate_kalman(
+    b: KalmanBelief,
+    trace: SignalTrace,
+    duration: float,
+    h: float,
+    p_mode: str = "exact",
+) -> KalmanBelief:
+    """Advance ``b`` by ``duration``: the last grid point of :func:`kalman_path`."""
+    path = kalman_path(b, trace, duration, h, p_mode=p_mode)
+    return KalmanBelief(
+        tau_hat=float(path.tau_hat[-1]), P=float(path.P[-1]), R=b.R, t=b.t + duration
+    )

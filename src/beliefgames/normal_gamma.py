@@ -177,13 +177,13 @@ def belief_path(
     )
 
 
-def closed_form_mean(trace: SignalTrace, mu0: float, kappa0: float, t: float) -> float:
+def closed_form_mean(trace: SignalTrace, mu0: float, kappa0: float, t):
     """Closed-form mean estimate (integral of x plus mu0*kappa0) / (kappa0 + t + 1).
 
-    The hold structure makes the integral an exact finite sum.  The formula is
-    anchored at belief clock 0; it agrees with the ODE initial condition
-    mu_hat(0) = mu0 only when mu0 = 0 (see the oracle-equivalence tests).
+    ``t`` may be an array of times; the hold structure makes the integral an
+    exact finite sum.  The formula is anchored at belief clock 0; it agrees
+    with the ODE initial condition mu_hat(0) = mu0 only when mu0 = 0.
     """
-    if t < 0.0:
+    if np.any(np.asarray(t) < 0.0):
         raise ValueError("t must be non-negative")
     return (trace.integral(0.0, t) + mu0 * kappa0) / (kappa0 + t + 1.0)

@@ -16,6 +16,7 @@ from .engine import default_traces
 from .equilibrium import (
     BeliefProfile,
     GameParams,
+    _max_gap,
     closed_form_controls,
     closed_form_value_slope,
     foc_residual,
@@ -225,15 +226,19 @@ class CheckResult:
     name: str
     tolerance: float | None
     observed: float
-    passed: bool
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        # A NaN fails a gated check; an informational delta always passes.
+        return self.tolerance is None or bool(self.observed <= self.tolerance)
 
     def as_dict(self) -> dict:
         return {
             "name": self.name,
             "tolerance": None if self.tolerance is None else float(self.tolerance),
             "observed": float(self.observed),
-            "passed": bool(self.passed),
+            "passed": self.passed,
             "note": self.note,
         }
 
@@ -253,131 +258,74 @@ class VerificationReport:
         }
 
 
-def _check_h(dt: float, target: float = 1e-3) -> float:
-    # Largest step <= target that divides the hold interval exactly.
-    return dt / max(1, int(math.ceil(dt / target - 1e-9)))
-
-
-def closed_form_cross_check(
-    cases,
-    perturb_f2: float = 0.0,
-) -> VerificationReport:
+def closed_form_cross_check(cases, perturb_f2: float = 0.0) -> VerificationReport:
     """Run every closed-form oracle over the given (scenario, config, seed) cases.
 
     Aggregates the belief and Kalman closed-form comparisons, the equilibrium
     stationarity check (optionally fault-injected through ``perturb_f2``),
-    and the published-formula delta reports.  An empty case list yields an
-    empty report.
+    and the published-formula delta reports.  Each check passes by its own
+    tolerance; the deltas have none and never fail.  An empty case list
+    yields an empty report.
     """
     checks: list[CheckResult] = []
     cases = list(cases)
     for idx, (scn, cfg, seed) in enumerate(cases):
         tag = f"[case {idx}] " if len(cases) > 1 else ""
-        traces = default_traces(scn, cfg, seed)
-        eco = traces.ecological
-        h = _check_h(eco.dt)
 
-        # Mean estimate vs its closed form (zero-mean prior, where the printed
-        # constant matches the ODE initial condition).
+        def check(name, observed, tolerance=None, note=""):
+            if tolerance is None:
+                note = "informational delta vs the published closed form"
+            checks.append(CheckResult(tag + name, tolerance, observed, note))
+
+        traces = default_traces(scn, cfg, seed)
+        eco, cost = traces.ecological, traces.cost[0]
+        # Largest step <= 1e-3 that divides h_ode, and with it the hold
+        # interval and the horizon, both of which h_ode divides.
+        h = cfg.h_ode / max(1, math.ceil(cfg.h_ode / 1e-3 - 1e-9))
+
+        # Mean estimate vs its closed form over the whole grid (zero-mean
+        # prior, where the printed constant matches the ODE initial condition).
         prior = NormalGammaBelief(0.0, scn.kappa0, scn.alpha0, scn.beta0)
         path = belief_path(prior, eco, cfg.horizon, h)
-        worst = 0.0
-        for i in range(path.t.size):
-            cf = closed_form_mean(eco, 0.0, scn.kappa0, float(path.t[i]))
-            worst = max(worst, abs(path.mu_hat[i] - cf) / max(abs(cf), 1e-12))
-        checks.append(
-            CheckResult(
-                name=tag + "motion-mean-closed-form",
-                tolerance=1e-8,
-                observed=worst,
-                passed=worst <= 1e-8,
-                note="relative sup over the grid, zero-mean prior",
-            )
-        )
+        cf = closed_form_mean(eco, 0.0, scn.kappa0, path.t)
+        rel = np.abs(path.mu_hat - cf) / np.maximum(np.abs(cf), 1e-12)
+        note = "relative sup over the grid, zero-mean prior"
+        check("motion-mean-closed-form", float(rel.max()), 1e-8, note)
 
         # kappa/alpha affinity.
         aff = max(
             float(np.max(np.abs(path.kappa - (scn.kappa0 + path.t)))),
             float(np.max(np.abs(path.alpha - (scn.alpha0 + 0.5 * path.t)))),
         )
-        checks.append(
-            CheckResult(
-                name=tag + "motion-affine-hyperparams",
-                tolerance=1e-12,
-                observed=aff,
-                passed=aff <= 1e-12,
-            )
-        )
+        check("motion-affine-hyperparams", aff, 1e-12)
 
         # Kalman variance: ODE integration vs the exact solution.
         kb = KalmanBelief(0.0, scn.p0[0], scn.r[0])
-        ode = integrate_kalman(kb, traces.cost[0], cfg.horizon, h, p_mode="ode")
-        p_exact = variance_closed_form(scn.p0[0], scn.r[0], cfg.horizon)
-        p_gap = abs(ode.P - p_exact) / p_exact
-        checks.append(
-            CheckResult(
-                name=tag + "kalman-variance-closed-form",
-                tolerance=1e-6,
-                observed=p_gap,
-                passed=p_gap <= 1e-6,
-            )
-        )
+        ode = integrate_kalman(kb, cost, cfg.horizon, h, p_mode="ode")
+        p_exact = variance_closed_form(kb.P, kb.R, cfg.horizon)
+        check("kalman-variance-closed-form", abs(ode.P - p_exact) / p_exact, 1e-6)
 
         # Kalman mean closed form (valid for a zero initial estimate).
-        exact_mode = integrate_kalman(kb, traces.cost[0], cfg.horizon, h)
-        tau_cf = mean_closed_form(traces.cost[0], scn.p0[0], scn.r[0], cfg.horizon)
+        exact_mode = integrate_kalman(kb, cost, cfg.horizon, h)
+        tau_cf = mean_closed_form(cost, kb.P, kb.R, cfg.horizon)
         tau_gap = abs(exact_mode.tau_hat - tau_cf) / max(abs(tau_cf), 1e-12)
-        checks.append(
-            CheckResult(
-                name=tag + "kalman-mean-closed-form",
-                tolerance=1e-8,
-                observed=tau_gap,
-                passed=tau_gap <= 1e-8,
-                note="zero initial estimate",
-            )
-        )
+        check("kalman-mean-closed-form", tau_gap, 1e-8, "zero initial estimate")
 
         # Stationarity of the solved equilibrium at converged beliefs.
-        params = scn.params
-        beliefs = BeliefProfile(x_bar=scn.mu_true, tau_bar=params.tau)
+        params, mu = scn.params, scn.mu_true
+        beliefs = BeliefProfile(x_bar=mu, tau_bar=params.tau)
         sol = solve_equilibrium(params, beliefs)
-        res = foc_residual(
-            params, beliefs, sol.f1, sol.f2 + perturb_f2, sol.value_slopes
-        )
-        checks.append(
-            CheckResult(
-                name=tag + "equilibrium-foc",
-                tolerance=1e-9,
-                observed=res,
-                passed=res <= 1e-9,
-                note="fault-injected" if perturb_f2 else "",
-            )
-        )
+        f2 = sol.f2 + perturb_f2
+        res = foc_residual(params, beliefs, sol.f1, f2, sol.value_slopes)
+        check("equilibrium-foc", res, 1e-9, "fault-injected" if perturb_f2 else "")
 
         # Published-formula deltas; informational, reported but never gated.
         cf_controls = closed_form_controls(params, beliefs)
-        delta_controls = max(
-            abs(cf_controls[i] - sol.controls[i]) for i in range(params.n)
-        )
-        cf_slope = closed_form_value_slope(1.0, scn.mu_true, params.delta, params.rho)
-        sol_slope = value_slope(1.0, scn.mu_true, params.delta, params.rho)
-        known_cf = known_state_controls(params, scn.mu_true)
-        known_sol = known_state_equilibrium(params, scn.mu_true)
-        delta_known = max(
-            abs(known_cf[i] - known_sol.controls[i]) for i in range(params.n)
-        )
-        for name, observed in (
-            ("published-controls-delta", delta_controls),
-            ("published-value-slope-delta", abs(cf_slope - sol_slope)),
-            ("published-known-state-delta", delta_known),
-        ):
-            checks.append(
-                CheckResult(
-                    name=tag + name,
-                    tolerance=None,
-                    observed=observed,
-                    passed=True,
-                    note="informational delta vs the published closed form",
-                )
-            )
+        check("published-controls-delta", _max_gap(cf_controls, sol.controls))
+        cf_slope = closed_form_value_slope(1.0, mu, params.delta, params.rho)
+        sol_slope = value_slope(1.0, mu, params.delta, params.rho)
+        check("published-value-slope-delta", abs(cf_slope - sol_slope))
+        known_cf = known_state_controls(params, mu)
+        known_sol = known_state_equilibrium(params, mu)
+        check("published-known-state-delta", _max_gap(known_cf, known_sol.controls))
     return VerificationReport(checks=checks)

@@ -94,28 +94,31 @@ class SignalTrace:
         """Zero-order-hold lookup (right-continuous piecewise constant)."""
         return float(self.values[self.index_at(s)])
 
-    def integral(self, t_lo: float, t_hi: float) -> float:
-        """Exact integral of the step function over [t_lo, t_hi]."""
-        if t_hi < t_lo:
+    def integral(self, t_lo: float, t_hi):
+        """Exact integral of the step function over [t_lo, t_hi], for one or an
+        array of upper limits ``t_hi``."""
+        hi = np.asarray(t_hi, dtype=float)
+        if np.any(hi < t_lo):
             raise ValueError("integration bounds out of order")
-        if not self.covers(t_lo, t_hi):
+        hi_max = float(np.max(hi))
+        if not self.covers(t_lo, hi_max):
             raise TraceCoverageError(
-                f"integral bounds [{t_lo!r}, {t_hi!r}] exceed coverage "
+                f"integral bounds [{t_lo!r}, {hi_max!r}] exceed coverage "
                 f"[{self.t0!r}, {self.end!r}]"
             )
-        return self._position(t_hi) - self._position(t_lo)
+        return self._position(hi) - self._position(t_lo)
 
-    def _position(self, s: float) -> float:
+    def _position(self, s):
         # Antiderivative of the step function, valid on the closed interval
         # [t0, end]; the right endpoint is reachable here (unlike value_at).
-        u = (s - self.t0) / self.dt
-        k = int(math.floor(u + _BOUNDARY_EPS))
-        if k >= len(self):
-            return float(self._cum[-1])
-        if k < 0:
-            return 0.0
-        frac = s - (self.t0 + k * self.dt)
-        return float(self._cum[k] + self.values[k] * max(frac, 0.0))
+        s = np.asarray(s, dtype=float)
+        k = np.floor((s - self.t0) / self.dt + _BOUNDARY_EPS)
+        kc = np.clip(k, 0, len(self) - 1).astype(int)
+        frac = np.maximum(s - (self.t0 + kc * self.dt), 0.0)
+        # Before t0, frac clamps to 0 and so does the position.
+        pos = self._cum[kc] + self.values[kc] * frac
+        pos = np.where(k >= len(self), self._cum[-1], pos)
+        return float(pos) if pos.ndim == 0 else pos
 
     def subsample(self, stride: int) -> "SignalTrace":
         """Keep every ``stride``-th sample; the hold interval grows accordingly."""
@@ -235,7 +238,7 @@ def load_trace(path: str | Path) -> SignalTrace:
         raise TraceFormatError(f"{path}: rows need 2 cells, got {table.shape[1]}")
     t, values = table.T
     expected = t0 + np.arange(len(rows)) * dt
-    off = np.flatnonzero(np.abs(t - expected) > 1e-9 * dt)
+    off = np.flatnonzero(~(np.abs(t - expected) <= 1e-9 * dt))  # NaN is off-grid
     if off.size:
         k = int(off[0])
         raise TraceFormatError(

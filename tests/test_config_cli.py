@@ -210,3 +210,16 @@ def test_verify_reports_value_errors_without_traceback(runner, tmp_path):
     assert "does not divide" in result.output
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
+
+
+def test_verify_accepts_every_step_that_simulate_accepts(runner, tmp_path):
+    # h_ode = 0.0025 divides the horizon 1.0025; the 1e-3 grid of the
+    # signal interval does not.
+    cfg = tmp_path / "fine_step.ini"
+    text = default_config_text().replace("h_ode = 0.02", "h_ode = 0.0025")
+    cfg.write_text(text.replace("horizon = 10.0", "horizon = 1.0025"))
+    out = tmp_path / "artifacts"
+    for command in ("simulate", "verify"):
+        result = runner.invoke(main, ["--config", str(cfg), "--out", str(out), command])
+        assert result.exit_code == 0, result.output
+    assert result.output.count("PASS ") == 8

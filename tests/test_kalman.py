@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from beliefgames import (
     KalmanBelief,
+    NonFiniteStateError,
     SignalTrace,
+    TraceCoverageError,
     integrate_kalman,
     kalman_derivative,
     kalman_path,
@@ -39,6 +41,11 @@ def test_validation():
         step_discrete_kalman(KalmanBelief(0, 1, 1), 1.0, 0.0)
     with pytest.raises(ValueError):
         kalman_derivative(KalmanBelief(0, 1, 1), math.nan)
+    # RK4 on P' = -P^2/R is unstable at h*P0/R = 3: the path names the first
+    # non-finite grid time instead of returning it.
+    trace = SignalTrace(t0=0.0, dt=0.5, values=np.ones(10))
+    with pytest.raises(NonFiniteStateError, match=r"non-finite Kalman state at t="):
+        kalman_path(KalmanBelief(0.0, 6.0, 0.25), trace, 5.0, 0.125, p_mode="ode")
 
 
 def test_step_discrete_substitution_example():
@@ -76,6 +83,31 @@ def test_zero_prior_mean_matches_printed_solution():
     assert out.tau_hat == pytest.approx(
         mean_closed_form(trace, 1.0, 0.25, 10.0), rel=1e-10
     )
+    # Over an array of times (hold edges and trace.end included), bit-equal to
+    # one call per time.
+    ts = 0.01 * np.arange(1001)
+    scalar = np.array([mean_closed_form(trace, 1.0, 0.25, float(t)) for t in ts])
+    assert ts[-1] == trace.end
+    assert np.array_equal(mean_closed_form(trace, 1.0, 0.25, ts), scalar)
+    with pytest.raises(TraceCoverageError):
+        mean_closed_form(trace, 1.0, 0.25, np.append(ts, 10.5))
+    with pytest.raises(ValueError):
+        mean_closed_form(trace, 1.0, 0.25, np.append(ts, -0.5))
+
+
+def test_integrate_is_the_last_path_row_and_exact_p_is_the_closed_form():
+    trace = sample_cost_trace(1.2, 0.25, 0.5, 5.0, seed=3)
+    b = KalmanBelief(0.4, 1.7, 0.3)
+    for p_mode in ("exact", "ode"):
+        path = kalman_path(b, trace, 5.0, 0.025, p_mode=p_mode)
+        out = integrate_kalman(b, trace, 5.0, 0.025, p_mode=p_mode)
+        assert (out.tau_hat, out.P) == (path.tau_hat[-1], path.P[-1])
+    # Exact mode reads P from the closed form anchored at P0, not composed
+    # step by step.  A dyadic step makes the step-end time i*h + h equal to
+    # the grid time t exactly.
+    path = kalman_path(b, trace, 5.0, 0.125)
+    assert path.P[0] == b.P
+    assert np.array_equal(path.P[1:], variance_closed_form(b.P, b.R, path.t[1:]))
 
 
 def test_nonzero_prior_matches_exact_interval_propagation():

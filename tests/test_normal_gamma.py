@@ -136,6 +136,13 @@ def test_random_trace_oracle_equivalence():
         [closed_form_mean(trace, 0.0, 1.0, float(t)) for t in path.t]
     )
     assert max_rel_gap(path.mu_hat, expected) <= 1e-8
+    # One call over the grid (hold edges and trace.end included) is bit-equal.
+    assert path.t[-1] == trace.end
+    assert np.array_equal(closed_form_mean(trace, 0.0, 1.0, path.t), expected)
+    with pytest.raises(TraceCoverageError):
+        closed_form_mean(trace, 0.0, 1.0, np.append(path.t, trace.end + 0.02))
+    with pytest.raises(ValueError):
+        closed_form_mean(trace, 0.0, 1.0, np.append(path.t, -0.001))
 
 
 def test_integrator_matches_exact_interval_propagation():

@@ -17,6 +17,7 @@ from beliefgames import (
     step_discrete,
 )
 from beliefgames.config import default_config
+from beliefgames.oracles import CheckResult
 
 PRIOR = NormalGammaBelief(0.0, 1.0, 2.0, 1.0)
 
@@ -174,3 +175,12 @@ def test_value_slope_delta_with_zero_first_cost_type():
     (check,) = [c for c in report.checks if c.name == "published-value-slope-delta"]
     # Solver unit slope -1/(1 + rho - mu*delta) = -1/0.7 vs the published -2.0.
     assert check.observed == pytest.approx(2.0 - 1.0 / 0.7, rel=1e-9)
+
+
+def test_check_result_pass_is_decided_by_its_tolerance():
+    assert CheckResult("gated", 1e-8, 1e-8).passed
+    assert not CheckResult("gated", 1e-8, 2e-8).passed
+    assert not CheckResult("gated", 1e-8, float("nan")).passed
+    assert CheckResult("informational", None, float("nan")).passed
+    assert CheckResult("informational", None, 1e300).passed
+    assert CheckResult("gated", 1e-8, float("nan")).as_dict()["passed"] is False

@@ -90,6 +90,19 @@ def test_integral_matches_manual_sum():
         trace.integral(0.0, 2.0)
 
 
+def test_integral_over_an_array_of_upper_limits_matches_scalar_calls():
+    trace = sample_ecological_trace(0.5, 0.2, dt=0.02, horizon=3.0, seed=4)
+    # Hold-interval edges (k*dt, up to trace.end) plus off-edge points.
+    edges = trace.dt * np.arange(len(trace) + 1)
+    ts = np.concatenate((edges, np.linspace(0.0, trace.end, 777), [trace.end]))
+    scalar = np.array([trace.integral(0.0, float(s)) for s in ts])
+    assert np.array_equal(trace.integral(0.0, ts), scalar)
+    with pytest.raises(TraceCoverageError):
+        trace.integral(0.0, np.append(ts, trace.end + trace.dt))
+    with pytest.raises(ValueError):
+        trace.integral(0.0, np.append(ts, -0.5))
+
+
 @settings(max_examples=60, derandomize=True)
 @given(values=finite_values, cut=st.floats(min_value=0.0, max_value=1.0))
 def test_integral_is_additive(values, cut):
@@ -165,6 +178,10 @@ def test_load_rejects_tampered_time_column(tmp_path):
     lines[5] = "1.2500001,3"  # data row 4, off by 4e-7*dt
     path.write_text("\n".join(lines) + "\n")
     msg = r"data row 4 '1\.2500001,3' has t=1\.2500001, expected 1\.25 from t0 and dt"
+    with pytest.raises(TraceFormatError, match=msg):
+        load_trace(path)
+    path.write_text("# eco,0.5,0\nt,value\nnan,1\n0.5,2\n")
+    msg = r"data row 1 'nan,1' has t=nan, expected 0\.0 from t0 and dt"
     with pytest.raises(TraceFormatError, match=msg):
         load_trace(path)
 
