@@ -9,7 +9,7 @@ from pathlib import Path
 import click
 
 from .config import ScenarioConfig, default_config, parse_config
-from .engine import TraceSet, compare_schemes, default_traces, simulate
+from .engine import SCHEMES, TraceSet, compare_schemes, default_traces, simulate
 from .equilibrium import BeliefProfile, equilibrium_report
 from .errors import BeliefGameError
 from .oracles import closed_form_cross_check
@@ -36,8 +36,14 @@ class _Group(click.Group):
 @click.pass_context
 def main(ctx, config_path, seed, out):
     """Differential-game simulation with online Bayesian belief updating."""
-    cfg = parse_config(config_path) if config_path else default_config()
-    ctx.obj = cfg.with_overrides(seed=seed, out_dir=out)
+
+    def load(**flags) -> ScenarioConfig:  # a command's flags override the file
+        flags.update(seed=seed, directory=out)
+        if config_path:
+            return parse_config(config_path, **flags)
+        return default_config(**flags)
+
+    ctx.obj = load
 
 
 def _out_dir(cfg: ScenarioConfig) -> Path:
@@ -59,8 +65,9 @@ def _trace_paths(out: Path, n: int) -> list[Path]:
 
 @main.command("gen-traces")
 @click.pass_obj
-def cmd_gen_traces(cfg: ScenarioConfig):
+def cmd_gen_traces(load):
     """Persist the seeded signal traces for later replay."""
+    cfg = load()
     out = _out_dir(cfg)
     traces = default_traces(cfg.scenario, cfg.sim, cfg.seed)
     paths = _trace_paths(out, cfg.scenario.params.n)
@@ -74,7 +81,7 @@ def cmd_gen_traces(cfg: ScenarioConfig):
 @click.option("--horizon", type=float, default=None, help="Override the horizon.")
 @click.option(
     "--scheme",
-    type=click.Choice(["continuous", "discrete"]),
+    type=click.Choice(SCHEMES),
     default=None,
     help="Override the updating scheme.",
 )
@@ -85,16 +92,9 @@ def cmd_gen_traces(cfg: ScenarioConfig):
     help="Replay traces from a directory written by gen-traces.",
 )
 @click.pass_obj
-def cmd_simulate(cfg: ScenarioConfig, dt, horizon, scheme, traces_dir):
+def cmd_simulate(load, dt, horizon, scheme, traces_dir):
     """Run one trajectory and write trajectory.csv."""
-    overrides = {}
-    if dt is not None:
-        overrides["dt_signal"] = dt
-    if horizon is not None:
-        overrides["horizon"] = horizon
-    if scheme is not None:
-        overrides["scheme"] = scheme
-    cfg = cfg.with_overrides(**overrides)
+    cfg = load(dt_signal=dt, horizon=horizon, scheme=scheme)
     out = _out_dir(cfg)
     if traces_dir is not None:
         paths = _trace_paths(Path(traces_dir), cfg.scenario.params.n)
@@ -116,8 +116,9 @@ def cmd_simulate(cfg: ScenarioConfig, dt, horizon, scheme, traces_dir):
     help="Comma-separated signal intervals to sweep.",
 )
 @click.pass_obj
-def cmd_compare_dt(cfg: ScenarioConfig, dt_list):
+def cmd_compare_dt(load, dt_list):
     """Sweep signal intervals and write the discrete-vs-continuous gap table."""
+    cfg = load()
     dts = [float(v) for v in dt_list.split(",") if v.strip()]
     rows = compare_schemes(cfg.scenario, cfg.sim, dts, cfg.seed)
     path = _out_dir(cfg) / "dt_gaps.csv"
@@ -128,8 +129,9 @@ def cmd_compare_dt(cfg: ScenarioConfig, dt_list):
 
 @main.command("equilibrium")
 @click.pass_obj
-def cmd_equilibrium(cfg: ScenarioConfig):
+def cmd_equilibrium(load):
     """Solve the equilibrium at converged beliefs and write equilibrium.json."""
+    cfg = load()
     scn = cfg.scenario
     beliefs = BeliefProfile(x_bar=scn.mu_true, tau_bar=scn.params.tau)
     report = equilibrium_report(
@@ -145,8 +147,9 @@ def cmd_equilibrium(cfg: ScenarioConfig):
 
 @main.command("verify")
 @click.pass_obj
-def cmd_verify(cfg: ScenarioConfig):
+def cmd_verify(load):
     """Run the closed-form oracle suite; exit nonzero on any failed check."""
+    cfg = load()
     report = closed_form_cross_check([(cfg.scenario, cfg.sim, cfg.seed)])
     path = _out_dir(cfg) / "verification.json"
     _write_json(path, {**report.as_dict(), "note": _NOTE})

@@ -2,8 +2,10 @@
 
 Sections: [scenario] game constants and true signal laws, [priors] belief
 hyperparameters, [sim] scheme and grid settings plus the seed, [output] the
-artifact directory.  Validation reports every violation it finds, not just
-the first.
+artifact directory.  One table declares every key and its kind, one the
+range rules.  Keyword overrides (the CLI's flags) replace the file's values
+before any check, so both pass the same rules.  Validation reports every
+violation it finds, not just the first.
 """
 
 from __future__ import annotations
@@ -11,17 +13,79 @@ from __future__ import annotations
 import importlib.resources
 import math
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .engine import Scenario, SimConfig
+from .engine import DYNAMICS_MODES, SCHEMES, Scenario, SimConfig
 from .equilibrium import EPS_SINGULAR, GameParams
 from .errors import ConfigError
 from .signals import _step_count
 
-_SCHEMES = ("continuous", "discrete")
-_MODES = ("realized", "expected")
+_FLOATS = "comma-separated floats"
 _BOOLS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+
+# Every key of a scenario file: (section, key, kind).  A kind is float,
+# _FLOATS, int, bool, str, or a tuple of the allowed words.
+_KEYS = (
+    ("scenario", "a", _FLOATS),
+    ("scenario", "tau", _FLOATS),
+    ("scenario", "delta", float),
+    ("scenario", "rho", float),
+    ("scenario", "s0", float),
+    ("scenario", "mu", float),
+    ("scenario", "sigma", float),
+    ("scenario", "r", _FLOATS),
+    ("priors", "mu0", float),
+    ("priors", "kappa0", float),
+    ("priors", "alpha0", float),
+    ("priors", "beta0", float),
+    ("priors", "tau0", _FLOATS),
+    ("priors", "p0", _FLOATS),
+    ("sim", "scheme", SCHEMES),
+    ("sim", "dt_signal", float),
+    ("sim", "h_ode", float),
+    ("sim", "horizon", float),
+    ("sim", "dynamics_mode", DYNAMICS_MODES),
+    ("sim", "clamp_controls", bool),
+    ("sim", "seed", int),
+    ("output", "directory", str),
+)
+
+_SECTION = {key: section for section, key, _ in _KEYS}
+
+
+def _divides(h, total):
+    # A step or total that is not positive breaks a positivity rule instead.
+    try:
+        return h <= 0.0 or total <= 0.0 or _step_count(total, h, "") > 0
+    except ValueError:
+        return False
+
+
+_ALPHA0 = "must exceed 1 so the estimator variance is defined from t=0, got {}"
+_SEED = "must fit in an unsigned 64-bit integer, got {}"
+
+# Range rules in report order: (keys, holds, message).  A rule is checked once
+# all its keys were read, and where ``holds`` is false of their values it
+# reports ``message``, formatted with them, under the first key.
+_RULES = (
+    (("delta",), lambda x: 0.0 < x <= 1.0, "must lie in (0, 1], got {}"),
+    (("rho",), lambda x: x > 0.0, "must be positive, got {}"),
+    (("s0",), lambda x: x >= 0.0, "must be non-negative, got {}"),
+    (("sigma",), lambda x: x > 0.0, "must be positive, got {}"),
+    (("tau",), lambda v: min(v) >= 0.0, "entries must be non-negative"),
+    (("r",), lambda v: min(v) > 0.0, "entries must be positive"),
+    (("kappa0",), lambda x: x > 0.0, "must be positive, got {}"),
+    (("alpha0",), lambda x: x > 1.0, _ALPHA0),
+    (("beta0",), lambda x: x >= 0.0, "must be non-negative, got {}"),
+    (("p0",), lambda v: min(v) > 0.0, "entries must be positive"),
+    (("dt_signal",), lambda x: x > 0.0, "must be positive, got {}"),
+    (("h_ode",), lambda x: x > 0.0, "must be positive, got {}"),
+    (("horizon",), lambda x: x > 0.0, "must be positive, got {}"),
+    (("h_ode", "dt_signal"), _divides, "{} does not divide {}"),
+    (("h_ode", "horizon"), _divides, "{} does not divide {}"),
+    (("seed",), lambda s: 0 <= s < 2**64, _SEED),
+)
 
 
 @dataclass(frozen=True)
@@ -31,20 +95,6 @@ class ScenarioConfig:
     seed: int
     out_dir: str
 
-    def with_overrides(
-        self,
-        seed: int | None = None,
-        out_dir: str | None = None,
-        **sim_fields,
-    ) -> "ScenarioConfig":
-        sim = replace(self.sim, **sim_fields) if sim_fields else self.sim
-        return ScenarioConfig(
-            scenario=self.scenario,
-            sim=sim,
-            seed=self.seed if seed is None else seed,
-            out_dir=self.out_dir if out_dir is None else out_dir,
-        )
-
 
 def default_config_text() -> str:
     """Contents of the shipped default scenario file."""
@@ -52,18 +102,57 @@ def default_config_text() -> str:
     return ref.read_text(encoding="utf-8")
 
 
-def default_config() -> ScenarioConfig:
-    return parse_config_text(default_config_text(), origin="<builtin default>")
+def default_config(**overrides) -> ScenarioConfig:
+    """The shipped scenario; ``overrides`` as in :func:`parse_config_text`."""
+    return parse_config_text(default_config_text(), "<builtin default>", **overrides)
 
 
-def parse_config(path: str | Path) -> ScenarioConfig:
+def parse_config(path: str | Path, **overrides) -> ScenarioConfig:
+    """Read a scenario file; ``overrides`` as in :func:`parse_config_text`."""
     path = Path(path)
     if not path.exists():
         raise ConfigError([f"config file not found: {path}"])
-    return parse_config_text(path.read_text(encoding="utf-8"), origin=str(path))
+    return parse_config_text(path.read_text(encoding="utf-8"), str(path), **overrides)
 
 
-def parse_config_text(text: str, origin: str = "<string>") -> ScenarioConfig:
+def _convert(kind, text: str):
+    """``text`` read as ``kind``; a ValueError carries the violation's tail."""
+    if isinstance(kind, tuple) and text not in kind:
+        raise ValueError(f"expected one of {kind}, got {text!r}")
+    if isinstance(kind, tuple) or kind is str:
+        return text
+    if kind is bool:
+        if text.lower() not in _BOOLS:
+            raise ValueError(f"expected a boolean, got {text!r}")
+        return _BOOLS[text.lower()]
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"not an integer: {text!r}") from None
+    out = []
+    for cell in text.split(",") if kind is _FLOATS else [text]:
+        try:
+            out.append(float(cell.strip()))
+        except ValueError:
+            raise ValueError(f"not a number: {cell.strip()!r}") from None
+        if not math.isfinite(out[-1]):
+            raise ValueError(("entries " if kind is _FLOATS else "") + "must be finite")
+    return tuple(out) if kind is _FLOATS else out[0]
+
+
+def parse_config_text(
+    text: str, origin: str = "<string>", **overrides
+) -> ScenarioConfig:
+    """Parse and validate a scenario file's text.
+
+    ``overrides`` maps key names (``seed``, ``horizon``, ...) to values that
+    replace the file's before any check; None keeps the file's value, and an
+    undeclared name raises TypeError.  Undeclared sections and keys in the
+    text are violations; keys of a ``[DEFAULT]`` section are not.
+    """
+    if undeclared := sorted(overrides.keys() - _SECTION.keys()):
+        raise TypeError(f"undeclared configuration keys: {undeclared}")
     cp = ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text)
@@ -71,181 +160,50 @@ def parse_config_text(text: str, origin: str = "<string>") -> ScenarioConfig:
         raise ConfigError([f"{origin}: cannot parse INI: {exc}"]) from exc
 
     errs: list[str] = []
+    for section in cp.sections():
+        if section not in _SECTION.values():
+            errs.append(f"unknown section [{section}]")
+            continue
+        for key in cp.options(section):
+            if _SECTION.get(key) != section and key not in cp.defaults():
+                errs.append(f"unknown key [{section}] {key}")
 
-    def raw(section: str, key: str) -> str | None:
-        if not cp.has_section(section):
-            return None
-        if not cp.has_option(section, key):
-            return None
-        return cp.get(section, key).strip()
-
-    def need(section: str, key: str) -> str | None:
-        value = raw(section, key)
-        if value is None:
+    v: dict = {}
+    for section, key, kind in _KEYS:
+        if overrides.get(key) is not None:
+            raw = str(overrides[key])
+        elif cp.has_option(section, key):
+            raw = cp.get(section, key).strip()
+        else:
             errs.append(f"missing key [{section}] {key}")
-        return value
-
-    def get_float(section: str, key: str) -> float | None:
-        value = need(section, key)
-        if value is None:
-            return None
+            continue
         try:
-            out = float(value)
-        except ValueError:
-            errs.append(f"[{section}] {key}: not a number: {value!r}")
-            return None
-        if not math.isfinite(out):
-            errs.append(f"[{section}] {key}: must be finite")
-            return None
-        return out
-
-    def get_floats(section: str, key: str) -> list[float] | None:
-        value = need(section, key)
-        if value is None:
-            return None
-        out = []
-        for cell in value.split(","):
-            try:
-                v = float(cell.strip())
-            except ValueError:
-                errs.append(f"[{section}] {key}: not a number: {cell.strip()!r}")
-                return None
-            if not math.isfinite(v):
-                errs.append(f"[{section}] {key}: entries must be finite")
-                return None
-            out.append(v)
-        return out
-
-    def get_choice(section: str, key: str, choices) -> str | None:
-        value = need(section, key)
-        if value is None:
-            return None
-        if value not in choices:
-            errs.append(f"[{section}] {key}: expected one of {choices}, got {value!r}")
-            return None
-        return value
-
-    def get_bool(section: str, key: str) -> bool | None:
-        value = need(section, key)
-        if value is None:
-            return None
-        flag = _BOOLS.get(value.lower())
-        if flag is None:
-            errs.append(f"[{section}] {key}: expected a boolean, got {value!r}")
-        return flag
-
-    def get_int(section: str, key: str) -> int | None:
-        value = need(section, key)
-        if value is None:
-            return None
-        try:
-            return int(value)
-        except ValueError:
-            errs.append(f"[{section}] {key}: not an integer: {value!r}")
-            return None
-
-    a = get_floats("scenario", "a")
-    tau = get_floats("scenario", "tau")
-    delta = get_float("scenario", "delta")
-    rho = get_float("scenario", "rho")
-    s0 = get_float("scenario", "s0")
-    mu = get_float("scenario", "mu")
-    sigma = get_float("scenario", "sigma")
-    r = get_floats("scenario", "r")
-    mu0 = get_float("priors", "mu0")
-    kappa0 = get_float("priors", "kappa0")
-    alpha0 = get_float("priors", "alpha0")
-    beta0 = get_float("priors", "beta0")
-    tau0 = get_floats("priors", "tau0")
-    p0 = get_floats("priors", "p0")
-    scheme = get_choice("sim", "scheme", _SCHEMES)
-    dt_signal = get_float("sim", "dt_signal")
-    h_ode = get_float("sim", "h_ode")
-    horizon = get_float("sim", "horizon")
-    mode = get_choice("sim", "dynamics_mode", _MODES)
-    clamp = get_bool("sim", "clamp_controls")
-    seed = get_int("sim", "seed")
-    out_dir = need("output", "directory")
-
-    n = len(a) if a else 0
-    if a is not None and n < 1:
-        errs.append("[scenario] a: need at least one player")
-    for key, vec in (("tau", tau), ("r", r)):
-        if a is not None and vec is not None and len(vec) != n:
-            errs.append(f"[scenario] {key}: expected {n} entries, got {len(vec)}")
-    for key, vec in (("tau0", tau0), ("p0", p0)):
-        if a is not None and vec is not None and len(vec) != n:
-            errs.append(f"[priors] {key}: expected {n} entries, got {len(vec)}")
-
-    if delta is not None and not 0.0 < delta <= 1.0:
-        errs.append(f"[scenario] delta: must lie in (0, 1], got {delta}")
-    if rho is not None and rho <= 0.0:
-        errs.append(f"[scenario] rho: must be positive, got {rho}")
-    if s0 is not None and s0 < 0.0:
-        errs.append(f"[scenario] s0: must be non-negative, got {s0}")
-    if sigma is not None and sigma <= 0.0:
-        errs.append(f"[scenario] sigma: must be positive, got {sigma}")
-    if tau is not None and any(v < 0.0 for v in tau):
-        errs.append("[scenario] tau: entries must be non-negative")
-    if r is not None and any(v <= 0.0 for v in r):
-        errs.append("[scenario] r: entries must be positive")
-    if kappa0 is not None and kappa0 <= 0.0:
-        errs.append(f"[priors] kappa0: must be positive, got {kappa0}")
-    if alpha0 is not None and alpha0 <= 1.0:
-        errs.append(
-            f"[priors] alpha0: must exceed 1 so the estimator variance is "
-            f"defined from t=0, got {alpha0}"
-        )
-    if beta0 is not None and beta0 < 0.0:
-        errs.append(f"[priors] beta0: must be non-negative, got {beta0}")
-    if p0 is not None and any(v <= 0.0 for v in p0):
-        errs.append("[priors] p0: entries must be positive")
-    if dt_signal is not None and dt_signal <= 0.0:
-        errs.append(f"[sim] dt_signal: must be positive, got {dt_signal}")
-    if h_ode is not None and h_ode <= 0.0:
-        errs.append(f"[sim] h_ode: must be positive, got {h_ode}")
-    if horizon is not None and horizon <= 0.0:
-        errs.append(f"[sim] horizon: must be positive, got {horizon}")
-    if dt_signal and h_ode and dt_signal > 0 and h_ode > 0:
-        try:
-            _step_count(dt_signal, h_ode, "[sim] h_ode")
+            v[key] = _convert(kind, raw)
         except ValueError as exc:
-            errs.append(str(exc))
-    if seed is not None and not 0 <= seed < 2**64:
-        errs.append(f"[sim] seed: must fit in an unsigned 64-bit integer, got {seed}")
-    if (
-        mu is not None
-        and delta is not None
-        and rho is not None
-        and abs(1.0 - mu * delta - rho) <= EPS_SINGULAR
-    ):
-        errs.append(
-            f"[scenario] mu/delta/rho: 1 - mu*delta - rho = "
-            f"{1.0 - mu * delta - rho!r} is within {EPS_SINGULAR} of zero"
-        )
+            errs.append(f"[{section}] {key}: {exc}")
 
+    n = len(v.get("a", ()))  # players; 0 where a was not read
+    for section, key, kind in _KEYS:
+        if kind is _FLOATS and n and key in v and len(v[key]) != n:
+            errs.append(f"[{section}] {key}: expected {n} entries, got {len(v[key])}")
+    for keys, holds, message in _RULES:
+        values = [v[key] for key in keys if key in v]
+        if len(values) == len(keys) and not holds(*values):
+            errs.append(f"[{_SECTION[keys[0]]}] {keys[0]}: {message.format(*values)}")
+    if {"mu", "delta", "rho"} <= v.keys():
+        gap = 1.0 - v["mu"] * v["delta"] - v["rho"]
+        if abs(gap) <= EPS_SINGULAR:
+            errs.append(
+                f"[scenario] mu/delta/rho: 1 - mu*delta - rho = {gap!r} "
+                f"is within {EPS_SINGULAR} of zero"
+            )
     if errs:
         raise ConfigError([f"{origin}: {e}" for e in errs])
 
-    params = GameParams(a=tuple(a), tau=tuple(tau), delta=delta, rho=rho, s0=s0)
-    scenario = Scenario(
-        params=params,
-        mu_true=mu,
-        sigma=sigma,
-        mu0=mu0,
-        kappa0=kappa0,
-        alpha0=alpha0,
-        beta0=beta0,
-        tau0=tuple(tau0),
-        p0=tuple(p0),
-        r=tuple(r),
-    )
-    sim = SimConfig(
-        scheme=scheme,
-        dt_signal=dt_signal,
-        h_ode=h_ode,
-        horizon=horizon,
-        dynamics_mode=mode,
-        clamp_controls=clamp,
-    )
-    return ScenarioConfig(scenario=scenario, sim=sim, seed=seed, out_dir=out_dir)
+    # Dataclass fields are named after their keys; the true mean is [scenario] mu.
+    def build(cls, **given):
+        rest = {f.name: v[f.name] for f in fields(cls) if f.name not in given}
+        return cls(**given, **rest)
+
+    scenario = build(Scenario, params=build(GameParams), mu_true=v["mu"])
+    return ScenarioConfig(scenario, build(SimConfig), v["seed"], v["directory"])

@@ -94,6 +94,10 @@ class Scenario:
             raise ValueError("p0 and r entries must be positive")
 
 
+SCHEMES = ("continuous", "discrete")
+DYNAMICS_MODES = ("realized", "expected")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     scheme: str = "continuous"
@@ -104,9 +108,9 @@ class SimConfig:
     clamp_controls: bool = False
 
     def __post_init__(self):
-        if self.scheme not in ("continuous", "discrete"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.dynamics_mode not in ("realized", "expected"):
+        if self.dynamics_mode not in DYNAMICS_MODES:
             raise ValueError(f"unknown dynamics_mode {self.dynamics_mode!r}")
         if self.dt_signal <= 0.0 or self.h_ode <= 0.0 or self.horizon <= 0.0:
             raise ValueError("dt_signal, h_ode, horizon must be positive")

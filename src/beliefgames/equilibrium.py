@@ -355,8 +355,6 @@ def equilibrium_report(
     p: GameParams,
     b: BeliefProfile,
     mu_true: float | None = None,
-    tau_lower: float | None = None,
-    tau_upper: float | None = None,
     include_value_intercepts: bool = False,
 ) -> dict:
     """JSON-ready equilibrium report: solver output, closed-form comparison
@@ -388,7 +386,7 @@ def equilibrium_report(
             "value_slopes": list(cf_slopes),
             "value_slope_delta_max": _max_gap(cf_slopes, sol.value_slopes),
         },
-        "nonnegativity": check_nonnegativity(p, tau_lower, tau_upper).as_dict(),
+        "nonnegativity": check_nonnegativity(p).as_dict(),
     }
     if include_value_intercepts:
         report["value_intercepts"] = list(value_intercepts(p, b, sol))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import default_traces
+from .engine import default_traces, simulate
 from .equilibrium import (
     BeliefProfile,
     GameParams,
@@ -320,8 +320,12 @@ def closed_form_cross_check(cases, perturb_f2: float = 0.0) -> VerificationRepor
         check("equilibrium-foc", res, 1e-9, "fault-injected" if perturb_f2 else "")
 
         # Published-formula deltas; informational, reported but never gated.
-        cf_controls = closed_form_controls(params, beliefs)
-        check("published-controls-delta", _max_gap(cf_controls, sol.controls))
+        # Controls at the run's final beliefs; the known state is the last row.
+        traj = simulate(scn, cfg, traces=traces)
+        final = BeliefProfile(float(traj.x_bar[-1]), traj.tau_bar[-1])
+        cf_controls = closed_form_controls(params, final)
+        sol_final = solve_equilibrium(params, final)
+        check("published-controls-delta", _max_gap(cf_controls, sol_final.controls))
         cf_slope = closed_form_value_slope(1.0, mu, params.delta, params.rho)
         sol_slope = value_slope(1.0, mu, params.delta, params.rho)
         check("published-value-slope-delta", abs(cf_slope - sol_slope))

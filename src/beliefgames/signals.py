@@ -81,18 +81,37 @@ class SignalTrace:
         tol = _BOUNDARY_EPS * self.dt
         return self.t0 - tol <= t_lo and t_hi <= self.end + tol
 
-    def index_at(self, s: float) -> int:
-        """Hold-interval index for time ``s``; raises outside [t0, end)."""
+    def index_at(self, s):
+        """Hold-interval index of time(s) ``s``; raises outside [t0, end)."""
+        s = np.asarray(s, dtype=float)
         u = (s - self.t0) / self.dt
-        if u < -_BOUNDARY_EPS or s >= self.end:
+        outside = np.flatnonzero(~((u >= -_BOUNDARY_EPS) & (s < self.end)))
+        if outside.size:
             raise TraceCoverageError(
-                f"time {s!r} outside trace coverage [{self.t0!r}, {self.end!r})"
+                f"time {float(s.flat[outside[0]])!r} outside trace coverage "
+                f"[{self.t0!r}, {self.end!r})"
             )
-        return min(int(math.floor(u + _BOUNDARY_EPS)), len(self) - 1)
+        k = np.minimum(np.floor(u + _BOUNDARY_EPS), len(self) - 1).astype(int)
+        return int(k) if k.ndim == 0 else k
 
     def value_at(self, s: float) -> float:
         """Zero-order-hold lookup (right-continuous piecewise constant)."""
         return float(self.values[self.index_at(s)])
+
+    def held_steps(self, t_start: float, duration: float, h: float, what: str):
+        """The grid ``t_start + i*h`` over ``duration`` and the value held over
+        each step; ``h`` must divide the duration and the hold interval."""
+        if duration < 0.0:
+            raise ValueError("duration must be non-negative")
+        n = _step_count(duration, h, f"{what} duration")
+        _step_count(self.dt, h, f"{what} hold interval")
+        if not self.covers(t_start, t_start + duration):
+            raise TraceCoverageError(
+                f"trace [{self.t0!r}, {self.end!r}) does not cover the update "
+                f"window [{t_start!r}, {t_start + duration!r}]"
+            )
+        t = t_start + h * np.arange(n + 1)
+        return t, self.values[self.index_at(t[:-1] + 0.5 * h)]
 
     def integral(self, t_lo: float, t_hi):
         """Exact integral of the step function over [t_lo, t_hi], for one or an

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,12 @@ from click.testing import CliRunner
 import beliefgames
 from beliefgames import ConfigError, load_trace
 from beliefgames.cli import main
-from beliefgames.config import default_config, default_config_text, parse_config_text
+from beliefgames.config import (
+    _KEYS,
+    default_config,
+    default_config_text,
+    parse_config_text,
+)
 
 
 def test_shipped_default_config_parses():
@@ -30,10 +36,18 @@ def test_invalid_delta_rejected():
 
 
 def test_step_not_dividing_signal_interval_rejected():
-    text = default_config_text().replace("h_ode = 0.02", "h_ode = 0.015")
-    with pytest.raises(ConfigError) as err:
-        parse_config_text(text)
-    assert any("h_ode" in v and "divide" in v for v in err.value.violations)
+    # h_ode must divide the horizon as well as the signal interval.
+    for line, edited, total in [
+        ("h_ode = 0.02", "h_ode = 0.015", "0.02"),
+        ("horizon = 10.0", "horizon = 10.0005", "10.0005"),
+    ]:
+        text = default_config_text().replace(line, edited)
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert any(
+            "[sim] h_ode" in v and f"does not divide {total}" in v
+            for v in err.value.violations
+        )
 
 
 def test_singular_truth_rejected():
@@ -57,10 +71,43 @@ def test_all_violations_reported_together():
 
 
 def test_missing_keys_reported():
-    text = default_config_text().replace("rho = 0.1\n", "")
+    # Every key of the table, dropped from the shipped file in turn.
+    for section, key, _ in _KEYS:
+        text, dropped = re.subn(rf"(?m)^{key} = .*\n", "", default_config_text())
+        assert dropped == 1, key
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert err.value.violations == [f"<string>: missing key [{section}] {key}"]
+
+
+def test_undeclared_sections_and_keys_rejected():
+    text = (
+        default_config_text().replace("[sim]\n", "[sim]\nhorizn = 3\n")
+        .replace("delta = 0.8", "delta = 1.5")
+        + "[extra]\nfoo = 1\n"
+    )
     with pytest.raises(ConfigError) as err:
         parse_config_text(text)
-    assert any("rho" in v for v in err.value.violations)
+    assert err.value.violations == [
+        "<string>: unknown key [sim] horizn",
+        "<string>: unknown section [extra]",
+        "<string>: [scenario] delta: must lie in (0, 1], got 1.5",
+    ]
+    # Keys of a [DEFAULT] section are inherited by every section, not checked.
+    text = "[DEFAULT]\nfoo = 1\n" + default_config_text()
+    assert parse_config_text(text) == parse_config_text(default_config_text())
+
+
+def test_overrides_replace_file_values_before_the_rules():
+    cfg = default_config(horizon=5.0, scheme="discrete", seed=None)
+    assert (cfg.sim.horizon, cfg.sim.scheme, cfg.seed) == (5.0, "discrete", 20240811)
+    with pytest.raises(ConfigError) as err:
+        default_config(dt_signal=float("inf"), directory="elsewhere")
+    assert err.value.violations == [
+        "<builtin default>: [sim] dt_signal: must be finite"
+    ]
+    with pytest.raises(TypeError):
+        default_config(out_dir="elsewhere")
 
 
 def test_vector_length_mismatch_reported():
@@ -171,6 +218,11 @@ def test_verify_passes_and_writes_report(runner, tmp_path):
     report = json.loads((out / "verification.json").read_text())
     assert report["all_passed"] is True
     assert "note" in report
+    # The controls delta is taken at the run's final beliefs, not at the
+    # known state, so it differs from the known-state delta.
+    observed = {c["name"]: c["observed"] for c in report["checks"]}
+    known = observed["published-known-state-delta"]
+    assert observed["published-controls-delta"] != known
 
 
 def test_simulate_overrides(runner, tmp_path):
@@ -186,10 +238,31 @@ def test_simulate_overrides(runner, tmp_path):
 
 
 def test_incompatible_dt_override_fails_cleanly(runner, tmp_path):
+    # Flags pass the configuration's rules before any file is written.
+    for i, (args, message) in enumerate(
+        [
+            (["simulate", "--dt", "0.05"], "[sim] h_ode: 0.02 does not divide 0.05"),
+            (["simulate", "--horizon", "10.0005"], "0.02 does not divide 10.0005"),
+            (
+                ["--seed", "18446744073709551616", "gen-traces"],
+                "[sim] seed: must fit in an unsigned 64-bit integer",
+            ),
+        ]
+    ):
+        out = tmp_path / f"artifacts{i}"
+        result = runner.invoke(main, ["--out", str(out), *args])
+        assert result.exit_code == 1
+        assert message in result.output
+        assert not out.exists()
+
+
+def test_bad_dt_list_fails_with_one_error_line(runner, tmp_path):
     out = tmp_path / "artifacts"
-    result = runner.invoke(main, ["--out", str(out), "simulate", "--dt", "0.05"])
+    result = runner.invoke(
+        main, ["--out", str(out), "compare-dt", "--dt-list", "0.03,0.02"]
+    )
     assert result.exit_code == 1
-    assert "divide" in result.output
+    assert result.output == "Error: dt=0.03 vs dt_fine: 0.02 does not divide 0.03\n"
 
 
 def test_bad_config_file_fails_cleanly(runner, tmp_path):

@@ -72,6 +72,8 @@ def test_hold_value_examples():
         trace.value_at(trace.end)
     with pytest.raises(TraceCoverageError):
         trace.value_at(-0.01)
+    with pytest.raises(TraceCoverageError):
+        trace.value_at(float("nan"))
 
 
 def test_hold_value_is_right_continuous_with_boundary_jumps():
@@ -80,6 +82,12 @@ def test_hold_value_is_right_continuous_with_boundary_jumps():
         edge = 1.0 + 0.5 * k
         assert trace.value_at(edge) == expect
         assert trace.value_at(edge + 0.25) == expect
+    # An array of times gives the array of the scalar lookups' indices.
+    times = 1.0 + 0.25 * np.arange(6)
+    assert trace.index_at(times).tolist() == [trace.index_at(s) for s in times]
+    t, held = trace.held_steps(1.0, 1.5, 0.25, "test")
+    assert t.tolist() == [1.0 + 0.25 * i for i in range(7)]
+    assert held.tolist() == [2.0, 2.0, -3.0, -3.0, 7.0, 7.0]
 
 
 def test_integral_matches_manual_sum():
