@@ -8,7 +8,6 @@ from .engine import (
     TraceSet,
     Trajectory,
     compare_schemes,
-    convergence_diagnostics,
     default_traces,
     discounted_payoff,
     simulate,
@@ -54,7 +53,6 @@ from .normal_gamma import (
     belief_derivative,
     belief_path,
     closed_form_mean,
-    integrate_continuous,
     step_discrete,
 )
 from .oracles import (

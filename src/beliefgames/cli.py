@@ -134,12 +134,7 @@ def cmd_equilibrium(load):
     cfg = load()
     scn = cfg.scenario
     beliefs = BeliefProfile(x_bar=scn.mu_true, tau_bar=scn.params.tau)
-    report = equilibrium_report(
-        scn.params,
-        beliefs,
-        mu_true=scn.mu_true,
-        include_value_intercepts=True,
-    )
+    report = equilibrium_report(scn.params, beliefs, mu_true=scn.mu_true)
     path = _out_dir(cfg) / "equilibrium.json"
     _write_json(path, {**report, "note": _NOTE})
     click.echo(f"wrote {path}")
@@ -150,7 +145,7 @@ def cmd_equilibrium(load):
 def cmd_verify(load):
     """Run the closed-form oracle suite; exit nonzero on any failed check."""
     cfg = load()
-    report = closed_form_cross_check([(cfg.scenario, cfg.sim, cfg.seed)])
+    report = closed_form_cross_check(cfg.scenario, cfg.sim, cfg.seed)
     path = _out_dir(cfg) / "verification.json"
     _write_json(path, {**report.as_dict(), "note": _NOTE})
     for check in report.checks:

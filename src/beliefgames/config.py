@@ -153,7 +153,7 @@ def parse_config_text(
     """
     if undeclared := sorted(overrides.keys() - _SECTION.keys()):
         raise TypeError(f"undeclared configuration keys: {undeclared}")
-    cp = ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         cp.read_string(text)
     except ConfigParserError as exc:

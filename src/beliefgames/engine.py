@@ -86,11 +86,17 @@ class Scenario:
         object.__setattr__(self, "tau0", _broadcast(self.tau0, n, "tau0"))
         object.__setattr__(self, "p0", _broadcast(self.p0, n, "p0"))
         object.__setattr__(self, "r", _broadcast(self.r, n, "r"))
-        if self.sigma <= 0.0:
+        for name in ("mu_true", "sigma", "mu0", "kappa0", "alpha0", "beta0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("tau0", "p0", "r"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ValueError(f"{name} entries must be finite")
+        if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.kappa0 <= 0.0 or self.alpha0 <= 0.0 or self.beta0 < 0.0:
+        if not (self.kappa0 > 0.0 and self.alpha0 > 0.0 and self.beta0 >= 0.0):
             raise ValueError("prior hyperparameters out of range")
-        if any(v <= 0.0 for v in self.p0) or any(v <= 0.0 for v in self.r):
+        if not all(v > 0.0 for v in self.p0 + self.r):
             raise ValueError("p0 and r entries must be positive")
 
 
@@ -112,7 +118,10 @@ class SimConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.dynamics_mode not in DYNAMICS_MODES:
             raise ValueError(f"unknown dynamics_mode {self.dynamics_mode!r}")
-        if self.dt_signal <= 0.0 or self.h_ode <= 0.0 or self.horizon <= 0.0:
+        for name in ("dt_signal", "h_ode", "horizon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not (self.dt_signal > 0.0 and self.h_ode > 0.0 and self.horizon > 0.0):
             raise ValueError("dt_signal, h_ode, horizon must be positive")
         _step_count(self.dt_signal, self.h_ode, "dt_signal/h_ode")
 
@@ -222,19 +231,19 @@ def simulate(
 
 
 class _Path(NamedTuple):
-    """Belief columns on the grid plus the points where the controls are solved."""
+    """What differs between the schemes: the filter means at the control
+    points, the maps from the stock stages and the grid to those points, and
+    the other belief columns on the grid."""
 
-    x_bar: np.ndarray
     beta: np.ndarray
-    var_mu: np.ndarray
-    tau_bar: np.ndarray
+    kappa: np.ndarray
+    alpha: np.ndarray
     P: np.ndarray
     t_ctrl: np.ndarray  # control points, in time order
     x_ctrl: np.ndarray
     tau_ctrl: np.ndarray
     stage: np.ndarray  # control point of the stages s = 0, h/2, h of each step
-    record: np.ndarray  # control point whose u is recorded at each grid point
-    x_stage: np.ndarray  # believed x at the stages, for expected dynamics
+    record: np.ndarray  # control point of each grid point
 
 
 def _prefix(held: np.ndarray, prior, width: float, repeats: int, size: int):
@@ -266,29 +275,23 @@ def _continuous_path(
     tau_half *= p0
     tau_half /= p0 * t_half[:, None] + r
     tau_half += tau0
-    x_bar = x_half[::2].copy()
     # Exact beta increment per step: with K = kappa + 1 and d = x - x_bar at
     # the step start, K*d stays constant while the signal is held.
     ka = scn.kappa0 + 1.0 + t[:-1]
     kb = scn.kappa0 + 1.0 + t[1:]
-    d = eco[epoch[:-1]] - x_bar[:-1]
+    d = eco[epoch[:-1]] - x_half[:-1:2]
     d_beta = 0.5 * d * d * ka * h / kb * (1.0 - 0.5 * (ka + kb) / (ka * kb))
-    beta = np.cumsum(np.concatenate(([scn.beta0], d_beta)))
-    kappa, alpha = scn.kappa0 + t, scn.alpha0 + 0.5 * t
     steps = np.arange(n_steps)
-    stage = np.stack((2 * steps, 2 * steps + 1, 2 * steps + 2))
     return _Path(
-        x_bar,
-        beta,
-        np.where(alpha > 1.0, beta / (kappa * (alpha - 1.0)), np.nan),
-        tau_half[::2].copy(),
+        np.cumsum(np.concatenate(([scn.beta0], d_beta))),
+        scn.kappa0 + t,
+        scn.alpha0 + 0.5 * t,
         p0 * r / (t[:, None] * p0 + r),
         t_half,
         x_half,
         tau_half,
-        stage,
+        np.stack((2 * steps, 2 * steps + 1, 2 * steps + 2)),
         2 * np.arange(n_steps + 1),
-        x_half[stage],
     )
 
 
@@ -319,20 +322,16 @@ def _discrete_path(
         payoff.append((tau, P))
     mu, beta, kappa, alpha = np.array(motion).T
     tau, P = (np.array(col) for col in zip(*payoff))
-    var = np.where(alpha > 1.0, beta / (kappa * (alpha - 1.0)), np.nan)
-    stage = np.broadcast_to(epoch[:-1], (3, t.size - 1))
     return _Path(
-        mu[epoch],
         beta[epoch],
-        var[epoch],
-        tau[epoch],
+        kappa[epoch],
+        alpha[epoch],
         P[epoch],
         t[::spe],
         mu,
         tau,
-        stage,
+        np.broadcast_to(epoch[:-1], (3, t.size - 1)),
         epoch,
-        mu[stage],
     )
 
 
@@ -403,6 +402,7 @@ def _run(scn: Scenario, cfg: SimConfig, traces: TraceSet) -> Trajectory:
     eco = traces.ecological.values
     build = _continuous_path if cfg.scheme == "continuous" else _discrete_path
     path = build(scn, cfg, traces, t, epoch, spe)
+    x_bar, tau_bar = path.x_ctrl[path.record], path.tau_ctrl[path.record]
     # Solve the controls up to the first singular kernel denominator only.
     den = 1.0 + p.rho - path.x_ctrl * p.delta
     singular = np.abs(den) <= EPS_SINGULAR
@@ -414,23 +414,22 @@ def _run(scn: Scenario, cfg: SimConfig, traces: TraceSet) -> Trajectory:
     if cfg.dynamics_mode == "realized":
         xd = np.broadcast_to(eco[epoch[: stage.shape[1]]], stage.shape)
     else:
-        xd = path.x_stage[:, : stage.shape[1]]
+        xd = path.x_ctrl[stage]
     S = _stock(p.s0, h, xd * u.sum(axis=1)[stage], 1.0 - xd * p.delta)
     finite = (
-        np.isfinite(path.x_bar)
-        & np.isfinite(path.beta)
-        & np.isfinite(path.tau_bar).all(axis=1)
+        np.isfinite(x_bar) & np.isfinite(path.beta) & np.isfinite(tau_bar).all(axis=1)
     )
     finite[: S.size] &= np.isfinite(S)
     kernel_hit = (path.t_ctrl[m], float(den[m])) if m < den.size else None
-    _guard(t, finite, path.x_bar, path.P, p, kernel_hit)
+    _guard(t, finite, x_bar, path.P, p, kernel_hit)
+    beta, kappa, alpha = path.beta, path.kappa, path.alpha
     return Trajectory(
         t=t,
         S=S,
         x_real=eco[np.minimum(epoch, eco.size - 1)],
-        x_bar=path.x_bar,
-        var_mu=path.var_mu,
-        tau_bar=path.tau_bar,
+        x_bar=x_bar,
+        var_mu=np.where(alpha > 1.0, beta / (kappa * (alpha - 1.0)), np.nan),
+        tau_bar=tau_bar,
         P=path.P,
         u=u[path.record],
     )
@@ -521,16 +520,6 @@ def window_diagnostics(
         p_max=float(np.max(traj.P[mask])),
         control_gap=float(np.max(np.abs(traj.u[mask] - u_known))),
     )
-
-
-def convergence_diagnostics(
-    traj: Trajectory, scn: Scenario, tail_fraction: float = 0.05
-) -> DiagnosticsWindow:
-    """Diagnostics over the trailing ``tail_fraction`` of the horizon."""
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must lie in (0, 1]")
-    t_end = float(traj.t[-1])
-    return window_diagnostics(traj, scn, t_end * (1.0 - tail_fraction), t_end)
 
 
 @dataclass(frozen=True)

@@ -156,12 +156,11 @@ def control_kernel(
     x_bar: float | np.ndarray,
     delta: float,
     rho: float,
-) -> list[float] | np.ndarray:
+) -> np.ndarray:
     """Fast path for the equilibrium controls, broadcasting over time.
 
     Uses the aggregation identity of the intercept system instead of a matrix
     solve; must stay numerically equal to solve_equilibrium (pinned by tests).
-    A scalar ``x_bar`` with one ``tau_bar`` row gives a list of n floats;
     ``x_bar`` of shape (T,) with ``tau_bar`` of shape (T, n) gives a (T, n)
     array.  Players are summed in order, so each row equals the scalar call
     bit for bit.
@@ -185,7 +184,7 @@ def control_kernel(
         sum_rhs = sum_rhs + v
     sum_f1 = sum_rhs / (n + 1.0)
     u = np.stack([rhs[i] - sum_f1 + f2 * tau[i] for i in range(n)], axis=-1)
-    return u.tolist() if u.ndim == 1 else u
+    return u
 
 
 def foc_residual(
@@ -272,8 +271,8 @@ def value_intercepts(
 ) -> tuple[float, ...]:
     """Value-function intercepts B_i by matching constant terms.
 
-    Controls never depend on these; they complete V_i(S) = A_i S + B_i when a
-    full value-function report is requested.
+    Controls never depend on these; they complete V_i(S) = A_i S + B_i in the
+    equilibrium report.
     """
     u_believed = [sol.f1[j] + sol.f2 * b.tau_bar[j] for j in range(p.n)]
     total_believed = sum(u_believed)
@@ -290,8 +289,8 @@ def value_intercepts(
 class NonnegativityReport:
     """Pass/fail of the three sufficient conditions for non-negative controls.
 
-    The type condition uses configurable lower/upper bounds on the cost types
-    (they default to min/max of the configured tau vector)."""
+    The type condition bounds the cost types by the min and max of the
+    configured tau vector."""
 
     intercept_ok: bool
     intercept_value: float
@@ -312,12 +311,7 @@ class NonnegativityReport:
         return {**asdict(self), "all_ok": self.all_ok}
 
 
-def check_nonnegativity(
-    p: GameParams,
-    tau_lower: float | None = None,
-    tau_upper: float | None = None,
-    trajectory=None,
-) -> NonnegativityReport:
+def check_nonnegativity(p: GameParams, trajectory=None) -> NonnegativityReport:
     """Evaluate the three sufficient non-negativity conditions.
 
     (1) min a_i - (n/(n+1)) max a_i > 0;
@@ -327,8 +321,7 @@ def check_nonnegativity(
     the stock minimum are attached to the report.
     """
     n = p.n
-    q = min(p.tau) if tau_lower is None else float(tau_lower)
-    big_q = max(p.tau) if tau_upper is None else float(tau_upper)
+    q, big_q = min(p.tau), max(p.tau)
     intercept_value = min(p.a) - (n / (n + 1.0)) * max(p.a)
     coef = (n * n - n + 2.0) / (4.0 * (n + 1.0))
     type_value = -coef * n * q + (0.5 * n + 1.0) * big_q
@@ -351,20 +344,18 @@ def check_nonnegativity(
     )
 
 
-def equilibrium_report(
-    p: GameParams,
-    b: BeliefProfile,
-    mu_true: float | None = None,
-    include_value_intercepts: bool = False,
-) -> dict:
-    """JSON-ready equilibrium report: solver output, closed-form comparison
-    deltas, and the non-negativity condition booleans."""
+def equilibrium_report(p: GameParams, b: BeliefProfile, mu_true: float) -> dict:
+    """JSON-ready equilibrium report: solver output, value intercepts,
+    closed-form comparison deltas, the non-negativity condition booleans, and
+    the known-state controls at the true ecological mean ``mu_true``."""
     sol = solve_equilibrium(p, b)
     cf = closed_form_controls(p, b)
     cf_slopes = tuple(
         closed_form_value_slope(t, b.x_bar, p.delta, p.rho) for t in p.tau
     )
-    report = {
+    known_sol = known_state_equilibrium(p, mu_true)
+    known_cf = known_state_controls(p, mu_true)
+    return {
         "inputs": {
             "a": list(p.a),
             "tau": list(p.tau),
@@ -387,15 +378,10 @@ def equilibrium_report(
             "value_slope_delta_max": _max_gap(cf_slopes, sol.value_slopes),
         },
         "nonnegativity": check_nonnegativity(p).as_dict(),
-    }
-    if include_value_intercepts:
-        report["value_intercepts"] = list(value_intercepts(p, b, sol))
-    if mu_true is not None:
-        known_sol = known_state_equilibrium(p, mu_true)
-        known_cf = known_state_controls(p, mu_true)
-        report["known_state"] = {
+        "value_intercepts": list(value_intercepts(p, b, sol)),
+        "known_state": {
             "solver_controls": list(known_sol.controls),
             "closed_form_controls": list(known_cf),
             "control_delta_max": _max_gap(known_cf, known_sol.controls),
-        }
-    return report
+        },
+    }

@@ -104,24 +104,6 @@ def _rk4_mu_beta(
     return mu_next, beta_next
 
 
-def integrate_continuous(
-    b: NormalGammaBelief, trace: SignalTrace, duration: float, h: float
-) -> NormalGammaBelief:
-    """Advance the belief by ``duration`` under the held signal.
-
-    This is the last grid point of :func:`belief_path`; kappa and alpha are
-    advanced in closed form (they are affine in time).
-    """
-    path = belief_path(b, trace, duration, h)
-    return NormalGammaBelief(
-        mu_hat=float(path.mu_hat[-1]),
-        kappa=b.kappa + duration,
-        alpha=b.alpha + 0.5 * duration,
-        beta=float(path.beta[-1]),
-        t=b.t + duration,
-    )
-
-
 @dataclass(frozen=True)
 class BeliefPath:
     """Belief hyperparameters sampled on the integration grid."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import default_traces, simulate
+from .engine import Scenario, SimConfig, default_traces, simulate
 from .equilibrium import (
     BeliefProfile,
     GameParams,
@@ -258,78 +258,76 @@ class VerificationReport:
         }
 
 
-def closed_form_cross_check(cases, perturb_f2: float = 0.0) -> VerificationReport:
-    """Run every closed-form oracle over the given (scenario, config, seed) cases.
+def closed_form_cross_check(
+    scn: Scenario, cfg: SimConfig, seed: int, perturb_f2: float = 0.0
+) -> VerificationReport:
+    """Run every closed-form oracle on the run of ``(scn, cfg, seed)``.
 
     Aggregates the belief and Kalman closed-form comparisons, the equilibrium
     stationarity check (optionally fault-injected through ``perturb_f2``),
     and the published-formula delta reports.  Each check passes by its own
-    tolerance; the deltas have none and never fail.  An empty case list
-    yields an empty report.
+    tolerance; the deltas have none and never fail.
     """
     checks: list[CheckResult] = []
-    cases = list(cases)
-    for idx, (scn, cfg, seed) in enumerate(cases):
-        tag = f"[case {idx}] " if len(cases) > 1 else ""
 
-        def check(name, observed, tolerance=None, note=""):
-            if tolerance is None:
-                note = "informational delta vs the published closed form"
-            checks.append(CheckResult(tag + name, tolerance, observed, note))
+    def check(name, observed, tolerance=None, note=""):
+        if tolerance is None:
+            note = "informational delta vs the published closed form"
+        checks.append(CheckResult(name, tolerance, observed, note))
 
-        traces = default_traces(scn, cfg, seed)
-        eco, cost = traces.ecological, traces.cost[0]
-        # Largest step <= 1e-3 that divides h_ode, and with it the hold
-        # interval and the horizon, both of which h_ode divides.
-        h = cfg.h_ode / max(1, math.ceil(cfg.h_ode / 1e-3 - 1e-9))
+    traces = default_traces(scn, cfg, seed)
+    eco, cost = traces.ecological, traces.cost[0]
+    # Largest step <= 1e-3 that divides h_ode, and with it the hold
+    # interval and the horizon, both of which h_ode divides.
+    h = cfg.h_ode / max(1, math.ceil(cfg.h_ode / 1e-3 - 1e-9))
 
-        # Mean estimate vs its closed form over the whole grid (zero-mean
-        # prior, where the printed constant matches the ODE initial condition).
-        prior = NormalGammaBelief(0.0, scn.kappa0, scn.alpha0, scn.beta0)
-        path = belief_path(prior, eco, cfg.horizon, h)
-        cf = closed_form_mean(eco, 0.0, scn.kappa0, path.t)
-        rel = np.abs(path.mu_hat - cf) / np.maximum(np.abs(cf), 1e-12)
-        note = "relative sup over the grid, zero-mean prior"
-        check("motion-mean-closed-form", float(rel.max()), 1e-8, note)
+    # Mean estimate vs its closed form over the whole grid (zero-mean
+    # prior, where the printed constant matches the ODE initial condition).
+    prior = NormalGammaBelief(0.0, scn.kappa0, scn.alpha0, scn.beta0)
+    path = belief_path(prior, eco, cfg.horizon, h)
+    cf = closed_form_mean(eco, 0.0, scn.kappa0, path.t)
+    rel = np.abs(path.mu_hat - cf) / np.maximum(np.abs(cf), 1e-12)
+    note = "relative sup over the grid, zero-mean prior"
+    check("motion-mean-closed-form", float(rel.max()), 1e-8, note)
 
-        # kappa/alpha affinity.
-        aff = max(
-            float(np.max(np.abs(path.kappa - (scn.kappa0 + path.t)))),
-            float(np.max(np.abs(path.alpha - (scn.alpha0 + 0.5 * path.t)))),
-        )
-        check("motion-affine-hyperparams", aff, 1e-12)
+    # kappa/alpha affinity.
+    aff = max(
+        float(np.max(np.abs(path.kappa - (scn.kappa0 + path.t)))),
+        float(np.max(np.abs(path.alpha - (scn.alpha0 + 0.5 * path.t)))),
+    )
+    check("motion-affine-hyperparams", aff, 1e-12)
 
-        # Kalman variance: ODE integration vs the exact solution.
-        kb = KalmanBelief(0.0, scn.p0[0], scn.r[0])
-        ode = integrate_kalman(kb, cost, cfg.horizon, h, p_mode="ode")
-        p_exact = variance_closed_form(kb.P, kb.R, cfg.horizon)
-        check("kalman-variance-closed-form", abs(ode.P - p_exact) / p_exact, 1e-6)
+    # Kalman variance: ODE integration vs the exact solution.
+    kb = KalmanBelief(0.0, scn.p0[0], scn.r[0])
+    ode = integrate_kalman(kb, cost, cfg.horizon, h, p_mode="ode")
+    p_exact = variance_closed_form(kb.P, kb.R, cfg.horizon)
+    check("kalman-variance-closed-form", abs(ode.P - p_exact) / p_exact, 1e-6)
 
-        # Kalman mean closed form (valid for a zero initial estimate).
-        exact_mode = integrate_kalman(kb, cost, cfg.horizon, h)
-        tau_cf = mean_closed_form(cost, kb.P, kb.R, cfg.horizon)
-        tau_gap = abs(exact_mode.tau_hat - tau_cf) / max(abs(tau_cf), 1e-12)
-        check("kalman-mean-closed-form", tau_gap, 1e-8, "zero initial estimate")
+    # Kalman mean closed form (valid for a zero initial estimate).
+    exact_mode = integrate_kalman(kb, cost, cfg.horizon, h)
+    tau_cf = mean_closed_form(cost, kb.P, kb.R, cfg.horizon)
+    tau_gap = abs(exact_mode.tau_hat - tau_cf) / max(abs(tau_cf), 1e-12)
+    check("kalman-mean-closed-form", tau_gap, 1e-8, "zero initial estimate")
 
-        # Stationarity of the solved equilibrium at converged beliefs.
-        params, mu = scn.params, scn.mu_true
-        beliefs = BeliefProfile(x_bar=mu, tau_bar=params.tau)
-        sol = solve_equilibrium(params, beliefs)
-        f2 = sol.f2 + perturb_f2
-        res = foc_residual(params, beliefs, sol.f1, f2, sol.value_slopes)
-        check("equilibrium-foc", res, 1e-9, "fault-injected" if perturb_f2 else "")
+    # Stationarity of the solved equilibrium at converged beliefs.
+    params, mu = scn.params, scn.mu_true
+    beliefs = BeliefProfile(x_bar=mu, tau_bar=params.tau)
+    sol = solve_equilibrium(params, beliefs)
+    f2 = sol.f2 + perturb_f2
+    res = foc_residual(params, beliefs, sol.f1, f2, sol.value_slopes)
+    check("equilibrium-foc", res, 1e-9, "fault-injected" if perturb_f2 else "")
 
-        # Published-formula deltas; informational, reported but never gated.
-        # Controls at the run's final beliefs; the known state is the last row.
-        traj = simulate(scn, cfg, traces=traces)
-        final = BeliefProfile(float(traj.x_bar[-1]), traj.tau_bar[-1])
-        cf_controls = closed_form_controls(params, final)
-        sol_final = solve_equilibrium(params, final)
-        check("published-controls-delta", _max_gap(cf_controls, sol_final.controls))
-        cf_slope = closed_form_value_slope(1.0, mu, params.delta, params.rho)
-        sol_slope = value_slope(1.0, mu, params.delta, params.rho)
-        check("published-value-slope-delta", abs(cf_slope - sol_slope))
-        known_cf = known_state_controls(params, mu)
-        known_sol = known_state_equilibrium(params, mu)
-        check("published-known-state-delta", _max_gap(known_cf, known_sol.controls))
+    # Published-formula deltas; informational, reported but never gated.
+    # Controls at the run's final beliefs; the known state is the last row.
+    traj = simulate(scn, cfg, traces=traces)
+    final = BeliefProfile(float(traj.x_bar[-1]), traj.tau_bar[-1])
+    cf_controls = closed_form_controls(params, final)
+    sol_final = solve_equilibrium(params, final)
+    check("published-controls-delta", _max_gap(cf_controls, sol_final.controls))
+    cf_slope = closed_form_value_slope(1.0, mu, params.delta, params.rho)
+    sol_slope = value_slope(1.0, mu, params.delta, params.rho)
+    check("published-value-slope-delta", abs(cf_slope - sol_slope))
+    known_cf = known_state_controls(params, mu)
+    known_sol = known_state_equilibrium(params, mu)
+    check("published-known-state-delta", _max_gap(known_cf, known_sol.controls))
     return VerificationReport(checks=checks)

@@ -38,10 +38,10 @@ class TraceSeed:
         return np.random.default_rng(ss)
 
 
-def _as_seed(seed: TraceSeed | int, stream: int = 0) -> TraceSeed:
+def _as_seed(seed: TraceSeed | int) -> TraceSeed:
     if isinstance(seed, TraceSeed):
         return seed
-    return TraceSeed(int(seed), stream)
+    return TraceSeed(int(seed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,10 +94,6 @@ class SignalTrace:
         k = np.minimum(np.floor(u + _BOUNDARY_EPS), len(self) - 1).astype(int)
         return int(k) if k.ndim == 0 else k
 
-    def value_at(self, s: float) -> float:
-        """Zero-order-hold lookup (right-continuous piecewise constant)."""
-        return float(self.values[self.index_at(s)])
-
     def held_steps(self, t_start: float, duration: float, h: float, what: str):
         """The grid ``t_start + i*h`` over ``duration`` and the value held over
         each step; ``h`` must divide the duration and the hold interval."""
@@ -129,7 +125,7 @@ class SignalTrace:
 
     def _position(self, s):
         # Antiderivative of the step function, valid on the closed interval
-        # [t0, end]; the right endpoint is reachable here (unlike value_at).
+        # [t0, end]; the right endpoint is reachable here (unlike index_at).
         s = np.asarray(s, dtype=float)
         k = np.floor((s - self.t0) / self.dt + _BOUNDARY_EPS)
         kc = np.clip(k, 0, len(self) - 1).astype(int)

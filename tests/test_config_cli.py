@@ -110,6 +110,15 @@ def test_overrides_replace_file_values_before_the_rules():
         default_config(out_dir="elsewhere")
 
 
+def test_percent_signs_are_read_literally():
+    text = default_config_text().replace("directory = out", "directory = out%1")
+    assert parse_config_text(text).out_dir == "out%1"
+    text = default_config_text().replace("delta = 0.8", "delta = 0.8%")
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert err.value.violations == ["<string>: [scenario] delta: not a number: '0.8%'"]
+
+
 def test_vector_length_mismatch_reported():
     text = default_config_text().replace("tau = 1.0, 1.2", "tau = 1.0, 1.2, 0.9")
     with pytest.raises(ConfigError) as err:

@@ -21,7 +21,6 @@ from beliefgames import (
     UndefinedVarianceError,
     belief_path,
     compare_schemes,
-    convergence_diagnostics,
     default_traces,
     discounted_payoff,
     kalman_path,
@@ -138,7 +137,7 @@ discrete_player_prior = st.tuples(
     epochs=st.integers(1, 16),
     mu0=st.floats(-1.0, 1.0),
     kappa0=st.floats(0.2, 5.0),
-    alpha0=st.floats(1.1, 4.0),
+    alpha0=st.floats(0.3, 4.0),
     beta0=st.floats(0.0, 2.0),
     mode=st.sampled_from(["realized", "expected"]),
     seed=st.integers(0, 2**16),
@@ -174,12 +173,17 @@ def test_discrete_scheme_matches_stepwise_updates(
             ]
         i = k * ratio  # the epoch boundary
         assert traj.x_bar[i] == motion.mu_hat
-        assert traj.var_mu[i] == motion.estimator_variance()
+        if motion.alpha > 1.0:
+            assert traj.var_mu[i] == motion.estimator_variance()
+        else:
+            assert np.isnan(traj.var_mu[i])
         assert traj.tau_bar[i].tolist() == [b.tau_hat for b in payoff]
         assert traj.P[i].tolist() == [b.P for b in payoff]
         # Between epochs the beliefs hold their values.
         for column in (traj.x_bar, traj.var_mu, traj.tau_bar, traj.P):
-            assert np.all(column[i : i + ratio] == column[i])
+            held = column[i : i + ratio]
+            expect = np.broadcast_to(column[i], held.shape)
+            assert np.array_equal(held, expect, equal_nan=True)
 
 
 def test_discrete_and_continuous_share_hyperparameter_clock(two_player_scenario):
@@ -222,7 +226,7 @@ def test_perfect_information_diagnostics_are_zero(two_player_params):
         r=(1e-34, 1e-34),
     )
     traj = simulate(scn, SimConfig(horizon=5.0), seed=2)
-    diag = convergence_diagnostics(traj, scn, tail_fraction=0.5)
+    diag = window_diagnostics(traj, scn, 2.5, 5.0)
     assert diag.x_gap == 0.0
     assert diag.tau_gap == 0.0
     assert diag.var_mu == 0.0
@@ -234,10 +238,29 @@ def test_window_diagnostics_tail_beats_midrun(two_player_scenario):
     cfg = SimConfig(dt_signal=0.05, h_ode=0.05, horizon=100.0)
     traj = simulate(two_player_scenario, cfg, seed=1)
     mid = window_diagnostics(traj, two_player_scenario, 5.0, 10.0)
-    tail = convergence_diagnostics(traj, two_player_scenario, tail_fraction=0.05)
+    tail = window_diagnostics(traj, two_player_scenario, 95.0, 100.0)
     assert tail.x_gap < mid.x_gap
     assert tail.var_mu < mid.var_mu
     assert tail.p_max < mid.p_max
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sigma", np.nan),
+        ("kappa0", np.nan),
+        ("p0", np.nan),
+        ("mu0", np.inf),
+        ("horizon", np.inf),
+        ("dt_signal", np.nan),
+    ],
+)
+def test_non_finite_settings_rejected_at_construction(
+    two_player_scenario, base_config, field, value
+):
+    base = two_player_scenario if hasattr(two_player_scenario, field) else base_config
+    with pytest.raises(ValueError, match=field):
+        replace(base, **{field: value})
 
 
 def test_nonnegative_controls_scenario_stays_nonnegative():
@@ -430,7 +453,7 @@ player_prior = st.tuples(
     epochs=st.integers(4, 16),
     mu0=st.floats(-1.0, 1.0),
     kappa0=st.floats(0.2, 5.0),
-    alpha0=st.floats(1.1, 4.0),
+    alpha0=st.floats(0.3, 4.0),
     beta0=st.floats(0.05, 2.0),
     mode=st.sampled_from(["realized", "expected"]),
     seed=st.integers(0, 2**16),
@@ -458,7 +481,9 @@ def test_continuous_beliefs_match_rk4_oracles(
         return np.max(np.abs(observed - expected)) / np.max(np.abs(expected))
 
     assert sup_rel(traj.x_bar, motion.mu_hat[::stride]) <= 1e-10
-    assert max_rel_gap(traj.var_mu, motion.estimator_variance()[::stride]) <= 1e-10
+    var_ref = motion.estimator_variance()[::stride]
+    assert np.array_equal(np.isnan(traj.var_mu), motion.alpha[::stride] <= 1.0)
+    assert max_rel_gap(np.nan_to_num(traj.var_mu), np.nan_to_num(var_ref)) <= 1e-10
     for j in range(n):
         prior = KalmanBelief(tau0[j], p0[j], r[j])
         payoff = kalman_path(prior, traces.cost[j], cfg.horizon, h_oracle)

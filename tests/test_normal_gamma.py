@@ -14,7 +14,6 @@ from beliefgames import (
     belief_derivative,
     belief_path,
     closed_form_mean,
-    integrate_continuous,
     sample_ecological_trace,
     step_discrete,
 )
@@ -101,9 +100,9 @@ def test_step_discrete_rejects_bad_dt():
 
 def test_integrate_advances_kappa_exactly():
     trace = SignalTrace(t0=0.0, dt=0.5, values=np.array([1.0] * 6))
-    out = integrate_continuous(NormalGammaBelief(0, 2.0, 1.0, 0.0), trace, 3.0, 0.25)
-    assert out.kappa == 5.0
-    assert out.alpha == 2.5
+    out = belief_path(NormalGammaBelief(0, 2.0, 1.0, 0.0), trace, 3.0, 0.25)
+    assert out.kappa[-1] == 5.0
+    assert out.alpha[-1] == 2.5
 
 
 def test_constant_trace_matches_printed_mean_formula():
@@ -112,10 +111,10 @@ def test_constant_trace_matches_printed_mean_formula():
     trace = SignalTrace(t0=0.0, dt=0.1, values=np.full(100, c))
     b = NormalGammaBelief(0.0, kappa0, 2.0, 0.0)
     for t in (1.0, 4.0, 10.0):
-        out = integrate_continuous(b, trace, t, 0.001)
-        assert out.mu_hat == pytest.approx(c * t / (kappa0 + t + 1.0), rel=1e-10)
+        mu_hat = belief_path(b, trace, t, 0.001).mu_hat[-1]
+        assert mu_hat == pytest.approx(c * t / (kappa0 + t + 1.0), rel=1e-10)
         b_check = closed_form_mean(trace, 0.0, kappa0, t)
-        assert out.mu_hat == pytest.approx(b_check, rel=1e-10)
+        assert mu_hat == pytest.approx(b_check, rel=1e-10)
 
 
 def test_closed_form_mean_fixed_points():
@@ -150,24 +149,24 @@ def test_integrator_matches_exact_interval_propagation():
     # closed form (the printed formula only covers the zero-mean prior).
     trace = sample_ecological_trace(0.5, 0.3, 0.1, 5.0, seed=9)
     b = NormalGammaBelief(0.7, 2.0, 2.0, 0.4)
-    out = integrate_continuous(b, trace, 5.0, 0.001)
+    out = belief_path(b, trace, 5.0, 0.001)
     mu_ref, beta_ref = exact_reference(b, trace, 5.0)
-    assert out.mu_hat == pytest.approx(mu_ref, rel=1e-11, abs=1e-13)
-    assert out.beta == pytest.approx(beta_ref, rel=1e-9)
+    assert out.mu_hat[-1] == pytest.approx(mu_ref, rel=1e-11, abs=1e-13)
+    assert out.beta[-1] == pytest.approx(beta_ref, rel=1e-9)
 
 
 def test_discrete_updates_approach_continuous_at_first_order():
     # Richardson check: halving dt should roughly halve the terminal gap.
     trace = SignalTrace(t0=0.0, dt=4.0, values=np.array([1.3]))
     b = NormalGammaBelief(0.0, 1.0, 2.0, 0.0)
-    cont = integrate_continuous(b, trace, 4.0, 0.0005)
+    cont_mu_hat = belief_path(b, trace, 4.0, 0.0005).mu_hat[-1]
 
     def discrete_gap(dt):
         steps = round(4.0 / dt)
         cur = b
         for _ in range(steps):
             cur = step_discrete(cur, 1.3, dt)
-        return abs(cur.mu_hat - cont.mu_hat)
+        return abs(cur.mu_hat - cont_mu_hat)
 
     ratio = discrete_gap(0.05) / discrete_gap(0.1)
     assert 0.45 <= ratio <= 0.55
@@ -191,7 +190,10 @@ def test_affinity_and_monotone_beta_under_mixed_updates(dts, xs):
             b = step_discrete(b, xs[i], dt)
         else:
             trace = SignalTrace(t0=b.t, dt=dt, values=np.array([xs[i]]))
-            b = integrate_continuous(b, trace, dt, dt / 4)
+            p = belief_path(b, trace, dt, dt / 4)
+            b = NormalGammaBelief(
+                p.mu_hat[-1], p.kappa[-1], p.alpha[-1], p.beta[-1], p.t[-1]
+            )
         elapsed += dt
         assert b.beta >= prev_beta - 1e-15
         prev_beta = b.beta
@@ -237,11 +239,11 @@ def test_integrate_validates_grid_and_coverage():
     trace = SignalTrace(t0=0.0, dt=0.5, values=np.array([1.0, 2.0]))
     b = NormalGammaBelief(0, 1, 2, 0)
     with pytest.raises(ValueError):
-        integrate_continuous(b, trace, 1.0, 0.3)  # h does not divide dt
+        belief_path(b, trace, 1.0, 0.3)  # h does not divide dt
     with pytest.raises(ValueError):
-        integrate_continuous(b, trace, 0.8, 0.25)  # h does not divide duration
+        belief_path(b, trace, 0.8, 0.25)  # h does not divide duration
     with pytest.raises(TraceCoverageError):
-        integrate_continuous(b, trace, 2.0, 0.25)  # trace too short
+        belief_path(b, trace, 2.0, 0.25)  # trace too short
 
 
 def test_belief_path_csv_export():

@@ -138,7 +138,7 @@ def default_case():
 
 
 def test_cross_check_passes_on_default_scenario():
-    report = closed_form_cross_check([default_case()])
+    report = closed_form_cross_check(*default_case())
     assert report.all_passed
     names = [c.name for c in report.checks]
     assert "motion-mean-closed-form" in names
@@ -148,20 +148,14 @@ def test_cross_check_passes_on_default_scenario():
 
 
 def test_cross_check_fault_injection_fails_foc():
-    report = closed_form_cross_check([default_case()], perturb_f2=1e-3)
+    report = closed_form_cross_check(*default_case(), perturb_f2=1e-3)
     assert not report.all_passed
     failing = {c.name for c in report.checks if not c.passed}
     assert failing == {"equilibrium-foc"}
 
 
-def test_cross_check_empty_run_set_yields_empty_report():
-    report = closed_form_cross_check([])
-    assert report.checks == []
-    assert report.all_passed
-
-
 def test_cross_check_report_round_trips_to_json():
-    report = closed_form_cross_check([default_case()])
+    report = closed_form_cross_check(*default_case())
     back = json.loads(json.dumps(report.as_dict()))
     assert back["all_passed"] is True
     assert len(back["checks"]) == len(report.checks)
@@ -171,7 +165,7 @@ def test_cross_check_report_round_trips_to_json():
 def test_value_slope_delta_with_zero_first_cost_type():
     scn, sim, seed = default_case()
     scn = replace(scn, params=replace(scn.params, tau=(0.0, 1.2)))
-    report = closed_form_cross_check([(scn, sim, seed)])
+    report = closed_form_cross_check(scn, sim, seed)
     (check,) = [c for c in report.checks if c.name == "published-value-slope-delta"]
     # Solver unit slope -1/(1 + rho - mu*delta) = -1/0.7 vs the published -2.0.
     assert check.observed == pytest.approx(2.0 - 1.0 / 0.7, rel=1e-9)

@@ -65,23 +65,23 @@ def test_cost_trace_mean_obeys_law_of_large_numbers():
 
 def test_hold_value_examples():
     trace = SignalTrace(t0=0.0, dt=0.02, values=np.arange(5.0), label="x")
-    assert trace.value_at(0.019) == 0.0
-    assert trace.value_at(0.02) == 1.0
-    assert trace.value_at(trace.end - 1e-6) == 4.0
+    assert trace.values[trace.index_at(0.019)] == 0.0
+    assert trace.values[trace.index_at(0.02)] == 1.0
+    assert trace.values[trace.index_at(trace.end - 1e-6)] == 4.0
     with pytest.raises(TraceCoverageError):
-        trace.value_at(trace.end)
+        trace.index_at(trace.end)
     with pytest.raises(TraceCoverageError):
-        trace.value_at(-0.01)
+        trace.index_at(-0.01)
     with pytest.raises(TraceCoverageError):
-        trace.value_at(float("nan"))
+        trace.index_at(float("nan"))
 
 
 def test_hold_value_is_right_continuous_with_boundary_jumps():
     trace = SignalTrace(t0=1.0, dt=0.5, values=np.array([2.0, -3.0, 7.0]))
     for k, expect in enumerate(trace.values):
         edge = 1.0 + 0.5 * k
-        assert trace.value_at(edge) == expect
-        assert trace.value_at(edge + 0.25) == expect
+        assert trace.values[trace.index_at(edge)] == expect
+        assert trace.values[trace.index_at(edge + 0.25)] == expect
     # An array of times gives the array of the scalar lookups' indices.
     times = 1.0 + 0.25 * np.arange(6)
     assert trace.index_at(times).tolist() == [trace.index_at(s) for s in times]
