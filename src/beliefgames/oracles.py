@@ -1,8 +1,12 @@
 """Independent brute-force checkers backing the tests and the verify command.
 
-None of these re-use the code paths they check: the grid posterior works on
-the raw likelihood-times-prior surface, and the best-response search only
-integrates the raw expected dynamics and quadratures the payoff.
+None of these re-use the code paths they check.  The grid posterior
+normalizes the raw normal likelihood times the Normal-Gamma prior on a
+(mean, precision) grid, evaluated from the observations' count, mean and
+centred sum of squares, and zooms onto the posterior mass pass by pass.  The
+best-response search scores each constant deviation by the trapezoid sum of
+its discounted payoff along the classical RK4 recurrence of the frozen-belief
+expected dynamics, summed in closed form as geometric series.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ class BayesGrid:
     n_lam: int
 
     def __post_init__(self):
+        for name in ("mu_lo", "mu_hi", "lam_lo", "lam_hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"grid bound {name} must be finite, got {getattr(self, name)}")
         if self.mu_hi <= self.mu_lo or self.lam_hi <= self.lam_lo:
             raise ValueError("grid bounds out of order")
         if self.lam_lo <= 0.0:
@@ -71,33 +78,36 @@ class GridPosterior:
 def _grid_moments(
     xs: np.ndarray, prior: NormalGammaBelief, grid: BayesGrid
 ) -> tuple[float, float, float, float]:
-    mu_ax, lam_ax = grid.axes()
-    mu = mu_ax[None, :]
-    lam = lam_ax[:, None]
-    loglam = np.log(lam)
+    mu, lam = grid.axes()
+    n = xs.size
+    xbar = float(xs.mean()) if n else 0.0
     # Normal-Gamma prior density (up to constants) times the normal likelihood
-    # of every observation; everything in log space.
+    # of the observations, in log space; the likelihood's sum of squared
+    # residuals sum (x - mu)^2 enters in centred form, SS + n (xbar - mu)^2.
     # Overflow of a squared residual drives logp to -inf, which is exactly the
     # underflow condition detected below; silence only that warning.
     with np.errstate(over="ignore"):
-        logp = (
-            (prior.alpha - 0.5) * loglam
-            - prior.beta * lam
-            - 0.5 * prior.kappa * lam * (mu - prior.mu_hat) ** 2
+        ss = float(np.sum((xs - xbar) ** 2))
+        rate = prior.beta + 0.5 * (
+            ss + n * (xbar - mu) ** 2 + prior.kappa * (mu - prior.mu_hat) ** 2
         )
-        for x in xs:
-            logp = logp + (0.5 * loglam - 0.5 * lam * (x - mu) ** 2)
+        logp = -lam[:, None] * rate
+    logp += (prior.alpha - 0.5 + 0.5 * n) * np.log(lam)[:, None]
     peak = float(np.max(logp))
     if not math.isfinite(peak):
         raise GridUnderflowError("all posterior grid weights underflowed to zero")
-    w = np.exp(logp - peak)
+    logp -= peak
+    w = np.exp(logp, out=logp)
     z = float(w.sum())
     if z <= 0.0 or not math.isfinite(z):
         raise GridUnderflowError("posterior grid normalization failed")
-    mu_mean = float((w * mu).sum() / z)
-    mu_var = float((w * mu**2).sum() / z - mu_mean**2)
-    lam_mean = float((w * lam).sum() / z)
-    lam_var = float((w * lam**2).sum() / z - lam_mean**2)
+    # Central moments of the two marginals.
+    w_mu = w.sum(axis=0) / z
+    w_lam = w.sum(axis=1) / z
+    mu_mean = float(w_mu @ mu)
+    lam_mean = float(w_lam @ lam)
+    mu_var = float(w_mu @ (mu - mu_mean) ** 2)
+    lam_var = float(w_lam @ (lam - lam_mean) ** 2)
     return mu_mean, mu_var, lam_mean, lam_var
 
 
@@ -125,6 +135,12 @@ def _wide_grid(xs: np.ndarray, prior: NormalGammaBelief, n_mu, n_lam) -> BayesGr
     )
 
 
+# The zoom stops once the sd of the mean spans this share of the window (10
+# cells at the default 400), and gives up after this many passes.
+_RESOLVED_SHARE = 1.0 / 40.0
+_MAX_PASSES = 8
+
+
 def grid_bayes_posterior(
     observations,
     prior: NormalGammaBelief,
@@ -136,8 +152,13 @@ def grid_bayes_posterior(
 
     Numerically normalizes likelihood times prior on a (mean, precision)
     grid; shares no arithmetic with the conjugate updates it is used to
-    check.  Without an explicit grid, a wide first pass locates the posterior
-    mass and a second pass of the same resolution zooms onto it.
+    check.  An explicit grid is integrated once.  Otherwise the first pass
+    spans the prior and the data, and each further pass of the same
+    resolution is centred on the last one's means: +/- 10 max(sd, cell step)
+    in the mean and +/- 8 max(sd, cell step) in the precision, so a posterior
+    narrower than one cell still gets a window.  The zoom stops once the sd
+    of the mean spans 1/40 of the window; ``GridUnderflowError`` if it has
+    not after 8 passes, or if the window falls below the float spacing.
     """
     if isinstance(observations, SignalTrace):
         xs = np.asarray(observations.values, dtype=float)
@@ -148,20 +169,29 @@ def grid_bayes_posterior(
     if grid is not None:
         mean, var, _, _ = _grid_moments(xs, prior, grid)
         return GridPosterior(mean=mean, variance=var)
-    coarse = _wide_grid(xs, prior, n_mu, n_lam)
-    mu_mean, mu_var, lam_mean, lam_var = _grid_moments(xs, prior, coarse)
-    mu_sd = math.sqrt(max(mu_var, 1e-300))
-    lam_sd = math.sqrt(max(lam_var, 1e-300))
-    fine = BayesGrid(
-        mu_lo=mu_mean - 10.0 * mu_sd,
-        mu_hi=mu_mean + 10.0 * mu_sd,
-        n_mu=n_mu,
-        lam_lo=max(lam_mean - 8.0 * lam_sd, lam_mean * 1e-3, 1e-300),
-        lam_hi=lam_mean + 8.0 * lam_sd,
-        n_lam=n_lam,
+    grid = _wide_grid(xs, prior, n_mu, n_lam)
+    for passes in range(1, _MAX_PASSES + 1):
+        mu_mean, mu_var, lam_mean, lam_var = _grid_moments(xs, prior, grid)
+        mu_sd = math.sqrt(mu_var)
+        width = grid.mu_hi - grid.mu_lo
+        if mu_sd >= _RESOLVED_SHARE * width:
+            return GridPosterior(mean=mu_mean, variance=mu_var)
+        mu_half = 10.0 * max(mu_sd, width / (n_mu - 1))
+        lam_half = 8.0 * max(math.sqrt(lam_var), (grid.lam_hi - grid.lam_lo) / (n_lam - 1))
+        if not mu_mean - mu_half < mu_mean + mu_half:
+            break  # narrower than the float spacing at the mean
+        grid = BayesGrid(
+            mu_lo=mu_mean - mu_half,
+            mu_hi=mu_mean + mu_half,
+            n_mu=n_mu,
+            lam_lo=max(lam_mean - lam_half, lam_mean * 1e-3),
+            lam_hi=lam_mean + lam_half,
+            n_lam=n_lam,
+        )
+    raise GridUnderflowError(
+        f"grid zoom did not resolve the posterior mean (pass {passes} of at most "
+        f"{_MAX_PASSES}: sd {mu_sd:.3g} on a window of width {width:.3g})"
     )
-    mean, var, _, _ = _grid_moments(xs, prior, fine)
-    return GridPosterior(mean=mean, variance=var)
 
 
 @dataclass(frozen=True)
@@ -170,6 +200,11 @@ class BestResponseResult:
     best_control: float
     controls: np.ndarray
     values: np.ndarray
+
+
+def _geometric(log_r: float, n: int) -> float:
+    """sum_{k<n} r^k for r = exp(log_r), exact as r -> 1."""
+    return float(n) if log_r == 0.0 else math.expm1(n * log_r) / math.expm1(log_r)
 
 
 def best_response_value(
@@ -184,8 +219,12 @@ def best_response_value(
     """Exhaustive constant-deviation search for one player.
 
     Every candidate control is run through the frozen-belief expected
-    dynamics and scored by trapezoid quadrature of the discounted payoff over
-    [0, t_trunc].  Ties resolve to the lowest grid index.
+    dynamics S' = drive - lam*S by classical RK4 steps of size h and scored by
+    trapezoid quadrature of the discounted payoff over the ceil(t_trunc/h)
+    steps covering [0, t_trunc].  The RK4 recurrence and the payoff sum are
+    evaluated in closed form, so the cost does not grow with the number of
+    steps; a payoff beyond the float range raises ``OverflowError``.  Ties
+    resolve to the lowest grid index.
     """
     devs = np.asarray(list(deviations), dtype=float)
     if devs.size == 0:
@@ -197,21 +236,34 @@ def best_response_value(
     n_steps = max(1, int(math.ceil(t_trunc / h - 1e-9)))
     margin = devs * (a_i - devs - others_total)
     drive = b.x_bar * (devs + others_total)
-    stock = np.full_like(devs, p.s0)
-    values = np.zeros_like(devs)
-    disc_now = 1.0
-    g_now = margin - tau_i * stock
-    h2 = 0.5 * h
-    for i in range(n_steps):
-        k1 = drive - lam * stock
-        k2 = drive - lam * (stock + h2 * k1)
-        k3 = drive - lam * (stock + h2 * k2)
-        k4 = drive - lam * (stock + h * k3)
-        stock = stock + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-        disc_next = math.exp(-p.rho * (i + 1) * h)
-        g_next = margin - tau_i * stock
-        values += h2 * (disc_now * g_now + disc_next * g_next)
-        disc_now, g_now = disc_next, g_next
+    # One RK4 step with a constant control is S <- g*S + h*phi*drive, with
+    # z = lam*h, phi = 1 - z/2 + z^2/6 - z^3/24 and g = 1 - z*phi > 0, so
+    # S_k = g^k s0 + h*phi*drive*E_k, E_k = sum_{j<k} g^j.  With q = exp(-rho*h)
+    # and trapezoid weights w_k, the value h*sum_k w_k q^k (margin - tau*S_k)
+    # is a sum of geometric series in q and q*g.
+    z = lam * h
+    phi = 1.0 - z / 2.0 + z * z / 6.0 - z**3 / 24.0
+    log_q = -p.rho * h
+    log_g = math.log1p(-z * phi)
+    log_qg = log_q + log_g
+
+    def trapezoid(log_r):
+        return _geometric(log_r, n_steps) + 0.5 * math.expm1(n_steps * log_r)
+
+    t_q, t_qg = trapezoid(log_q), trapezoid(log_qg)
+    # e_sum = h*phi*sum_k w_k q^k E_k, in whichever form does not divide by a
+    # small number: by 1 - g = z*phi (which gives the fixed point drive/lam)
+    # or by 1 - q, after swapping the order of the double sum.
+    if abs(z) >= p.rho * h:
+        e_sum = (t_q - t_qg) / lam
+    else:
+        q_n = math.exp(n_steps * log_q)
+        g_sum = _geometric(log_g, n_steps)
+        e_sum = h * phi * (
+            (_geometric(log_qg, n_steps) - q_n * g_sum) / math.expm1(p.rho * h)
+            - 0.5 * q_n * g_sum
+        )
+    values = h * (margin * t_q - tau_i * (p.s0 * t_qg + drive * e_sum))
     best = int(np.argmax(values))
     return BestResponseResult(
         best_value=float(values[best]),

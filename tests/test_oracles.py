@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -73,6 +74,33 @@ def test_explicit_grid_far_from_data_underflows():
         grid_bayes_posterior([1e160], PRIOR, grid=grid)
 
 
+@pytest.mark.parametrize("field", ["mu_lo", "mu_hi", "lam_lo", "lam_hi"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_grid_bounds_must_be_finite(field, bad):
+    bounds = {"mu_lo": -1.0, "mu_hi": 1.0, "lam_lo": 0.1, "lam_hi": 2.0}
+    bounds[field] = bad
+    with pytest.raises(ValueError, match=field):
+        BayesGrid(n_mu=10, n_lam=10, **bounds)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_long_trace_zoom_stays_within_c3(seed):
+    # The posterior sd of the mean (about 0.2/sqrt(2000)) is below the first
+    # pass's cell step; the zoom must still find and resolve the mass.
+    xs = 0.5 + 0.2 * np.random.default_rng(seed).standard_normal(2000)
+    expect = conjugate_mean(xs)
+    post = grid_bayes_posterior(xs, PRIOR)
+    assert abs(post.mean - expect) / abs(expect) <= 1e-3
+
+
+def test_unresolvable_zoom_raises_grid_underflow():
+    # Posterior sd of the mean about 1e-18 at 1e8, far below the float spacing
+    # there: no window the grid can represent resolves it.
+    prior = NormalGammaBelief(1e8, 1.0, 2.0, 1e-30)
+    with pytest.raises(GridUnderflowError, match="did not resolve"):
+        grid_bayes_posterior(np.full(2000, 1e8), prior)
+
+
 def believed_controls(sol, beliefs):
     return [sol.f1[j] + sol.f2 * beliefs.tau_bar[j] for j in range(len(sol.f1))]
 
@@ -118,6 +146,71 @@ def test_empty_deviation_grid_rejected():
     p = GameParams(a=(2.0,), tau=(1.0,), delta=0.5, rho=0.25)
     with pytest.raises(ValueError):
         best_response_value(p, BeliefProfile(0.5, (1.0,)), [0.75], 0, [], 10.0)
+
+
+def loop_values(p, b, controls, player, devs, t_trunc, h):
+    """Reference: step RK4 and the trapezoid rule one time step at a time."""
+    devs = np.asarray(devs, dtype=float)
+    others_total = float(sum(controls) - controls[player])
+    lam = 1.0 - b.x_bar * p.delta
+    n_steps = max(1, int(math.ceil(t_trunc / h - 1e-9)))
+    margin = devs * (p.a[player] - devs - others_total)
+    drive = b.x_bar * (devs + others_total)
+    stock = np.full_like(devs, p.s0)
+    values = np.zeros_like(devs)
+    disc_now = 1.0
+    g_now = margin - p.tau[player] * stock
+    h2 = 0.5 * h
+    for i in range(n_steps):
+        k1 = drive - lam * stock
+        k2 = drive - lam * (stock + h2 * k1)
+        k3 = drive - lam * (stock + h2 * k2)
+        k4 = drive - lam * (stock + h * k3)
+        stock = stock + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        disc_next = math.exp(-p.rho * (i + 1) * h)
+        g_next = margin - p.tau[player] * stock
+        values += h2 * (disc_now * g_now + disc_next * g_next)
+        disc_now, g_now = disc_next, g_next
+    return values
+
+
+def two_player_case(t_trunc):
+    p = GameParams(a=(3.0, 3.0), tau=(1.0, 1.2), delta=0.8, rho=0.25, s0=0.5)
+    b = BeliefProfile(0.5, (1.1, 1.0))
+    sol = solve_equilibrium(p, b)
+    devs = sol.controls[1] + np.linspace(-0.5, 0.5, 201)
+    return p, b, believed_controls(sol, b), 1, devs, t_trunc
+
+
+def limit_case(x_bar):
+    p = GameParams(a=(2.0,), tau=(1.0,), delta=0.5, rho=0.25, s0=0.3)
+    return p, BeliefProfile(x_bar, (1.0,)), [0.5], 0, np.linspace(0.1, 1.0, 11), 60.0
+
+
+def unit_growth_x_bar(delta=0.5, rho=0.25, h=0.01):
+    # RK4 gain g(z) = 1 - z + z^2/2 - z^3/6 + z^4/24 = exp(rho*h), so q*g = 1.
+    roots = np.roots([1 / 24, -1 / 6, 1 / 2, -1.0, 1.0 - math.exp(rho * h)])
+    z = min((r.real for r in roots if abs(r.imag) < 1e-12), key=abs)
+    return (1.0 - z / h) / delta
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        two_player_case(60.0),
+        two_player_case(120.0),
+        two_player_case(60.004),  # not a multiple of h: ceil(t/h) steps
+        limit_case(2.0),  # lam = 1 - x_bar*delta = 0, so g = 1
+        limit_case(unit_growth_x_bar()),  # q*g = 1
+    ],
+    ids=["horizon60", "horizon120", "off-grid-horizon", "lam0", "qg1"],
+)
+def test_closed_form_values_match_rk4_loop(case):
+    p, b, controls, player, devs, t_trunc = case
+    res = best_response_value(p, b, controls, player, devs, t_trunc, h=0.01)
+    ref = loop_values(p, b, controls, player, devs, t_trunc, 0.01)
+    np.testing.assert_allclose(res.values, ref, rtol=1e-9, atol=0.0)
+    assert res.best_control == devs[int(np.argmax(ref))]
 
 
 def test_tie_resolution_takes_lowest_index():
