@@ -41,12 +41,12 @@ from .errors import (
 )
 from .kalman import (
     KalmanBelief,
-    integrate_kalman,
     kalman_derivative,
     kalman_path,
     mean_closed_form,
     step_discrete_kalman,
     variance_closed_form,
+    variance_path,
 )
 from .normal_gamma import (
     NormalGammaBelief,

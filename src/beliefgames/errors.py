@@ -31,7 +31,9 @@ class UndefinedVarianceError(BeliefGameError):
 
 
 class GridUnderflowError(BeliefGameError):
-    """All posterior grid weights underflowed to zero."""
+    """The grid posterior cannot be formed: its weights underflowed to zero or
+    do not normalize, or the zoom cannot resolve the posterior mean within its
+    passes or the float spacing."""
 
 
 class ConfigError(BeliefGameError):

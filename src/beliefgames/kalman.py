@@ -6,7 +6,9 @@ The hidden state is a constant, so the filter reduces to
     P'       = -P^2 / R
 
 with measurement noise variance R.  P has the exact solution
-P(t) = P0 R / (t P0 + R), used by default instead of integrating its ODE.
+P(t) = P0 R / (t P0 + R): ``kalman_path`` reads P from it and integrates only
+tau_hat, and ``variance_path`` integrates P's ODE alone as the reference for
+the closed form.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteStateError
-from .signals import SignalTrace
+from .signals import SignalTrace, require_finite, step_grid
 
 
 @dataclass(frozen=True)
@@ -70,25 +72,6 @@ def mean_closed_form(trace: SignalTrace, p0: float, r: float, t):
     return p0 * trace.integral(0.0, t) / (t * p0 + r)
 
 
-def _rk4_pair(tau, p, r, y, h, p_exact):
-    # p_exact holds the exact variance at the start, middle and end of the
-    # step when the closed form is in use: P is then read off, not integrated.
-    # Otherwise (None) P rides along in the integrator.
-    def rates(stage, state_tau, state_p):
-        if p_exact is not None:
-            return (p_exact[stage] / r) * (y - state_tau), 0.0
-        return (state_p / r) * (y - state_tau), -state_p * state_p / r
-
-    k1t, k1p = rates(0, tau, p)
-    k2t, k2p = rates(1, tau + 0.5 * h * k1t, p + 0.5 * h * k1p)
-    k3t, k3p = rates(1, tau + 0.5 * h * k2t, p + 0.5 * h * k2p)
-    k4t, k4p = rates(2, tau + h * k3t, p + h * k3p)
-    tau_next = tau + h * (k1t + 2.0 * (k2t + k3t) + k4t) / 6.0
-    if p_exact is not None:
-        return tau_next, p_exact[2]
-    return tau_next, p + h * (k1p + 2.0 * (k2p + k3p) + k4p) / 6.0
-
-
 @dataclass(frozen=True)
 class KalmanPath:
     t: np.ndarray
@@ -97,50 +80,56 @@ class KalmanPath:
 
 
 def kalman_path(
-    b: KalmanBelief,
-    trace: SignalTrace,
-    duration: float,
-    h: float,
-    p_mode: str = "exact",
+    b: KalmanBelief, trace: SignalTrace, duration: float, h: float
 ) -> KalmanPath:
-    """Integrate the filter over ``duration`` by RK4, recording every grid point.
+    """Integrate tau_hat over ``duration`` by RK4, recording every grid point.
 
-    ``p_mode="exact"`` (default) takes P from its closed form, anchored at
-    ``b``, and integrates only tau_hat; ``p_mode="ode"`` integrates both,
-    which exists for cross-checking the closed form.  ``h`` must divide both
-    the duration and the trace's hold interval.  A non-finite state raises
-    :class:`NonFiniteStateError` naming its first grid time.
+    P is read off its closed form, anchored at ``b``, at each step's start,
+    middle and end.  ``h`` must divide both the duration and the trace's hold
+    interval.  A non-finite state raises :class:`NonFiniteStateError` naming
+    its first grid time.
     """
-    if p_mode not in ("exact", "ode"):
-        raise ValueError(f"unknown p_mode {p_mode!r}")
     t, ys = trace.held_steps(b.t, duration, h, "kalman_path")
+    t_rel = h * np.arange(ys.size)
+    # P at each step's start, middle and end.
+    p_start, p_mid, p_end = (
+        variance_closed_form(b.P, b.R, t_rel + s) for s in (0.0, 0.5 * h, h)
+    )
     tau_arr = np.empty(t.size)
-    p_arr = np.empty(t.size)
-    tau, p = b.tau_hat, b.P
-    tau_arr[0], p_arr[0] = tau, p
-    for i, y in enumerate(map(float, ys)):  # Python floats step faster
-        t_rel = i * h
-        p_exact = None
-        if p_mode == "exact":
-            stages = (t_rel, t_rel + 0.5 * h, t_rel + h)
-            p_exact = [variance_closed_form(b.P, b.R, s) for s in stages]
-        tau, p = _rk4_pair(tau, p, b.R, y, h, p_exact)
-        tau_arr[i + 1], p_arr[i + 1] = tau, p
-    bad = np.flatnonzero(~(np.isfinite(tau_arr) & np.isfinite(p_arr)))
-    if bad.size:
-        raise NonFiniteStateError(f"non-finite Kalman state at t={float(t[bad[0]])!r}")
+    tau, r = b.tau_hat, b.R
+    tau_arr[0] = tau
+    # Python floats step faster than numpy scalars.
+    steps = zip(*(map(float, a) for a in (ys, p_start, p_mid, p_end)))
+    for i, (y, p1, p2, p4) in enumerate(steps, 1):
+        k1 = (p1 / r) * (y - tau)
+        k2 = (p2 / r) * (y - (tau + 0.5 * h * k1))
+        k3 = (p2 / r) * (y - (tau + 0.5 * h * k2))
+        k4 = (p4 / r) * (y - (tau + h * k3))
+        tau = tau_arr[i] = tau + h * (k1 + 2.0 * (k2 + k3) + k4) / 6.0
+    p_arr = np.concatenate(([b.P], p_end))
+    require_finite(t, "Kalman state", tau_arr, p_arr)
     return KalmanPath(t=t, tau_hat=tau_arr, P=p_arr)
 
 
-def integrate_kalman(
-    b: KalmanBelief,
-    trace: SignalTrace,
-    duration: float,
-    h: float,
-    p_mode: str = "exact",
-) -> KalmanBelief:
-    """Advance ``b`` by ``duration``: the last grid point of :func:`kalman_path`."""
-    path = kalman_path(b, trace, duration, h, p_mode=p_mode)
-    return KalmanBelief(
-        tau_hat=float(path.tau_hat[-1]), P=float(path.P[-1]), R=b.R, t=b.t + duration
-    )
+def variance_path(b: KalmanBelief, duration: float, h: float) -> np.ndarray:
+    """Integrate P' = -P^2/R over ``duration`` by RK4: the reference for
+    :func:`variance_closed_form`, on the grid ``b.t + i*h``.
+
+    ``h`` must divide the duration.  A non-finite P raises
+    :class:`NonFiniteStateError` naming its first grid time.
+    """
+    t = step_grid(b.t, duration, h, "variance_path")
+    p_arr = np.empty(t.size)
+    p, r = b.P, b.R
+    p_arr[0] = p
+    for i in range(1, t.size):
+        k1 = -p * p / r
+        q = p + 0.5 * h * k1
+        k2 = -q * q / r
+        q = p + 0.5 * h * k2
+        k3 = -q * q / r
+        q = p + h * k3
+        k4 = -q * q / r
+        p = p_arr[i] = p + h * (k1 + 2.0 * (k2 + k3) + k4) / 6.0
+    require_finite(t, "Kalman state", p_arr)
+    return p_arr

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteStateError, UndefinedVarianceError
-from .signals import SignalTrace
+from .signals import SignalTrace, require_finite
 
 
 @dataclass(frozen=True)
@@ -84,26 +84,6 @@ def step_discrete(b: NormalGammaBelief, x: float, dt: float) -> NormalGammaBelie
     )
 
 
-def _rk4_mu_beta(
-    mu: float, beta: float, kappa0: float, x: float, h: float
-) -> tuple[float, float]:
-    # One step of the (mu_hat, beta) subsystem; kappa0 is kappa at the step
-    # start and advances linearly through the stages.
-    def rates(s: float, m: float) -> tuple[float, float]:
-        k = kappa0 + s
-        innov = x - m
-        den = k + 1.0
-        return innov / den, k * innov * innov / (2.0 * den)
-
-    k1m, k1b = rates(0.0, mu)
-    k2m, k2b = rates(0.5 * h, mu + 0.5 * h * k1m)
-    k3m, k3b = rates(0.5 * h, mu + 0.5 * h * k2m)
-    k4m, k4b = rates(h, mu + h * k3m)
-    mu_next = mu + h * (k1m + 2.0 * (k2m + k3m) + k4m) / 6.0
-    beta_next = beta + h * (k1b + 2.0 * (k2b + k3b) + k4b) / 6.0
-    return mu_next, beta_next
-
-
 @dataclass(frozen=True)
 class BeliefPath:
     """Belief hyperparameters sampled on the integration grid."""
@@ -129,16 +109,30 @@ def belief_path(
     """Integrate the belief over ``duration`` by RK4, recording every grid point.
 
     ``h`` must divide both the duration and the trace's hold interval, so no
-    integration step ever straddles a signal jump.
+    integration step ever straddles a signal jump.  A non-finite state raises
+    :class:`NonFiniteStateError` naming its first grid time.
     """
     t, xs = trace.held_steps(b.t, duration, h, "belief_path")
     mu_arr = np.empty(t.size)
     beta_arr = np.empty(t.size)
-    mu, beta = b.mu_hat, b.beta
-    mu_arr[0], beta_arr[0] = mu, beta
+    mu, beta = mu_arr[0], beta_arr[0] = b.mu_hat, b.beta
+    half = 0.5 * h
     for i, x in enumerate(map(float, xs)):  # Python floats step faster
-        mu, beta = _rk4_mu_beta(mu, beta, b.kappa + i * h, x, h)
-        mu_arr[i + 1], beta_arr[i + 1] = mu, beta
+        # kappa at the step's start, middle and end; only (mu_hat, beta) step.
+        k1 = b.kappa + i * h
+        k2, k4 = k1 + half, k1 + h
+        d1, d2, d4 = k1 + 1.0, k2 + 1.0, k4 + 1.0
+        e = x - mu
+        m1, b1 = e / d1, k1 * e * e / (2.0 * d1)
+        e = x - (mu + half * m1)
+        m2, b2 = e / d2, k2 * e * e / (2.0 * d2)
+        e = x - (mu + half * m2)
+        m3, b3 = e / d2, k2 * e * e / (2.0 * d2)
+        e = x - (mu + h * m3)
+        m4, b4 = e / d4, k4 * e * e / (2.0 * d4)
+        mu = mu_arr[i + 1] = mu + h * (m1 + 2.0 * (m2 + m3) + m4) / 6.0
+        beta = beta_arr[i + 1] = beta + h * (b1 + 2.0 * (b2 + b3) + b4) / 6.0
+    require_finite(t, "belief state", mu_arr, beta_arr)
     return BeliefPath(
         t=t,
         mu_hat=mu_arr,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TraceCoverageError, TraceFormatError
+from .errors import NonFiniteStateError, TraceCoverageError, TraceFormatError
 
 # Fraction of one hold interval used to absorb float roundoff when a query
 # time sits on (or within a hair of) an interval boundary.
@@ -97,16 +97,13 @@ class SignalTrace:
     def held_steps(self, t_start: float, duration: float, h: float, what: str):
         """The grid ``t_start + i*h`` over ``duration`` and the value held over
         each step; ``h`` must divide the duration and the hold interval."""
-        if duration < 0.0:
-            raise ValueError("duration must be non-negative")
-        n = _step_count(duration, h, f"{what} duration")
+        t = step_grid(t_start, duration, h, what)
         _step_count(self.dt, h, f"{what} hold interval")
         if not self.covers(t_start, t_start + duration):
             raise TraceCoverageError(
                 f"trace [{self.t0!r}, {self.end!r}) does not cover the update "
                 f"window [{t_start!r}, {t_start + duration!r}]"
             )
-        t = t_start + h * np.arange(n + 1)
         return t, self.values[self.index_at(t[:-1] + 0.5 * h)]
 
     def integral(self, t_lo: float, t_hi):
@@ -145,6 +142,21 @@ class SignalTrace:
             values=self.values[::stride],
             label=self.label,
         )
+
+
+def step_grid(t_start: float, duration: float, h: float, what: str) -> np.ndarray:
+    """The grid ``t_start + i*h`` over ``duration``, which ``h`` must divide."""
+    if duration < 0.0:
+        raise ValueError("duration must be non-negative")
+    return t_start + h * np.arange(_step_count(duration, h, f"{what} duration") + 1)
+
+
+def require_finite(t: np.ndarray, what: str, *columns: np.ndarray) -> None:
+    """Raise :class:`NonFiniteStateError` naming the first grid time ``t`` at
+    which any of the ``columns`` is not finite."""
+    bad = np.flatnonzero(~np.logical_and.reduce([np.isfinite(c) for c in columns]))
+    if bad.size:
+        raise NonFiniteStateError(f"non-finite {what} at t={float(t[bad[0]])!r}")
 
 
 def _step_count(total: float, step: float, what: str) -> int:

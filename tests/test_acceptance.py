@@ -25,13 +25,13 @@ from beliefgames import (
     compare_schemes,
     equilibrium_report,
     grid_bayes_posterior,
-    kalman_path,
     sample_cost_trace,
     sample_ecological_trace,
     simulate,
     solve_equilibrium,
     step_discrete,
     variance_closed_form,
+    variance_path,
     window_diagnostics,
 )
 from beliefgames.cli import main as cli_main
@@ -87,14 +87,12 @@ def test_c2_belief_closed_forms():
         assert np.all(path.kappa == 1.0 + path.t)
         assert np.all(path.alpha == 2.0 + 0.5 * path.t)
 
-        cost = sample_cost_trace(1.2, 0.25, 0.02, 10.0, seed=17)
-        kpath = kalman_path(
-            KalmanBelief(0.0, 1.0, 0.25), cost, 10.0, 0.001, p_mode="ode"
-        )
+        p_ode = variance_path(KalmanBelief(0.0, 1.0, 0.25), 10.0, 0.001)
+        t_ode = 0.001 * np.arange(p_ode.size)
         p_expected = np.array(
-            [variance_closed_form(1.0, 0.25, float(t)) for t in kpath.t]
+            [variance_closed_form(1.0, 0.25, float(t)) for t in t_ode]
         )
-        p_rel = np.abs(kpath.P - p_expected) / p_expected
+        p_rel = np.abs(p_ode - p_expected) / p_expected
         assert float(p_rel.max()) <= 1e-6
     report(
         "2 belief-closed-forms",

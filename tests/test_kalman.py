@@ -10,13 +10,13 @@ from beliefgames import (
     NonFiniteStateError,
     SignalTrace,
     TraceCoverageError,
-    integrate_kalman,
     kalman_derivative,
     kalman_path,
     mean_closed_form,
     sample_cost_trace,
     step_discrete_kalman,
     variance_closed_form,
+    variance_path,
 )
 
 
@@ -45,7 +45,7 @@ def test_validation():
     # non-finite grid time instead of returning it.
     trace = SignalTrace(t0=0.0, dt=0.5, values=np.ones(10))
     with pytest.raises(NonFiniteStateError, match=r"non-finite Kalman state at t="):
-        kalman_path(KalmanBelief(0.0, 6.0, 0.25), trace, 5.0, 0.125, p_mode="ode")
+        variance_path(KalmanBelief(0.0, 6.0, 0.25), 5.0, 0.125)
 
 
 def test_step_discrete_substitution_example():
@@ -62,8 +62,8 @@ def test_step_at_current_estimate_only_shrinks_variance():
 def test_exact_variance_fixed_point():
     assert variance_closed_form(1.0, 1.0, 1.0) == 0.5
     trace = SignalTrace(t0=0.0, dt=1.0, values=np.zeros(1))
-    out = integrate_kalman(KalmanBelief(0.0, 1.0, 1.0), trace, 1.0, 0.001)
-    assert out.P == pytest.approx(0.5, rel=1e-12)
+    out = kalman_path(KalmanBelief(0.0, 1.0, 1.0), trace, 1.0, 0.001)
+    assert out.P[-1] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_variance_vanishes_for_long_horizons():
@@ -71,16 +71,14 @@ def test_variance_vanishes_for_long_horizons():
 
 
 def test_ode_variance_matches_closed_form():
-    trace = SignalTrace(t0=0.0, dt=10.0, values=np.array([0.3]))
-    b = KalmanBelief(0.0, 1.0, 0.5)
-    out = integrate_kalman(b, trace, 10.0, 0.001, p_mode="ode")
-    assert out.P == pytest.approx(variance_closed_form(1.0, 0.5, 10.0), rel=1e-6)
+    p = variance_path(KalmanBelief(0.0, 1.0, 0.5), 10.0, 0.001)
+    assert p[-1] == pytest.approx(variance_closed_form(1.0, 0.5, 10.0), rel=1e-6)
 
 
 def test_zero_prior_mean_matches_printed_solution():
     trace = sample_cost_trace(1.2, 0.25, 0.02, 10.0, seed=17)
-    out = integrate_kalman(KalmanBelief(0.0, 1.0, 0.25), trace, 10.0, 0.001)
-    assert out.tau_hat == pytest.approx(
+    out = kalman_path(KalmanBelief(0.0, 1.0, 0.25), trace, 10.0, 0.001)
+    assert out.tau_hat[-1] == pytest.approx(
         mean_closed_form(trace, 1.0, 0.25, 10.0), rel=1e-10
     )
     # Over an array of times (hold edges and trace.end included), bit-equal to
@@ -95,14 +93,10 @@ def test_zero_prior_mean_matches_printed_solution():
         mean_closed_form(trace, 1.0, 0.25, np.append(ts, -0.5))
 
 
-def test_integrate_is_the_last_path_row_and_exact_p_is_the_closed_form():
+def test_path_p_is_the_closed_form():
     trace = sample_cost_trace(1.2, 0.25, 0.5, 5.0, seed=3)
     b = KalmanBelief(0.4, 1.7, 0.3)
-    for p_mode in ("exact", "ode"):
-        path = kalman_path(b, trace, 5.0, 0.025, p_mode=p_mode)
-        out = integrate_kalman(b, trace, 5.0, 0.025, p_mode=p_mode)
-        assert (out.tau_hat, out.P) == (path.tau_hat[-1], path.P[-1])
-    # Exact mode reads P from the closed form anchored at P0, not composed
+    # kalman_path reads P from the closed form anchored at P0, not composed
     # step by step.  A dyadic step makes the step-end time i*h + h equal to
     # the grid time t exactly.
     path = kalman_path(b, trace, 5.0, 0.125)
@@ -113,24 +107,24 @@ def test_integrate_is_the_last_path_row_and_exact_p_is_the_closed_form():
 def test_nonzero_prior_matches_exact_interval_propagation():
     trace = sample_cost_trace(1.2, 0.25, 0.1, 5.0, seed=3)
     b = KalmanBelief(0.4, 2.0, 0.25)
-    out = integrate_kalman(b, trace, 5.0, 0.001)
+    out = kalman_path(b, trace, 5.0, 0.001)
     tau, p = b.tau_hat, b.P
     for k in range(50):
         tau = exact_interval_tau(tau, p, b.R, float(trace.values[k]), 0.1)
         p = variance_closed_form(p, b.R, 0.1)
-    assert out.tau_hat == pytest.approx(tau, rel=1e-11)
-    assert out.P == pytest.approx(p, rel=1e-12)
+    assert out.tau_hat[-1] == pytest.approx(tau, rel=1e-11)
+    assert out.P[-1] == pytest.approx(p, rel=1e-12)
 
 
 def test_discrete_updates_approach_continuous_at_first_order():
     trace = SignalTrace(t0=0.0, dt=4.0, values=np.array([2.0]))
-    cont = integrate_kalman(KalmanBelief(0.0, 1.0, 1.0), trace, 4.0, 0.0005)
+    cont = kalman_path(KalmanBelief(0.0, 1.0, 1.0), trace, 4.0, 0.0005).tau_hat[-1]
 
     def gap(dt):
         cur = KalmanBelief(0.0, 1.0, 1.0)
         for _ in range(round(4.0 / dt)):
             cur = step_discrete_kalman(cur, 2.0, dt)
-        return abs(cur.tau_hat - cont.tau_hat)
+        return abs(cur.tau_hat - cont)
 
     ratio = gap(0.05) / gap(0.1)
     assert 0.4 <= ratio <= 0.6
@@ -149,7 +143,8 @@ def test_gain_bounds_and_monotone_variance(p0, r, spans, ys):
     b = KalmanBelief(0.0, p0, r)
     for i, span in enumerate(spans):
         trace = SignalTrace(t0=b.t, dt=span, values=np.array([ys[i]]))
-        nxt = integrate_kalman(b, trace, span, span / 4)
+        path = kalman_path(b, trace, span, span / 4)
+        nxt = KalmanBelief(float(path.tau_hat[-1]), float(path.P[-1]), r, b.t + span)
         assert 0.0 < nxt.P < b.P
         assert 0.0 < nxt.P / r <= p0 / r
         b = nxt

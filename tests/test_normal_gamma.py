@@ -246,6 +246,13 @@ def test_integrate_validates_grid_and_coverage():
         belief_path(b, trace, 2.0, 0.25)  # trace too short
 
 
+def test_belief_path_names_the_first_non_finite_time():
+    # A huge held signal overflows beta's rate in the first step.
+    trace = SignalTrace(t0=0.0, dt=1.0, values=np.array([1e200]))
+    with pytest.raises(NonFiniteStateError, match=r"non-finite belief state at t=0\.5$"):
+        belief_path(NormalGammaBelief(0, 1, 2, 1), trace, 1.0, 0.5)
+
+
 def test_belief_path_csv_export():
     trace = SignalTrace(t0=0.0, dt=0.5, values=np.array([1.0, 2.0]))
     path = belief_path(NormalGammaBelief(0, 1, 2, 0), trace, 1.0, 0.25)

@@ -17,6 +17,7 @@ from beliefgames import (
     solve_equilibrium,
     step_discrete,
 )
+from beliefgames import oracles
 from beliefgames.config import default_config
 from beliefgames.oracles import CheckResult
 
@@ -240,8 +241,13 @@ def test_cross_check_passes_on_default_scenario():
     assert deltas and all(np.isfinite(c.observed) for c in deltas)
 
 
-def test_cross_check_fault_injection_fails_foc():
-    report = closed_form_cross_check(*default_case(), perturb_f2=1e-3)
+def test_cross_check_fault_injection_fails_foc(monkeypatch):
+    def perturbed(params, beliefs):
+        sol = solve_equilibrium(params, beliefs)
+        return replace(sol, f2=sol.f2 + 1e-3)
+
+    monkeypatch.setattr(oracles, "solve_equilibrium", perturbed)
+    report = closed_form_cross_check(*default_case())
     assert not report.all_passed
     failing = {c.name for c in report.checks if not c.passed}
     assert failing == {"equilibrium-foc"}
