@@ -2,8 +2,9 @@
 
 Sections: [scenario] game constants and true signal laws, [priors] belief
 hyperparameters, [sim] scheme and grid settings plus the seed, [output] the
-artifact directory.  One table declares every key and its kind, one the
-range rules.  Keyword overrides (the CLI's flags) replace the file's values
+artifact directory.  One table declares every key and its kind; the range
+rules are the settings dataclasses' own, with alpha0 > 1 and the seed range
+added here.  Keyword overrides (the CLI's flags) replace the file's values
 before any check, so both pass the same rules.  Validation reports every
 violation it finds, not just the first.
 """
@@ -17,9 +18,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .engine import DYNAMICS_MODES, SCHEMES, Scenario, SimConfig
-from .equilibrium import EPS_SINGULAR, GameParams
+from .equilibrium import EPS_SINGULAR, GameParams, violations
 from .errors import ConfigError
-from .signals import _step_count
 
 _FLOATS = "comma-separated floats"
 _BOOLS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -53,39 +53,16 @@ _KEYS = (
 
 _SECTION = {key: section for section, key, _ in _KEYS}
 
-
-def _divides(h, total):
-    # A step or total that is not positive breaks a positivity rule instead.
-    try:
-        return h <= 0.0 or total <= 0.0 or _step_count(total, h, "") > 0
-    except ValueError:
-        return False
-
-
 _ALPHA0 = "must exceed 1 so the estimator variance is defined from t=0, got {}"
 _SEED = "must fit in an unsigned 64-bit integer, got {}"
 
-# Range rules in report order: (keys, holds, message).  A rule is checked once
-# all its keys were read, and where ``holds`` is false of their values it
-# reports ``message``, formatted with them, under the first key.
-_RULES = (
-    (("delta",), lambda x: 0.0 < x <= 1.0, "must lie in (0, 1], got {}"),
-    (("rho",), lambda x: x > 0.0, "must be positive, got {}"),
-    (("s0",), lambda x: x >= 0.0, "must be non-negative, got {}"),
-    (("sigma",), lambda x: x > 0.0, "must be positive, got {}"),
-    (("tau",), lambda v: min(v) >= 0.0, "entries must be non-negative"),
-    (("r",), lambda v: min(v) > 0.0, "entries must be positive"),
-    (("kappa0",), lambda x: x > 0.0, "must be positive, got {}"),
-    (("alpha0",), lambda x: x > 1.0, _ALPHA0),
-    (("beta0",), lambda x: x >= 0.0, "must be non-negative, got {}"),
-    (("p0",), lambda v: min(v) > 0.0, "entries must be positive"),
-    (("dt_signal",), lambda x: x > 0.0, "must be positive, got {}"),
-    (("h_ode",), lambda x: x > 0.0, "must be positive, got {}"),
-    (("horizon",), lambda x: x > 0.0, "must be positive, got {}"),
-    (("h_ode", "dt_signal"), _divides, "{} does not divide {}"),
-    (("h_ode", "horizon"), _divides, "{} does not divide {}"),
-    (("seed",), lambda s: 0 <= s < 2**64, _SEED),
-)
+# Range rules in report order: the settings dataclasses' (see
+# equilibrium.violations), with the estimator's alpha0 > 1 in place of
+# Scenario's alpha0 > 0, and the seed range.
+_RULES = [
+    (("alpha0",), lambda x: x > 1.0, _ALPHA0) if rule[0] == ("alpha0",) else rule
+    for rule in GameParams.RULES + Scenario.RULES + SimConfig.RULES
+] + [(("seed",), lambda s: 0 <= s < 2**64, _SEED)]
 
 
 @dataclass(frozen=True)
@@ -186,10 +163,8 @@ def parse_config_text(
     for section, key, kind in _KEYS:
         if kind is _FLOATS and n and key in v and len(v[key]) != n:
             errs.append(f"[{section}] {key}: expected {n} entries, got {len(v[key])}")
-    for keys, holds, message in _RULES:
-        values = [v[key] for key in keys if key in v]
-        if len(values) == len(keys) and not holds(*values):
-            errs.append(f"[{_SECTION[keys[0]]}] {keys[0]}: {message.format(*values)}")
+    for key, message in violations(_RULES, v):
+        errs.append(f"[{_SECTION[key]}] {key}: {message}")
     if {"mu", "delta", "rho"} <= v.keys():
         gap = 1.0 - v["mu"] * v["delta"] - v["rho"]
         if abs(gap) <= EPS_SINGULAR:

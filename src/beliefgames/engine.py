@@ -36,6 +36,7 @@ from .equilibrium import (
     GameParams,
     control_kernel,
     known_state_equilibrium,
+    violations,
 )
 from .errors import (
     DegenerateDiscountError,
@@ -81,27 +82,34 @@ class Scenario:
     p0: tuple[float, ...] | float = 1.0
     r: tuple[float, ...] | float = 0.25
 
+    RULES = (
+        (("sigma",), lambda x: x > 0.0, "must be positive, got {}"),
+        (("r",), lambda v: min(v) > 0.0, "entries must be positive"),
+        (("kappa0",), lambda x: x > 0.0, "must be positive, got {}"),
+        (("alpha0",), lambda x: x > 0.0, "must be positive, got {}"),
+        (("beta0",), lambda x: x >= 0.0, "must be non-negative, got {}"),
+        (("p0",), lambda v: min(v) > 0.0, "entries must be positive"),
+    )
+
     def __post_init__(self):
         n = self.params.n
         object.__setattr__(self, "tau0", _broadcast(self.tau0, n, "tau0"))
         object.__setattr__(self, "p0", _broadcast(self.p0, n, "p0"))
         object.__setattr__(self, "r", _broadcast(self.r, n, "r"))
-        for name in ("mu_true", "sigma", "mu0", "kappa0", "alpha0", "beta0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("tau0", "p0", "r"):
-            if not all(map(math.isfinite, getattr(self, name))):
-                raise ValueError(f"{name} entries must be finite")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not (self.kappa0 > 0.0 and self.alpha0 > 0.0 and self.beta0 >= 0.0):
-            raise ValueError("prior hyperparameters out of range")
-        if not all(v > 0.0 for v in self.p0 + self.r):
-            raise ValueError("p0 and r entries must be positive")
+        for key, message in violations(self.RULES, vars(self)):
+            raise ValueError(f"{key}: {message}")
 
 
 SCHEMES = ("continuous", "discrete")
 DYNAMICS_MODES = ("realized", "expected")
+
+
+def _divides(h, total):
+    # A step or total that is not positive breaks a positivity rule instead.
+    try:
+        return h <= 0.0 or total <= 0.0 or _step_count(total, h, "") > 0
+    except ValueError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -113,17 +121,20 @@ class SimConfig:
     dynamics_mode: str = "realized"
     clamp_controls: bool = False
 
+    RULES = tuple(
+        ((key,), words.__contains__, f"expected one of {words}, got {{!r}}")
+        for key, words in (("scheme", SCHEMES), ("dynamics_mode", DYNAMICS_MODES))
+    ) + (
+        (("dt_signal",), lambda x: x > 0.0, "must be positive, got {}"),
+        (("h_ode",), lambda x: x > 0.0, "must be positive, got {}"),
+        (("horizon",), lambda x: x > 0.0, "must be positive, got {}"),
+        (("h_ode", "dt_signal"), _divides, "{} does not divide {}"),
+        (("h_ode", "horizon"), _divides, "{} does not divide {}"),
+    )
+
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.dynamics_mode not in DYNAMICS_MODES:
-            raise ValueError(f"unknown dynamics_mode {self.dynamics_mode!r}")
-        for name in ("dt_signal", "h_ode", "horizon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not (self.dt_signal > 0.0 and self.h_ode > 0.0 and self.horizon > 0.0):
-            raise ValueError("dt_signal, h_ode, horizon must be positive")
-        _step_count(self.dt_signal, self.h_ode, "dt_signal/h_ode")
+        for key, message in violations(self.RULES, vars(self)):
+            raise ValueError(f"{key}: {message}")
 
 
 @dataclass(frozen=True)

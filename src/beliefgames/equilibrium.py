@@ -23,6 +23,22 @@ from .errors import DegenerateDiscountError, SingularSystemError
 EPS_SINGULAR = 1e-9
 
 
+def violations(rules, values: dict):
+    """Yield ``(key, message)`` for each non-finite float or float tuple in
+    ``values``, then for each rule ``(keys, holds, message)`` whose keys all
+    have values and where ``holds`` is false of them, which NaN always is;
+    ``message`` is formatted with those values and reported under keys[0]."""
+    for key, value in values.items():
+        cells = value if isinstance(value, tuple) else (value,)
+        floats = all(isinstance(c, (float, np.floating)) for c in cells)
+        if floats and not all(map(math.isfinite, cells)):
+            yield key, ("entries " if cells is value else "") + "must be finite"
+    for keys, holds, message in rules:
+        args = [values[key] for key in keys if key in values]
+        if len(args) == len(keys) and not holds(*args):
+            yield keys[0], message.format(*args)
+
+
 @dataclass(frozen=True)
 class GameParams:
     """Scenario constants: emission intercepts a_i, cost types tau_i, retention
@@ -34,6 +50,13 @@ class GameParams:
     rho: float
     s0: float = 0.0
 
+    RULES = (
+        (("delta",), lambda x: 0.0 < x <= 1.0, "must lie in (0, 1], got {}"),
+        (("rho",), lambda x: x > 0.0, "must be positive, got {}"),
+        (("s0",), lambda x: x >= 0.0, "must be non-negative, got {}"),
+        (("tau",), lambda v: min(v) >= 0.0, "entries must be non-negative"),
+    )
+
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(float(v) for v in self.a))
         object.__setattr__(self, "tau", tuple(float(v) for v in self.tau))
@@ -41,17 +64,8 @@ class GameParams:
             raise ValueError("need at least one player")
         if len(self.tau) != len(self.a):
             raise ValueError("a and tau must have one entry per player")
-        for v in self.a + self.tau + (self.delta, self.rho, self.s0):
-            if not math.isfinite(v):
-                raise ValueError("game parameters must be finite")
-        if any(t < 0.0 for t in self.tau):
-            raise ValueError("cost types must be non-negative")
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
-        if self.rho <= 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.s0 < 0.0:
-            raise ValueError(f"initial stock must be non-negative, got {self.s0}")
+        for key, message in violations(self.RULES, vars(self)):
+            raise ValueError(f"{key}: {message}")
 
     @property
     def n(self) -> int:

@@ -348,6 +348,7 @@ def closed_form_cross_check(
         float(np.max(np.abs(path.alpha - (scn.alpha0 + 0.5 * path.t)))),
     )
     check("motion-affine-hyperparams", aff, 1e-12)
+    del path, cf, rel  # free the grid-long arrays before the Kalman paths and the run
 
     # Kalman variance: ODE integration vs the exact solution.
     kb = KalmanBelief(0.0, scn.p0[0], scn.r[0])

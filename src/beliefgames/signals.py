@@ -179,6 +179,15 @@ def _sample_count(horizon: float, dt: float) -> int:
     return int(math.ceil(q))
 
 
+def _draws(dt: float, horizon: float, seed: TraceSeed | int, **scale) -> np.ndarray:
+    """Standard normal draws, one per hold interval over the horizon, once the
+    named scale argument, dt and horizon are found positive and finite."""
+    for name, value in {**scale, "dt": dt, "horizon": horizon}.items():
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    return _as_seed(seed).rng().standard_normal(_sample_count(horizon, dt))
+
+
 def sample_ecological_trace(
     mu: float,
     sigma: float,
@@ -188,13 +197,7 @@ def sample_ecological_trace(
     label: str = "ecological",
 ) -> SignalTrace:
     """i.i.d. normal draws N(mu, sigma^2), one per hold interval over the horizon."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if dt <= 0.0 or horizon <= 0.0:
-        raise ValueError("dt and horizon must be positive")
-    n = _sample_count(horizon, dt)
-    rng = _as_seed(seed).rng()
-    values = mu + sigma * rng.standard_normal(n)
+    values = mu + sigma * _draws(dt, horizon, seed, sigma=sigma)
     return SignalTrace(t0=0.0, dt=dt, values=values, label=label)
 
 
@@ -207,13 +210,8 @@ def sample_cost_trace(
     label: str = "cost",
 ) -> SignalTrace:
     """Noisy observations tau + N(0, noise_var) of a constant cost type."""
-    if noise_var <= 0.0:
-        raise ValueError(f"noise variance must be positive, got {noise_var}")
-    if dt <= 0.0 or horizon <= 0.0:
-        raise ValueError("dt and horizon must be positive")
-    n = _sample_count(horizon, dt)
-    rng = _as_seed(seed).rng()
-    values = tau + math.sqrt(noise_var) * rng.standard_normal(n)
+    draws = _draws(dt, horizon, seed, noise_var=noise_var)
+    values = tau + math.sqrt(noise_var) * draws
     return SignalTrace(t0=0.0, dt=dt, values=values, label=label)
 
 

@@ -253,13 +253,28 @@ def test_window_diagnostics_tail_beats_midrun(two_player_scenario):
         ("mu0", np.inf),
         ("horizon", np.inf),
         ("dt_signal", np.nan),
+        # NaN in every other float field of GameParams, Scenario and SimConfig.
+        ("a", (3.0, np.nan)),
+        ("tau", (np.nan, 1.2)),
+        ("delta", np.nan),
+        ("rho", np.nan),
+        ("s0", np.nan),
+        ("mu_true", np.nan),
+        ("mu0", np.nan),
+        ("alpha0", np.nan),
+        ("beta0", np.nan),
+        ("tau0", np.nan),
+        ("r", (0.25, np.nan)),
+        ("h_ode", np.nan),
+        ("horizon", np.nan),
     ],
 )
 def test_non_finite_settings_rejected_at_construction(
     two_player_scenario, base_config, field, value
 ):
-    base = two_player_scenario if hasattr(two_player_scenario, field) else base_config
-    with pytest.raises(ValueError, match=field):
+    settings = (two_player_scenario, two_player_scenario.params, base_config)
+    base = next(obj for obj in settings if hasattr(obj, field))
+    with pytest.raises(ValueError, match=rf"^{field}: (entries )?must be finite$"):
         replace(base, **{field: value})
 
 

@@ -1,0 +1,83 @@
+"""The settings dataclasses and the INI check each range with the same rules."""
+
+import re
+from dataclasses import replace
+
+import pytest
+from click.testing import CliRunner
+
+from beliefgames import ConfigError, GameParams, Scenario, SimConfig
+from beliefgames.cli import main
+from beliefgames.config import (
+    _SECTION,
+    default_config,
+    default_config_text,
+    parse_config_text,
+)
+
+# For each rule of the three tables, a (key, INI text, value) that breaks that
+# rule alone in the shipped scenario.
+BREAKING = {
+    ("delta",): ("delta", "1.5", 1.5),
+    ("rho",): ("rho", "0", 0.0),
+    ("s0",): ("s0", "-0.1", -0.1),
+    ("tau",): ("tau", "-1, 1.2", (-1.0, 1.2)),
+    ("sigma",): ("sigma", "0", 0.0),
+    ("r",): ("r", "0.25, 0", (0.25, 0.0)),
+    ("kappa0",): ("kappa0", "-1", -1.0),
+    ("beta0",): ("beta0", "-0.5", -0.5),
+    ("p0",): ("p0", "0, 1", (0.0, 1.0)),
+    ("scheme",): ("scheme", "implicit", "implicit"),
+    ("dynamics_mode",): ("dynamics_mode", "mean", "mean"),
+    ("dt_signal",): ("dt_signal", "-0.02", -0.02),
+    ("h_ode",): ("h_ode", "0", 0.0),
+    ("horizon",): ("horizon", "-10", -10.0),
+    ("h_ode", "dt_signal"): ("dt_signal", "0.03", 0.03),
+    ("h_ode", "horizon"): ("horizon", "10.0005", 10.0005),
+}
+RULES = [keys for cls in (GameParams, Scenario, SimConfig) for keys, _, _ in cls.RULES]
+
+
+def _edited(key: str, text: str) -> str:
+    out, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {text}", default_config_text())
+    assert count == 1, key
+    return out
+
+
+def _settings(key: str):
+    cfg = default_config()
+    settings = (cfg.scenario.params, cfg.scenario, cfg.sim)
+    return next(s for s in settings if hasattr(s, key))
+
+
+@pytest.mark.parametrize("rule", [r for r in RULES if r != ("alpha0",)], ids="-".join)
+def test_dataclass_and_ini_report_each_rule_alike(rule):
+    key, text, value = BREAKING[rule]
+    with pytest.raises(ValueError) as built:
+        replace(_settings(key), **{key: value})
+    with pytest.raises(ConfigError) as parsed:
+        parse_config_text(_edited(key, text))
+    assert parsed.value.violations == [f"<string>: [{_SECTION[key]}] {built.value}"]
+    assert str(built.value).startswith(f"{rule[0]}: ")
+
+
+def test_alpha0_rules_of_library_and_ini():
+    # The library accepts alpha0 in (0, 1], where var_mu is NaN; the INI asks
+    # for alpha0 > 1.
+    tail = "must exceed 1 so the estimator variance is defined from t=0, got"
+    assert replace(_settings("alpha0"), alpha0=0.5).alpha0 == 0.5
+    for text, value in (("0.5", 0.5), ("0", 0.0)):
+        with pytest.raises(ConfigError) as parsed:
+            parse_config_text(_edited("alpha0", text))
+        assert parsed.value.violations == [f"<string>: [priors] alpha0: {tail} {value}"]
+    with pytest.raises(ValueError, match=r"^alpha0: must be positive, got 0\.0$"):
+        replace(_settings("alpha0"), alpha0=0.0)
+
+
+def test_compare_dt_names_the_step_that_does_not_divide(tmp_path):
+    out = tmp_path / "artifacts"
+    result = CliRunner().invoke(
+        main, ["--out", str(out), "compare-dt", "--dt-list", "0.04,0.01"]
+    )
+    assert result.exit_code == 1
+    assert result.output == "Error: h_ode: 0.02 does not divide 0.01\n"

@@ -55,6 +55,19 @@ def test_invalid_scale_parameters_rejected():
         sample_cost_trace(1.0, 0.0, 0.02, 1.0, seed=1)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["scale", "dt", "horizon"])
+@pytest.mark.parametrize(
+    "sampler, scale_name",
+    [(sample_ecological_trace, "sigma"), (sample_cost_trace, "noise_var")],
+)
+def test_samplers_reject_bad_arguments_by_name(sampler, scale_name, name, bad):
+    args = {"scale": 0.2, "dt": 0.02, "horizon": 1.0, name: bad}
+    shown = scale_name if name == "scale" else name
+    with pytest.raises(ValueError, match=rf"^{shown} must be positive and finite"):
+        sampler(0.5, args["scale"], args["dt"], args["horizon"], seed=1)
+
+
 def test_cost_trace_mean_obeys_law_of_large_numbers():
     r = 0.25
     n = 100_000
