@@ -10,11 +10,12 @@ of the belief ODEs: with the signal held, the Normal-Gamma mean and the
 Kalman-Bucy mean are rational functions of the signal prefix sums, and beta
 has an exact increment per step.  "discrete" applies Euler jumps once per
 signal epoch (at the end of each hold interval, which keeps kappa/alpha at
-epoch boundaries identical across schemes), in one plain scan over the
-epochs that repeats the arithmetic of ``normal_gamma.step_discrete`` and
-``kalman.step_discrete_kalman`` operation for operation.  Neither scheme
-calls those modules; they stay the standalone API and the reference
-integrators the tests compare against.
+epoch boundaries identical across schemes).  It scans the epochs on Python
+floats, one loop for (mu, beta, kappa, alpha) and then one per player for
+(tau_hat, P), repeating the arithmetic of ``normal_gamma.step_discrete`` and
+``kalman.step_discrete_kalman`` operation for operation, so its columns are
+bit-identical to theirs.  Neither scheme calls those modules; they stay the
+standalone API and the reference integrators the tests compare against.
 
 Both schemes solve the controls for the whole run in one call of the array
 kernel, at every time an RK4 stage of the stock needs them, and advance the
@@ -311,36 +312,43 @@ def _discrete_path(
 ) -> _Path:
     dt = cfg.dt_signal
     used = epoch[-1]  # epochs that end within the horizon
-    y = np.column_stack([tr.values[:used] for tr in traces.cost])
-    r = np.array(scn.r)
     # One belief state per epoch boundary: the prior, then the Euler jump that
     # absorbs the signal held over each epoch, in the operation order of
     # step_discrete and step_discrete_kalman so the columns match them bit for
-    # bit.  Non-finite values propagate and are reported by the guard pass.
+    # bit.  Python floats give the same IEEE results as float64 arrays; with
+    # kappa0 > 0 and r > 0 no division is by zero, and a non-finite value
+    # propagates to the guard pass, which reports it.
     mu, beta, kappa, alpha = scn.mu0, scn.beta0, scn.kappa0, scn.alpha0
-    tau, P = np.array(scn.tau0), np.array(scn.p0)
-    motion, payoff = [(mu, beta, kappa, alpha)], [(tau, P)]
-    for x, y_k in zip(traces.ecological.values[:used].tolist(), y):
+    mus, betas, kappas, alphas = [mu], [beta], [kappa], [alpha]
+    for x in traces.ecological.values[:used].tolist():
         innov = x - mu
         den = kappa + 1.0
         mu = mu + dt * (innov / den)
         beta = beta + dt * (kappa * innov * innov / (2.0 * den))
         kappa = kappa + dt
         alpha = alpha + 0.5 * dt
-        tau = tau + dt * ((P / r) * (y_k - tau))
-        P = P + dt * (-P * P / r)
-        motion.append((mu, beta, kappa, alpha))
-        payoff.append((tau, P))
-    mu, beta, kappa, alpha = np.array(motion).T
-    tau, P = (np.array(col) for col in zip(*payoff))
+        mus.append(mu)
+        betas.append(beta)
+        kappas.append(kappa)
+        alphas.append(alpha)
+    taus, Ps = [], []
+    for tau, P, r, cost in zip(scn.tau0, scn.p0, scn.r, traces.cost):
+        tau_j, P_j = [tau], [P]
+        for y in cost.values[:used].tolist():
+            tau = tau + dt * ((P / r) * (y - tau))
+            P = P + dt * (-P * P / r)
+            tau_j.append(tau)
+            P_j.append(P)
+        taus.append(tau_j)
+        Ps.append(P_j)
     return _Path(
-        beta[epoch],
-        kappa[epoch],
-        alpha[epoch],
-        P[epoch],
+        np.array(betas)[epoch],
+        np.array(kappas)[epoch],
+        np.array(alphas)[epoch],
+        np.column_stack(Ps)[epoch],
         t[::spe],
-        mu,
-        tau,
+        np.array(mus),
+        np.column_stack(taus),
         np.broadcast_to(epoch[:-1], (3, t.size - 1)),
         epoch,
     )
@@ -471,6 +479,9 @@ def compare_schemes(
     """
     if not dt_list:
         raise ValueError("dt_list must be non-empty")
+    for dt in dt_list:
+        if not (dt > 0.0 and math.isfinite(dt)):
+            raise ValueError(f"dt={dt}: must be positive and finite")
     dt_fine = min(dt_list)
     strides = {dt: _step_count(dt, dt_fine, f"dt={dt} vs dt_fine") for dt in dt_list}
     fine = default_traces(scn, replace(cfg, dt_signal=dt_fine), seed)

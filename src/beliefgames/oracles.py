@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Scenario, SimConfig, default_traces, simulate
+from .engine import (
+    Scenario,
+    SimConfig,
+    TraceSet,
+    Trajectory,
+    default_traces,
+    simulate,
+)
 from .equilibrium import (
     BeliefProfile,
     GameParams,
@@ -274,6 +281,57 @@ def best_response_value(
     )
 
 
+def _sup_rel(gap: np.ndarray, scale: np.ndarray) -> float:
+    """Largest |gap| relative to its roundoff scale; a zero gap at a zero
+    scale reads 0 and a NaN gap reads NaN."""
+    return float(np.max(np.abs(gap) / np.maximum(scale, np.finfo(float).tiny)))
+
+
+def _discrete_law_gaps(
+    scn: Scenario, cfg: SimConfig, traces: TraceSet, traj: Trajectory
+) -> dict[str, float]:
+    """Gaps of a discrete run's epoch-boundary columns from three exact laws
+    of its Euler jumps, which share no arithmetic with the engine's scan.
+
+    With x_j, y_j the signals held over epoch j and k >= 1:
+
+    - x_bar_k = (mu0 (kappa0 + 1 - dt) + dt sum_{j<k} x_j) / (kappa0 + 1 + (k-1) dt),
+      since kappa_k + 1 - dt = kappa_{k-1} + 1 telescopes the mean step;
+    - tau_k / P_k = tau0 / P0 + sum_{j<k} dt y_j / (r - dt P_j), from
+      P_{k+1} = P_k (1 - dt P_k / r) and the recorded P column;
+    - 1/P_{k+1} - 1/P_k = dt / (r - dt P_k), on the P column alone.
+
+    Each gap is relative to the sum of the magnitudes of its terms, so
+    roundoff reads about machine epsilon times the epoch count at most.
+    """
+    dt = cfg.dt_signal
+    rows = slice(None, None, round(dt / cfg.h_ode))  # the epoch boundaries
+    x_bar, tau, P = traj.x_bar[rows], traj.tau_bar[rows], traj.P[rows]
+    epochs = x_bar.size - 1  # that end within the horizon
+    x = traces.ecological.values[:epochs]
+    y = np.column_stack([c.values[:epochs] for c in traces.cost])
+    r, tau0, p0 = np.array(scn.r), np.array(scn.tau0), np.array(scn.p0)
+
+    den = scn.kappa0 + 1.0 + dt * np.arange(epochs)
+    head = scn.mu0 * (scn.kappa0 + 1.0 - dt)
+    mean = (head + dt * np.cumsum(x)) / den
+    mean_scale = (abs(head) + dt * np.cumsum(np.abs(x))) / den
+
+    gain = dt / (r - dt * P[:-1])  # per unit signal, epochs 0..K-1
+    ratio = tau0 / p0 + np.cumsum(gain * y, axis=0)
+    ratio_scale = np.abs(tau0 / p0) + np.cumsum(np.abs(gain * y), axis=0)
+
+    step = 1.0 / P[1:] - 1.0 / P[:-1]
+    step_scale = 1.0 / P[1:] + 1.0 / P[:-1] + np.abs(gain)
+    return {
+        "discrete-mean-prefix-sum": _sup_rel(x_bar[1:] - mean, mean_scale),
+        "discrete-kalman-mean-prefix-sum": _sup_rel(
+            tau[1:] / P[1:] - ratio, ratio_scale
+        ),
+        "discrete-variance-reciprocal-step": _sup_rel(step - gain, step_scale),
+    }
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -317,7 +375,8 @@ def closed_form_cross_check(
     """Run every closed-form oracle on the run of ``(scn, cfg, seed)``.
 
     Aggregates the belief and Kalman closed-form comparisons, the equilibrium
-    stationarity check and the published-formula delta reports.  Each check
+    stationarity check, under the discrete scheme the exact laws of the run's
+    own Euler jumps, and the published-formula delta reports.  Each check
     passes by its own tolerance; the deltas have none and never fail.
     """
     checks: list[CheckResult] = []
@@ -369,9 +428,14 @@ def closed_form_cross_check(
     res = foc_residual(params, beliefs, sol.f1, sol.f2, sol.value_slopes)
     check("equilibrium-foc", res, 1e-9)
 
+    traj = simulate(scn, cfg, traces=traces)
+    if cfg.scheme == "discrete":
+        note = "relative sup over the epochs, to the scale of the summed terms"
+        for name, observed in _discrete_law_gaps(scn, cfg, traces, traj).items():
+            check(name, observed, 1e-9, note)
+
     # Published-formula deltas; informational, reported but never gated.
     # Controls at the run's final beliefs; the known state is the last row.
-    traj = simulate(scn, cfg, traces=traces)
     final = BeliefProfile(float(traj.x_bar[-1]), traj.tau_bar[-1])
     cf_controls = closed_form_controls(params, final)
     sol_final = solve_equilibrium(params, final)

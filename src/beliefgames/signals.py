@@ -219,8 +219,9 @@ def _write_csv(path: str | Path, head: list[str], table) -> None:
     """Write the ``head`` lines, then one ``%.17g`` line per row of the float
     ``table``: the one CSV encoder of every artifact."""
     table = np.asarray(table, dtype=float)
-    row = ",".join(["%.17g"] * table.shape[1])
-    lines = head + [row % tuple(r) for r in table.tolist()]
+    rows, cols = table.shape
+    template = "\n".join([",".join(["%.17g"] * cols)] * rows)
+    lines = head + [template % tuple(table.ravel().tolist())] if rows else head
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

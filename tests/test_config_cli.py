@@ -274,6 +274,24 @@ def test_bad_dt_list_fails_with_one_error_line(runner, tmp_path):
     assert result.output == "Error: dt=0.03 vs dt_fine: 0.02 does not divide 0.03\n"
 
 
+@pytest.mark.parametrize(
+    "dt_list, message",
+    [
+        ("0.02,inf", "dt=inf: must be positive and finite"),
+        ("0.02,nan", "dt=nan: must be positive and finite"),
+        ("0.02,-0.04", "dt=-0.04: must be positive and finite"),
+        ("0.02,0", "dt=0.0: must be positive and finite"),
+        ("0.08,0.02,0.03", "dt=0.03 vs dt_fine: 0.02 does not divide 0.03"),
+    ],
+)
+def test_dt_list_error_names_the_failing_value(runner, tmp_path, dt_list, message):
+    out = tmp_path / "artifacts"
+    result = runner.invoke(main, ["--out", str(out), "compare-dt", "--dt-list", dt_list])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {message}\n"
+    assert not (out / "dt_gaps.csv").exists()
+
+
 def test_bad_config_file_fails_cleanly(runner, tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text(default_config_text().replace("delta = 0.8", "delta = 2"))

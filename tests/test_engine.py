@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -131,7 +132,7 @@ discrete_player_prior = st.tuples(
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(
-    players=st.lists(discrete_player_prior, min_size=1, max_size=4),
+    players=st.lists(discrete_player_prior, min_size=1, max_size=10),
     dt=st.sampled_from([0.02, 0.05, 0.1]),
     ratio=st.sampled_from([1, 2, 5, 10]),
     epochs=st.integers(1, 16),
@@ -184,6 +185,46 @@ def test_discrete_scheme_matches_stepwise_updates(
             held = column[i : i + ratio]
             expect = np.broadcast_to(column[i], held.shape)
             assert np.array_equal(held, expect, equal_nan=True)
+
+
+MAX_FLOAT = 1.7976931348623157e308
+
+
+def swinging(first=0):
+    """Signals alternating between the largest floats of both signs."""
+    values = np.where(np.arange(500) % 2 == 0, MAX_FLOAT, -MAX_FLOAT)
+    values[:first] = 0.5
+    return values
+
+
+@pytest.mark.parametrize(
+    "eco, cost, p0, r, error, what, t",
+    [
+        # Gain dt*P0/r = 0.99 lets tau_hat follow the swinging cost signal,
+        # so its next innovation overflows.
+        (None, swinging(), 12.375, 0.25, NonFiniteStateError, "state", "0.02"),
+        (swinging(10), None, 1.0, 0.25, NonFiniteStateError, "state", "0.22"),
+        (None, None, 37.5, 0.25, UndefinedVarianceError, "P_1=-75.0", "0.02"),
+        (None, None, 12.5, 0.25, UndefinedVarianceError, "P_1=0.0", "0.02"),
+        (None, None, 1e6, 1e-300, UndefinedVarianceError, "P_1=-inf", "0.02"),
+    ],
+    ids=["tau-overflow", "mean-overflow", "P-negative", "P-zero", "P-overflow"],
+)
+def test_discrete_scan_hazards_raise_typed_errors_at_their_time(
+    two_player_params, eco, cost, p0, r, error, what, t
+):
+    """The Python-float scan lets overflow and a non-positive P run on to the
+    guard pass, which names the earliest bad time; no ZeroDivisionError or
+    OverflowError escapes it."""
+    eco_tr = SignalTrace(0.0, 0.02, np.full(500, 0.5) if eco is None else eco)
+    cost_tr = SignalTrace(0.0, 0.02, np.full(500, 0.7) if cost is None else cost)
+    traces = TraceSet(eco_tr, (cost_tr, constant_traces(1, 0.02, 500).cost[0]))
+    scn = Scenario(
+        params=two_player_params, mu_true=0.5, sigma=0.2, mu0=0.5,
+        p0=(p0, 1.0), r=(r, 0.25),
+    )
+    with pytest.raises(error, match=rf"{re.escape(what)} .* at t={t}$"):
+        simulate(scn, SimConfig(scheme="discrete"), traces=traces)
 
 
 def test_discrete_and_continuous_share_hyperparameter_clock(two_player_scenario):

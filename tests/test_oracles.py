@@ -1,5 +1,7 @@
+import inspect
 import json
 import math
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -11,13 +13,14 @@ from beliefgames import (
     GameParams,
     GridUnderflowError,
     NormalGammaBelief,
+    Scenario,
     best_response_value,
     closed_form_cross_check,
     grid_bayes_posterior,
     solve_equilibrium,
     step_discrete,
 )
-from beliefgames import oracles
+from beliefgames import engine, oracles
 from beliefgames.config import default_config
 from beliefgames.oracles import CheckResult
 
@@ -277,3 +280,80 @@ def test_check_result_pass_is_decided_by_its_tolerance():
     assert CheckResult("informational", None, float("nan")).passed
     assert CheckResult("informational", None, 1e300).passed
     assert CheckResult("gated", 1e-8, float("nan")).as_dict()["passed"] is False
+
+
+DISCRETE_LAWS = {
+    "discrete-mean-prefix-sum",
+    "discrete-kalman-mean-prefix-sum",
+    "discrete-variance-reciprocal-step",
+}
+
+
+def five_player_case(**sim):
+    params = GameParams(
+        a=(3.0, 3.2, 2.8, 3.1, 2.9),
+        tau=(1.0, 1.2, 0.9, 1.1, 1.05),
+        delta=0.8,
+        rho=0.1,
+        s0=0.1,
+    )
+    scn = Scenario(
+        params=params, mu_true=0.5, sigma=0.2, mu0=0.3, kappa0=0.7, alpha0=1.5,
+        beta0=0.4, tau0=(0.6, 0.5, 0.7, 0.0, 1.0), p0=(1.0, 2.0, 0.5, 1.5, 3.0),
+        r=(0.25, 0.3, 0.2, 0.25, 0.5),
+    )
+    return scn, replace(default_case()[1], **sim), 7
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        default_case(),
+        five_player_case(),
+        # h = dt/5, and the horizon ends 0.06 into an epoch.
+        five_player_case(dt_signal=0.1, h_ode=0.02, horizon=20.06),
+    ],
+    ids=["default", "five-players", "five-players-partial-epoch"],
+)
+def test_discrete_laws_hold_on_the_configured_run(case):
+    scn, sim, seed = case
+    report = closed_form_cross_check(scn, replace(sim, scheme="discrete"), seed)
+    assert report.all_passed
+    laws = [c for c in report.checks if c.name in DISCRETE_LAWS]
+    assert {c.name for c in laws} == DISCRETE_LAWS
+    assert all(c.tolerance == 1e-9 and c.observed <= 1e-12 for c in laws)
+    continuous = closed_form_cross_check(scn, replace(sim, scheme="continuous"), seed)
+    assert not DISCRETE_LAWS & {c.name for c in continuous.checks}
+
+
+def mutated_discrete_path(old, new):
+    """The engine's discrete scan with one source fragment replaced."""
+    source = textwrap.dedent(inspect.getsource(engine._discrete_path))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(engine))
+    exec(source.replace(old, new), namespace)
+    return namespace["_discrete_path"]
+
+
+@pytest.mark.parametrize(
+    "old, new, failing",
+    [
+        ("den = kappa + 1.0", "den = kappa", {"discrete-mean-prefix-sum"}),
+        (
+            "P = P + dt * (-P * P / r)",
+            "P = P + dt * (P * P / r)",
+            {"discrete-kalman-mean-prefix-sum", "discrete-variance-reciprocal-step"},
+        ),
+        ("(y - tau)", "(tau - y)", {"discrete-kalman-mean-prefix-sum"}),
+    ],
+    ids=["mean-step-kappa", "variance-step-sign", "kalman-mean-step-sign"],
+)
+def test_discrete_laws_fail_at_an_injected_fault(monkeypatch, old, new, failing):
+    # A short run with a small P0, so that a growing P stays finite.
+    scn, sim, seed = default_case()
+    scn = replace(scn, p0=0.2)
+    sim = replace(sim, scheme="discrete", horizon=1.0)
+    assert closed_form_cross_check(scn, sim, seed).all_passed
+    monkeypatch.setattr(engine, "_discrete_path", mutated_discrete_path(old, new))
+    report = closed_form_cross_check(scn, sim, seed)
+    assert {c.name for c in report.checks if not c.passed} == failing

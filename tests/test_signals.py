@@ -15,6 +15,7 @@ from beliefgames import (
     sample_ecological_trace,
     save_trace,
 )
+from beliefgames.signals import _write_csv
 
 finite_values = st.lists(
     st.floats(min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False),
@@ -205,6 +206,40 @@ def test_load_rejects_tampered_time_column(tmp_path):
     msg = r"data row 1 'nan,1' has t=nan, expected 0\.0 from t0 and dt"
     with pytest.raises(TraceFormatError, match=msg):
         load_trace(path)
+
+
+def test_load_skips_blank_lines_and_counts_rows_without_them(tmp_path):
+    path = tmp_path / "trace.csv"
+    clean = "# eco,0.5,0\nt,value\n0,1\n0.5,2\n"
+    path.write_text(clean)
+    expect = load_trace(path).values
+    for text in (
+        "# eco,0.5,0\nt,value\n0,1\n\n0.5,2\n",  # blank line in the middle
+        "# eco,0.5,0\nt,value\n0,1\n0.5,2\n\n \n",  # blank lines at the end
+    ):
+        path.write_text(text)
+        assert np.array_equal(load_trace(path).values, expect)
+    path.write_text("# eco,0.5,0\nt,value\n0,1\n  \n0.5,x\n")
+    with pytest.raises(TraceFormatError, match=r": malformed data rows: .*'x'"):
+        load_trace(path)
+    path.write_text("# eco,0.5,0\nt,value\n0,1\n\n0.75,2\n")
+    msg = r": data row 2 '0\.75,2' has t=0\.75, expected 0\.5 from t0 and dt$"
+    with pytest.raises(TraceFormatError, match=msg):
+        load_trace(path)
+
+
+def test_csv_writer_matches_per_row_format(tmp_path):
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 1e-300]
+    rng = np.random.default_rng(5)
+    table = rng.standard_normal((7, 4)) * 10.0 ** rng.integers(-300, 300, (7, 4))
+    table.flat[: len(special)] = special
+    path = tmp_path / "table.csv"
+    _write_csv(path, ["# meta", "a,b,c,d"], table)
+    rows = [",".join("%.17g" % v for v in row) for row in table.tolist()]
+    expect = "\n".join(["# meta", "a,b,c,d"] + rows) + "\n"
+    assert path.read_bytes() == expect.encode("utf-8")
+    _write_csv(path, ["a,b,c"], np.empty((0, 3)))
+    assert path.read_bytes() == b"a,b,c\n"
 
 
 def test_trace_rejects_non_finite_values():
