@@ -31,7 +31,6 @@ from .equilibrium import (
 from .errors import (
     BeliefGameError,
     ConfigError,
-    DegenerateDiscountError,
     GridUnderflowError,
     NonFiniteStateError,
     SingularSystemError,

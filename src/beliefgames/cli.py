@@ -113,8 +113,8 @@ def cmd_simulate(load, dt, horizon, scheme, traces_dir):
     "--dt-list",
     default="0.08,0.04,0.02",
     show_default=True,
-    help="Comma-separated signal intervals to sweep; each positive and finite, "
-    "the smallest dividing the others.",
+    help="Comma-separated signal intervals to sweep; each positive, finite and "
+    "distinct, the smallest dividing the others.",
 )
 @click.pass_obj
 def cmd_compare_dt(load, dt_list):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .engine import DYNAMICS_MODES, SCHEMES, Scenario, SimConfig
-from .equilibrium import EPS_SINGULAR, GameParams, violations
+from .equilibrium import GameParams, violations
 from .errors import ConfigError
 
 _FLOATS = "comma-separated floats"
@@ -165,13 +165,6 @@ def parse_config_text(
             errs.append(f"[{section}] {key}: expected {n} entries, got {len(v[key])}")
     for key, message in violations(_RULES, v):
         errs.append(f"[{_SECTION[key]}] {key}: {message}")
-    if {"mu", "delta", "rho"} <= v.keys():
-        gap = 1.0 - v["mu"] * v["delta"] - v["rho"]
-        if abs(gap) <= EPS_SINGULAR:
-            errs.append(
-                f"[scenario] mu/delta/rho: 1 - mu*delta - rho = {gap!r} "
-                f"is within {EPS_SINGULAR} of zero"
-            )
     if errs:
         raise ConfigError([f"{origin}: {e}" for e in errs])
 

@@ -40,7 +40,6 @@ from .equilibrium import (
     violations,
 )
 from .errors import (
-    DegenerateDiscountError,
     NonFiniteStateError,
     SingularSystemError,
     TraceCoverageError,
@@ -380,13 +379,12 @@ def _stock(s0: float, h: float, drive: np.ndarray, lam: np.ndarray) -> np.ndarra
     return np.fromiter(walk(s0), float, gain.size + 1)
 
 
-def _guard(t, finite, x_bar, P, p: GameParams, kernel_hit) -> None:
+def _guard(t, finite, P, kernel_hit) -> None:
     """Raise the typed error of the earliest unhealthy time.
 
     At equal t a non-finite state comes first, then an error variance P_j that
     is not positive (a discrete Kalman step with dt*P_j/R_j >= 1), then the
-    published coefficient 1 - x_bar*delta - rho, then the kernel denominator
-    ``kernel_hit = (t, den)``.
+    kernel denominator ``kernel_hit = (t, den)``.
     """
     found = []
     if not finite.all():
@@ -398,15 +396,10 @@ def _guard(t, finite, x_bar, P, p: GameParams, kernel_hit) -> None:
         i, j = not_positive[0]
         msg = f"error variance P_{j + 1}={P[i, j]} not positive at t={t[i]:.6g}"
         found.append((t[i], 1, UndefinedVarianceError(msg)))
-    published = np.abs(1.0 - x_bar * p.delta - p.rho) <= EPS_SINGULAR
-    if published.any():
-        i = int(np.argmax(published))
-        msg = f"1 - x_bar*delta - rho singular at t={t[i]:.6g} (x_bar={x_bar[i]:.6g})"
-        found.append((t[i], 2, DegenerateDiscountError(msg)))
     if kernel_hit is not None:
         t_k, den = kernel_hit
         msg = f"value-slope denominator {den!r} ~ 0 at t={t_k:.6g}"
-        found.append((t_k, 3, SingularSystemError(msg)))
+        found.append((t_k, 2, SingularSystemError(msg)))
     if found:
         raise min(found, key=lambda hit: hit[:2])[2]
 
@@ -440,7 +433,7 @@ def _run(scn: Scenario, cfg: SimConfig, traces: TraceSet) -> Trajectory:
     )
     finite[: S.size] &= np.isfinite(S)
     kernel_hit = (path.t_ctrl[m], float(den[m])) if m < den.size else None
-    _guard(t, finite, x_bar, path.P, p, kernel_hit)
+    _guard(t, finite, path.P, kernel_hit)
     beta, kappa, alpha = path.beta, path.kappa, path.alpha
     return Trajectory(
         t=t,
@@ -479,9 +472,11 @@ def compare_schemes(
     """
     if not dt_list:
         raise ValueError("dt_list must be non-empty")
-    for dt in dt_list:
+    for i, dt in enumerate(dt_list):
         if not (dt > 0.0 and math.isfinite(dt)):
             raise ValueError(f"dt={dt}: must be positive and finite")
+        if dt in dt_list[:i]:
+            raise ValueError(f"dt={dt}: listed twice; the intervals must be distinct")
     dt_fine = min(dt_list)
     strides = {dt: _step_count(dt, dt_fine, f"dt={dt} vs dt_fine") for dt in dt_list}
     fine = default_traces(scn, replace(cfg, dt_signal=dt_fine), seed)
@@ -558,6 +553,8 @@ def discounted_payoff(
     The tail bound is exp(-rho*t_trunc) * C / rho with C the largest
     instantaneous-payoff magnitude observed anywhere on the trajectory.
     """
+    if not 0 <= player < p.n:
+        raise ValueError(f"player={player}: must lie in 0..{p.n - 1}")
     if t_trunc > traj.t[-1] + 1e-9:
         raise ValueError("t_trunc exceeds the simulated horizon")
     total_u = traj.u.sum(axis=1)

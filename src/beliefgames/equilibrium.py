@@ -8,7 +8,9 @@ S rather than by trusting any printed formula), and the control intercepts
 f1 solve an n-by-n linear system.  Published closed-form expressions for the
 controls are evaluated alongside for comparison, and the deltas are part of
 the report; they are not used as ground truth because they are not mutually
-consistent with the coefficient-matched system.
+consistent with the coefficient-matched system.  Where their denominator
+1 - x_bar*delta - rho is numerically zero they evaluate to NaN: they report,
+they never abort a solve.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DegenerateDiscountError, SingularSystemError
+from .errors import SingularSystemError
 
 EPS_SINGULAR = 1e-9
 
@@ -98,13 +100,10 @@ class EquilibriumSolution:
 
 
 def _published_denominator(x_bar: float, delta: float, rho: float) -> float:
-    # 1 - x_bar*delta - rho, shared by the published coefficient and slope.
+    # 1 - x_bar*delta - rho, shared by the published coefficient and slope;
+    # NaN on its singular surface, so every published form reports NaN there.
     den = 1.0 - x_bar * delta - rho
-    if abs(den) <= EPS_SINGULAR:
-        raise DegenerateDiscountError(
-            f"1 - x_bar*delta - rho = {den!r} is numerically singular"
-        )
-    return den
+    return math.nan if abs(den) <= EPS_SINGULAR else den
 
 
 def _max_gap(a, b) -> float:
@@ -113,7 +112,8 @@ def _max_gap(a, b) -> float:
 
 
 def c_bar(x_bar: float, delta: float, rho: float) -> float:
-    """The published discounting coefficient -x_bar / (1 - x_bar*delta - rho)."""
+    """The published discounting coefficient -x_bar / (1 - x_bar*delta - rho);
+    NaN where the denominator is within EPS_SINGULAR of zero."""
     return -x_bar / _published_denominator(x_bar, delta, rho)
 
 
@@ -230,7 +230,6 @@ def solve_equilibrium(p: GameParams, b: BeliefProfile) -> EquilibriumSolution:
     """
     if len(b.tau_bar) != p.n:
         raise ValueError("belief profile size does not match player count")
-    c_bar(b.x_bar, p.delta, p.rho)  # published-coefficient singularity guard
     slope_unit = value_slope(1.0, b.x_bar, p.delta, p.rho)
     slopes = tuple(slope_unit * t for t in p.tau)
     f2 = 0.5 * b.x_bar * slope_unit

@@ -17,10 +17,6 @@ class TraceFormatError(BeliefGameError):
     """A persisted trace file is malformed."""
 
 
-class DegenerateDiscountError(BeliefGameError):
-    """The discounting denominator 1 - x_bar*delta - rho is numerically singular."""
-
-
 class SingularSystemError(BeliefGameError):
     """A linear system arising in the equilibrium computation is singular."""
 

@@ -234,6 +234,8 @@ def best_response_value(
     steps; a payoff beyond the float range raises ``OverflowError``.  Ties
     resolve to the lowest grid index.
     """
+    if not 0 <= player < p.n:
+        raise ValueError(f"player={player}: must lie in 0..{p.n - 1}")
     devs = np.asarray(list(deviations), dtype=float)
     if devs.size == 0:
         raise ValueError("empty deviation grid")

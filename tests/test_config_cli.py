@@ -50,12 +50,28 @@ def test_step_not_dividing_signal_interval_rejected():
         )
 
 
-def test_singular_truth_rejected():
-    # mu*delta + rho = 1 exactly at the configured truth.
+def test_truth_on_published_surface_accepted(runner, tmp_path):
+    # 1 - mu*delta - rho = 0 at the configured truth: the published forms are
+    # singular and report NaN, the solver (1 + rho - mu*delta) is regular.
     text = default_config_text().replace("mu = 0.5", "mu = 1.125")
-    with pytest.raises(ConfigError) as err:
-        parse_config_text(text)
-    assert any("mu*delta" in v or "mu/delta" in v for v in err.value.violations)
+    assert parse_config_text(text).scenario.mu_true == 1.125
+    cfg = tmp_path / "surface.ini"
+    cfg.write_text(text)
+    out = tmp_path / "artifacts"
+    for command in ("equilibrium", "verify"):
+        result = runner.invoke(main, ["--config", str(cfg), "--out", str(out), command])
+        assert result.exit_code == 0, result.output
+    eq = json.loads((out / "equilibrium.json").read_text())
+    published = eq["closed_form"]["controls"] + eq["known_state"]["closed_form_controls"]
+    assert np.isnan(published + eq["closed_form"]["value_slopes"]).all()
+    assert np.isnan(eq["closed_form"]["c_bar"])
+    solver = eq["controls"] + eq["value_slopes"] + eq["known_state"]["solver_controls"]
+    assert np.isfinite(solver).all()
+    checks = json.loads((out / "verification.json").read_text())["checks"]
+    observed = {c["name"]: c["observed"] for c in checks}
+    assert np.isnan(observed["published-known-state-delta"])
+    assert np.isnan(observed["published-value-slope-delta"])
+    assert observed["equilibrium-foc"] <= 1e-9
 
 
 def test_all_violations_reported_together():
@@ -282,6 +298,7 @@ def test_bad_dt_list_fails_with_one_error_line(runner, tmp_path):
         ("0.02,-0.04", "dt=-0.04: must be positive and finite"),
         ("0.02,0", "dt=0.0: must be positive and finite"),
         ("0.08,0.02,0.03", "dt=0.03 vs dt_fine: 0.02 does not divide 0.03"),
+        ("0.04,0.02,0.04", "dt=0.04: listed twice; the intervals must be distinct"),
     ],
 )
 def test_dt_list_error_names_the_failing_value(runner, tmp_path, dt_list, message):

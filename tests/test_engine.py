@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefgames import (
-    DegenerateDiscountError,
+    BeliefProfile,
     GameParams,
     KalmanBelief,
     NonFiniteStateError,
@@ -21,16 +22,19 @@ from beliefgames import (
     Trajectory,
     UndefinedVarianceError,
     belief_path,
+    c_bar,
     compare_schemes,
     default_traces,
     discounted_payoff,
     kalman_path,
     simulate,
+    solve_equilibrium,
     step_discrete,
     step_discrete_kalman,
     variance_closed_form,
     window_diagnostics,
 )
+from beliefgames.config import default_config
 from conftest import max_rel_gap
 
 TRAJ_FIELDS = ("t", "S", "x_real", "x_bar", "var_mu", "tau_bar", "P", "u")
@@ -249,6 +253,33 @@ def test_scheme_gaps_shrink_with_dt(two_player_scenario):
     assert 0.3 <= ratio <= 0.7
 
 
+@pytest.mark.parametrize("seed", [3, 11, 20240811])
+@pytest.mark.parametrize("mu0", [0.0, 0.3])
+def test_scheme_x_bar_gap_matches_closed_forms(seed, mu0):
+    # The x_bar gap is a function of the trace alone: the sup over the grid of
+    # the continuous form (mu0 (kappa0+1) + int_0^t x) / (kappa0+1+t) minus
+    # the discrete form at the grid point's epoch k,
+    # (mu0 (kappa0+1-dt) + dt sum_{j<k} x_j) / (kappa0+1+(k-1) dt), mu0 at k=0.
+    cfg = default_config()
+    scn, sim = replace(cfg.scenario, mu0=mu0), cfg.sim
+    rows = compare_schemes(scn, sim, [0.08, 0.04, 0.02], seed)
+    fine = default_traces(scn, replace(sim, dt_signal=0.02), seed).ecological.values
+    h, k0 = sim.h_ode, scn.kappa0 + 1.0
+    steps = np.arange(round(sim.horizon / h) + 1)
+    t = h * steps
+    for row in rows:
+        dt = row.dt_signal
+        spe = round(dt / h)
+        x = fine[:: round(dt / 0.02)]
+        held = x[steps[:-1] // spe]
+        cont = (mu0 * k0 + np.concatenate(([0.0], h * np.cumsum(held)))) / (k0 + t)
+        k = np.arange(1, steps[-1] // spe + 1)
+        disc_k = (mu0 * (k0 - dt) + dt * np.cumsum(x[: k.size])) / (k0 + (k - 1) * dt)
+        disc = np.concatenate(([mu0], disc_k))[steps // spe]
+        predicted = np.max(np.abs(cont - disc))
+        assert abs(row.x_bar - predicted) <= 1e-10 * predicted, (dt, row.x_bar, predicted)
+
+
 def test_compare_schemes_rejects_non_nested_dts(two_player_scenario):
     cfg = SimConfig(dt_signal=0.16, h_ode=0.02, horizon=10.0)
     with pytest.raises(ValueError):
@@ -349,12 +380,15 @@ def test_uncovered_traces_rejected(two_player_scenario, base_config):
         simulate(two_player_scenario, base_config, traces=wrong_dt)
 
 
-def test_singular_coefficient_mid_run_aborts(two_player_params):
+def test_prior_mean_on_published_surface_completes(two_player_params):
     # Prior mean placed exactly on the singular surface of the published
-    # coefficient: (1 - rho)/delta with rho=0.1, delta=0.8.
-    scn = Scenario(params=two_player_params, mu_true=0.5, sigma=0.2, mu0=1.125)
-    with pytest.raises(DegenerateDiscountError):
-        simulate(scn, SimConfig(), seed=1)
+    # coefficient, (1 - rho)/delta with rho=0.1, delta=0.8: the published form
+    # reports NaN there, and the run, which never uses it, completes.
+    p = two_player_params
+    scn = Scenario(params=p, mu_true=0.5, sigma=0.2, mu0=1.125)
+    traj = simulate(scn, SimConfig(), seed=1)
+    assert math.isnan(c_bar(traj.x_bar[0], p.delta, p.rho))
+    assert np.isfinite(traj.u).all() and np.isfinite(traj.S).all()
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -362,7 +396,7 @@ def test_runaway_state_aborts_with_diagnostic(two_player_params):
     scn = Scenario(params=two_player_params, mu_true=0.5, sigma=0.2)
     eco = SignalTrace(t0=0.0, dt=0.02, values=np.full(500, 1e300))
     traces = TraceSet(ecological=eco, cost=constant_traces(2, 0.02, 500).cost)
-    with pytest.raises((NonFiniteStateError, DegenerateDiscountError)):
+    with pytest.raises(NonFiniteStateError):
         simulate(scn, SimConfig(), traces=traces)
 
 
@@ -386,6 +420,13 @@ def test_discounted_payoff_zero_run():
     est = discounted_payoff(traj, p, 0, 10.0)
     assert est.value == 0.0
     assert est.tail_bound == 0.0
+
+
+def test_discounted_payoff_rejects_player_out_of_range(two_player_scenario):
+    traj = simulate(two_player_scenario, SimConfig(horizon=1.0), seed=7)
+    for player in (-1, 2):
+        with pytest.raises(ValueError, match=rf"player={player}: must lie in 0\.\.1$"):
+            discounted_payoff(traj, two_player_scenario.params, player, 1.0)
 
 
 def test_discounted_payoff_truncation_bound(two_player_scenario):
@@ -449,11 +490,24 @@ def test_non_finite_state_names_earliest_time(two_player_params, scheme):
         simulate(scn, SimConfig(scheme=scheme), traces=held_traces(eco))
 
 
-def test_published_coefficient_guard_names_earliest_time(two_player_params):
-    # x_bar(t) = 3.375 t / (2 + t) crosses (1 - rho)/delta = 1.125 at t=1 exactly.
-    scn = Scenario(params=two_player_params, mu_true=0.5, sigma=0.2, mu0=0.0)
-    with pytest.raises(DegenerateDiscountError, match=r"at t=1 \(x_bar=1\.125\)"):
-        simulate(scn, SimConfig(), traces=held_traces(np.full(500, 3.375)))
+@pytest.mark.parametrize("scheme", ["continuous", "discrete"])
+def test_run_crossing_published_surface_completes(two_player_params, scheme):
+    # x_bar(t) = 3.375 t / (2 + t) crosses (1 - rho)/delta = 1.125 at t=1
+    # exactly and stays below the kernel's (1 + rho)/delta = 1.375 up to
+    # t=1.2; the discrete means cross between epochs.
+    p = two_player_params
+    scn = Scenario(params=p, mu_true=0.5, sigma=0.2, mu0=0.0)
+    cfg = SimConfig(scheme=scheme, horizon=1.2)
+    traj = simulate(scn, cfg, traces=held_traces(np.full(500, 3.375)))
+    assert traj.x_bar[0] < 1.125 < traj.x_bar[-1] < 1.375
+    for x_bar, tau_bar, u in zip(traj.x_bar, traj.tau_bar, traj.u):
+        sol = solve_equilibrium(p, BeliefProfile(float(x_bar), tau_bar))
+        assert sol.foc_residual <= 1e-9
+        assert np.max(np.abs(u - sol.controls)) <= 1e-12
+    # The published coefficient reports the crossing as NaN, on the grid
+    # point that lies on its surface.
+    on_surface = np.isnan([c_bar(x, p.delta, p.rho) for x in traj.x_bar])
+    assert list(traj.t[on_surface]) == ([1.0] if scheme == "continuous" else [])
 
 
 def kernel_singular_at_0_99():
@@ -491,9 +545,10 @@ def test_discrete_kalman_variance_leaving_positive_axis_names_time(two_player_pa
     expect = r"P_1=-11\.25 not positive at t=0\.25$"
     with pytest.raises(UndefinedVarianceError, match=expect):
         simulate(scn, cfg, seed=1)
-    # A guard hazard at an earlier time still wins.
-    with pytest.raises(DegenerateDiscountError, match=r"at t=0 "):
-        simulate(replace(scn, mu0=1.125), cfg, seed=1)
+    # A guard hazard at an earlier time still wins: the kernel denominator
+    # 1 + rho - x_bar*delta is singular at the prior mean (1 + rho)/delta.
+    with pytest.raises(SingularSystemError, match=r"~ 0 at t=0$"):
+        simulate(replace(scn, mu0=1.375), cfg, seed=1)
 
 
 player_prior = st.tuples(

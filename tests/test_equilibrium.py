@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from beliefgames import (
     BeliefProfile,
-    DegenerateDiscountError,
     GameParams,
     c_bar,
     check_nonnegativity,
@@ -48,8 +47,7 @@ def random_case(rng, n=None):
 def test_c_bar_examples():
     assert c_bar(0.5, 0.5, 0.25) == pytest.approx(-1.0)
     assert c_bar(0.0, 0.9, 0.3) == 0.0
-    with pytest.raises(DegenerateDiscountError):
-        c_bar(1.0, 0.75, 0.25)  # 1 - 0.75 - 0.25 = 0
+    assert math.isnan(c_bar(1.0, 0.75, 0.25))  # 1 - 0.75 - 0.25 = 0
 
 
 def test_value_slope_zero_cost_gives_zero():

@@ -152,6 +152,14 @@ def test_empty_deviation_grid_rejected():
         best_response_value(p, BeliefProfile(0.5, (1.0,)), [0.75], 0, [], 10.0)
 
 
+@pytest.mark.parametrize("player", [-1, 2])
+def test_player_out_of_range_rejected(player):
+    p = GameParams(a=(2.0, 2.0), tau=(1.0, 1.0), delta=0.5, rho=0.25)
+    b = BeliefProfile(0.5, (1.0, 1.0))
+    with pytest.raises(ValueError, match=rf"player={player}: must lie in 0\.\.1$"):
+        best_response_value(p, b, [0.75, 0.75], player, [0.5], 10.0)
+
+
 def loop_values(p, b, controls, player, devs, t_trunc, h):
     """Reference: step RK4 and the trapezoid rule one time step at a time."""
     devs = np.asarray(devs, dtype=float)
