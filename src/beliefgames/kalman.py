@@ -14,6 +14,7 @@ the closed form.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,21 +92,20 @@ def kalman_path(
     """
     t, ys = trace.held_steps(b.t, duration, h, "kalman_path")
     t_rel = h * np.arange(ys.size)
-    # P at each step's start, middle and end.
-    p_start, p_mid, p_end = (
-        variance_closed_form(b.P, b.R, t_rel + s) for s in (0.0, 0.5 * h, h)
-    )
-    tau_arr = np.empty(t.size)
-    tau, r = b.tau_hat, b.R
-    tau_arr[0] = tau
-    # Python floats step faster than numpy scalars.
-    steps = zip(*(map(float, a) for a in (ys, p_start, p_mid, p_end)))
-    for i, (y, p1, p2, p4) in enumerate(steps, 1):
-        k1 = (p1 / r) * (y - tau)
-        k2 = (p2 / r) * (y - (tau + 0.5 * h * k1))
-        k3 = (p2 / r) * (y - (tau + 0.5 * h * k2))
-        k4 = (p4 / r) * (y - (tau + h * k3))
-        tau = tau_arr[i] = tau + h * (k1 + 2.0 * (k2 + k3) + k4) / 6.0
+    tau, r, half = b.tau_hat, b.R, 0.5 * h
+    # The gain P/R at each step's start, middle and end, with P read off the
+    # closed form; the loop reads them as raw doubles and carries tau_hat alone.
+    p_end = variance_closed_form(b.P, r, t_rel + h)
+    gains = [variance_closed_form(b.P, r, t_rel + s) / r for s in (0.0, half)]
+    tau_buf = array("d", [tau])
+    for y, g1, g2, g4 in zip(*map(memoryview, (ys, *gains, p_end / r))):
+        k1 = g1 * (y - tau)
+        k2 = g2 * (y - (tau + half * k1))
+        k3 = g2 * (y - (tau + half * k2))
+        k4 = g4 * (y - (tau + h * k3))
+        tau = tau + h * (k1 + 2.0 * (k2 + k3) + k4) / 6.0
+        tau_buf.append(tau)
+    tau_arr = np.frombuffer(tau_buf)
     p_arr = np.concatenate(([b.P], p_end))
     require_finite(t, "Kalman state", tau_arr, p_arr)
     return KalmanPath(t=t, tau_hat=tau_arr, P=p_arr)
@@ -119,17 +119,18 @@ def variance_path(b: KalmanBelief, duration: float, h: float) -> np.ndarray:
     :class:`NonFiniteStateError` naming its first grid time.
     """
     t = step_grid(b.t, duration, h, "variance_path")
-    p_arr = np.empty(t.size)
-    p, r = b.P, b.R
-    p_arr[0] = p
-    for i in range(1, t.size):
+    p, r, half = b.P, b.R, 0.5 * h
+    p_buf = array("d", [p])
+    for _ in range(t.size - 1):
         k1 = -p * p / r
-        q = p + 0.5 * h * k1
+        q = p + half * k1
         k2 = -q * q / r
-        q = p + 0.5 * h * k2
+        q = p + half * k2
         k3 = -q * q / r
         q = p + h * k3
         k4 = -q * q / r
-        p = p_arr[i] = p + h * (k1 + 2.0 * (k2 + k3) + k4) / 6.0
+        p = p + h * (k1 + 2.0 * (k2 + k3) + k4) / 6.0
+        p_buf.append(p)
+    p_arr = np.frombuffer(p_buf)
     require_finite(t, "Kalman state", p_arr)
     return p_arr

@@ -19,6 +19,7 @@ reduces to the single-observation conjugate update.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,25 +114,40 @@ def belief_path(
     :class:`NonFiniteStateError` naming its first grid time.
     """
     t, xs = trace.held_steps(b.t, duration, h, "belief_path")
-    mu_arr = np.empty(t.size)
-    beta_arr = np.empty(t.size)
-    mu, beta = mu_arr[0], beta_arr[0] = b.mu_hat, b.beta
     half = 0.5 * h
-    for i, x in enumerate(map(float, xs)):  # Python floats step faster
-        # kappa at the step's start, middle and end; only (mu_hat, beta) step.
-        k1 = b.kappa + i * h
-        k2, k4 = k1 + half, k1 + h
-        d1, d2, d4 = k1 + 1.0, k2 + 1.0, k4 + 1.0
-        e = x - mu
-        m1, b1 = e / d1, k1 * e * e / (2.0 * d1)
-        e = x - (mu + half * m1)
-        m2, b2 = e / d2, k2 * e * e / (2.0 * d2)
-        e = x - (mu + half * m2)
-        m3, b3 = e / d2, k2 * e * e / (2.0 * d2)
-        e = x - (mu + h * m3)
-        m4, b4 = e / d4, k4 * e * e / (2.0 * d4)
-        mu = mu_arr[i + 1] = mu + h * (m1 + 2.0 * (m2 + m3) + m4) / 6.0
-        beta = beta_arr[i + 1] = beta + h * (b1 + 2.0 * (b2 + b3) + b4) / 6.0
+    # kappa at each step's start, middle and end, and the rates' denominators.
+    k1 = b.kappa + np.arange(xs.size) * h
+    k2, k4 = k1 + half, k1 + h
+    d1, d2, d4 = k1 + 1.0, k2 + 1.0, k4 + 1.0
+    # beta never feeds back, so the loop steps mu_hat alone, on raw doubles.
+    mu = b.mu_hat
+    mu_buf = array("d", [mu])
+    for x, c1, c2, c4 in zip(*map(memoryview, (xs, d1, d2, d4))):
+        m1 = (x - mu) / c1
+        m2 = (x - (mu + half * m1)) / c2
+        m3 = (x - (mu + half * m2)) / c2
+        m4 = (x - (mu + h * m3)) / c4
+        mu = mu + h * (m1 + 2.0 * (m2 + m3) + m4) / 6.0
+        mu_buf.append(mu)
+    mu_arr = np.frombuffer(mu_buf)
+    # beta's stage rates from mu_hat at each step start, in the loop's arithmetic.
+    mu_start = mu_arr[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = xs - mu_start
+        m = e / d1
+        b1 = k1 * e * e / (2.0 * d1)
+        e = xs - (mu_start + half * m)
+        m = e / d2
+        # b23 sums b2 + b3 in place, which keeps two fewer grid-long arrays alive.
+        b23 = k2 * e * e / (2.0 * d2)
+        e = xs - (mu_start + half * m)
+        m = e / d2
+        b23 += k2 * e * e / (2.0 * d2)
+        e = xs - (mu_start + h * m)
+        b4 = k4 * e * e / (2.0 * d4)
+        steps = h * (b1 + 2.0 * b23 + b4) / 6.0
+        # cumsum adds in sequence: beta[i+1] = beta[i] + steps[i], as a loop would.
+        beta_arr = np.cumsum(np.concatenate(([b.beta], steps)))
     require_finite(t, "belief state", mu_arr, beta_arr)
     return BeliefPath(
         t=t,

@@ -136,6 +136,7 @@ class SignalTrace:
         """Keep every ``stride``-th sample; the hold interval grows accordingly."""
         if stride < 1 or int(stride) != stride:
             raise ValueError("stride must be a positive integer")
+        stride = int(stride)  # an integral float such as 2.0 slices as 2
         return SignalTrace(
             t0=self.t0,
             dt=self.dt * stride,

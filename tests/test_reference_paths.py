@@ -1,13 +1,16 @@
 """The reference integrators step exactly like the generic RK4 stage loops.
 
-``belief_path``, ``kalman_path`` and ``variance_path`` each step only their
-own state, inline.  Here they are held bit-for-bit to generic stage
-functions: one RK4 step of the (mu_hat, beta) subsystem with kappa advancing
-through the stages, and one step of (tau_hat, P) with P either read off the
-closed form at the stage times or integrated alongside tau_hat.
+``belief_path`` loops over mu_hat alone and derives beta's stages from the
+recorded mu_hat in numpy; ``kalman_path`` loops over tau_hat alone with the
+stage gains precomputed; ``variance_path`` loops over P.  Here they are held
+bit-for-bit to generic stage functions: one RK4 step of the (mu_hat, beta)
+subsystem with kappa advancing through the stages, and one step of
+(tau_hat, P) with P either read off the closed form at the stage times or
+integrated alongside tau_hat.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -120,3 +123,58 @@ def test_paths_match_the_stage_loops_bit_for_bit(t0, div, p0, r):
             variance_path(kb, duration, h)
     else:
         assert np.array_equal(variance_path(kb, duration, h), p_ode)
+
+
+def test_paths_match_the_stage_loops_at_the_verify_shape():
+    # verify's grid: dt 0.02 held over h = 1e-3 steps, here 2000 of them.
+    dt, h, duration = 0.02, 1e-3, 2.0
+    rng = np.random.default_rng(20)
+    trace = SignalTrace(t0=0.0, dt=dt, values=0.5 + 0.2 * rng.standard_normal(100))
+    _, xs = trace.held_steps(0.0, duration, h, "reference")
+    assert xs.size >= 2000
+
+    b = NormalGammaBelief(0.35, 1.2, 2.5, 0.9)
+    path = belief_path(b, trace, duration, h)
+    mu, beta = reference_belief(b, xs, h)
+    assert np.array_equal(path.mu_hat, mu)
+    assert np.array_equal(path.beta, beta)
+
+    kb = KalmanBelief(0.8, 1.7, 0.3)
+    tau, p = reference_kalman(kb, xs, h, exact=True)
+    kpath = kalman_path(kb, trace, duration, h)
+    assert np.array_equal(kpath.tau_hat, tau)
+    assert np.array_equal(kpath.P, p)
+
+
+def test_belief_path_overflow_mid_run_names_the_stage_loops_time_silently():
+    # The signal jumps to 1e200 at the 13th hold interval; beta's stage rates
+    # then square past the float range.
+    dt, h = 0.05, 0.01
+    values = np.full(20, 0.5)
+    values[12:] = 1e200
+    trace = SignalTrace(t0=0.0, dt=dt, values=values)
+    duration = 20 * dt
+    t, xs = trace.held_steps(0.0, duration, h, "reference")
+    b = NormalGammaBelief(0.3, 1.5, 2.0, 0.7)
+    mu, beta = reference_belief(b, xs, h)
+    bad = np.flatnonzero(~(np.isfinite(mu) & np.isfinite(beta)))
+    assert bad.size and t[bad[0]] > 0.5
+    first = re.escape(f"at t={float(t[bad[0]])!r}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError, match=first):
+            belief_path(b, trace, duration, h)
+
+
+def test_belief_path_steps_beta_like_the_stage_loop_one_step_at_a_time():
+    # From beta0 = 0 one step's beta is its increment alone, so a change in the
+    # order of the stage arithmetic shows even where a long sum would round it away.
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        h = float(rng.choice([1e-3, 0.01, 0.05]))
+        trace = SignalTrace(t0=0.0, dt=h, values=rng.normal(0.0, 3.0, 1))
+        b = NormalGammaBelief(rng.normal(), rng.uniform(0.1, 5.0), 2.0, 0.0)
+        mu, beta = reference_belief(b, trace.values, h)
+        path = belief_path(b, trace, h, h)
+        assert np.array_equal(path.mu_hat, mu)
+        assert np.array_equal(path.beta, beta)

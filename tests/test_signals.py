@@ -142,6 +142,15 @@ def test_subsample_keeps_every_stride_value():
     assert np.array_equal(coarse.values, np.array([0.0, 4.0, 8.0]))
 
 
+def test_subsample_takes_an_integral_float_and_rejects_a_fraction():
+    trace = SignalTrace(t0=0.0, dt=0.02, values=np.arange(10.0))
+    coarse = trace.subsample(2.0)
+    assert coarse.dt == trace.subsample(2).dt
+    assert np.array_equal(coarse.values, np.arange(0.0, 10.0, 2.0))
+    with pytest.raises(ValueError, match="positive integer"):
+        trace.subsample(2.5)
+
+
 @settings(max_examples=60, derandomize=True)
 @given(values=finite_values)
 def test_save_load_round_trip_is_bitwise(tmp_path_factory, values):
