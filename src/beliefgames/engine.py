@@ -21,6 +21,12 @@ Both schemes solve the controls for the whole run in one call of the array
 kernel, at every time an RK4 stage of the stock needs them, and advance the
 stock by classical RK4, whose step is affine in the stock.  One guard pass
 over the run then raises the typed error of the earliest unhealthy time.
+
+Inside the engine the per-player columns (tau_hat and P) are player-major,
+shape (n, T), so every numpy pass over them runs along a contiguous row of
+one player; with few players a time-major (T, n) array would make each pass
+a long loop of length-n inner loops.  The kernel reads them through a (T, n)
+view, and ``Trajectory`` receives (T, n) views, its public shape.
 """
 
 from __future__ import annotations
@@ -170,7 +176,7 @@ def default_traces(scn: Scenario, cfg: SimConfig, seed: TraceSeed | int) -> Trac
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-gridded record of the coupled run; per-player columns are 2-d."""
+    """Time-gridded record of the coupled run; per-player columns are (T, n)."""
 
     t: np.ndarray
     S: np.ndarray
@@ -244,25 +250,27 @@ def simulate(
 class _Path(NamedTuple):
     """What differs between the schemes: the filter means at the control
     points, the maps from the stock stages and the grid to those points, and
-    the other belief columns on the grid."""
+    the other belief columns on the grid.  Per-player columns are
+    player-major, one contiguous row of shape (n, T) per player."""
 
     beta: np.ndarray
     kappa: np.ndarray
     alpha: np.ndarray
-    P: np.ndarray
+    P: np.ndarray  # (n, grid points)
     t_ctrl: np.ndarray  # control points, in time order
     x_ctrl: np.ndarray
-    tau_ctrl: np.ndarray
+    tau_ctrl: np.ndarray  # (n, control points)
     stage: np.ndarray  # control point of the stages s = 0, h/2, h of each step
     record: np.ndarray  # control point of each grid point
 
 
 def _prefix(held: np.ndarray, prior, width: float, repeats: int, size: int):
-    """Prefix sums of (held - prior) * width over ``size`` half steps, where
-    each held value covers ``repeats`` half steps; row 0 is zero."""
-    out = np.zeros((size + 1,) + held.shape[1:])
-    steps = np.repeat((held - prior) * width, repeats, axis=0)
-    np.cumsum(steps[:size], axis=0, out=out[1:])
+    """Prefix sums of (held - prior) * width over ``size`` half steps, along
+    the last axis, where each held value covers ``repeats`` half steps; entry
+    0 is zero."""
+    out = np.zeros(held.shape[:-1] + (size + 1,))
+    steps = np.repeat((held - prior) * width, repeats, axis=-1)
+    np.cumsum(steps[..., :size], axis=-1, out=out[..., 1:])
     return out
 
 
@@ -275,8 +283,8 @@ def _continuous_path(
     t_half = np.arange(n_half + 1) * (0.5 * h)
     used = epoch[-2] + 1  # epochs the steps fall in
     eco = traces.ecological.values
-    y = np.column_stack([tr.values[:used] for tr in traces.cost])
-    tau0, p0, r = np.array(scn.tau0), np.array(scn.p0), np.array(scn.r)
+    y = np.stack([tr.values[:used] for tr in traces.cost])
+    tau0, p0, r = (np.array(v)[:, None] for v in (scn.tau0, scn.p0, scn.r))
     # Exact filter means in innovation form, from prefix sums of the held
     # signals: a signal equal to the prior mean leaves the mean bit-identical.
     x_half = _prefix(eco[:used], scn.mu0, 0.5 * h, 2 * spe, n_half)
@@ -284,7 +292,7 @@ def _continuous_path(
     x_half += scn.mu0
     tau_half = _prefix(y, tau0, 0.5 * h, 2 * spe, n_half)
     tau_half *= p0
-    tau_half /= p0 * t_half[:, None] + r
+    tau_half /= p0 * t_half + r
     tau_half += tau0
     # Exact beta increment per step: with K = kappa + 1 and d = x - x_bar at
     # the step start, K*d stays constant while the signal is held.
@@ -297,7 +305,7 @@ def _continuous_path(
         np.cumsum(np.concatenate(([scn.beta0], d_beta))),
         scn.kappa0 + t,
         scn.alpha0 + 0.5 * t,
-        p0 * r / (t[:, None] * p0 + r),
+        p0 * r / (t * p0 + r),
         t_half,
         x_half,
         tau_half,
@@ -344,10 +352,10 @@ def _discrete_path(
         np.array(betas)[epoch],
         np.array(kappas)[epoch],
         np.array(alphas)[epoch],
-        np.column_stack(Ps)[epoch],
+        np.array(Ps)[:, epoch],
         t[::spe],
         np.array(mus),
-        np.column_stack(taus),
+        np.array(taus),
         np.broadcast_to(epoch[:-1], (3, t.size - 1)),
         epoch,
     )
@@ -372,7 +380,7 @@ def _stock(s0: float, h: float, drive: np.ndarray, lam: np.ndarray) -> np.ndarra
 
     def walk(s):
         yield s
-        for a_i, b_i in zip(gain.tolist(), shift.tolist()):
+        for a_i, b_i in zip(memoryview(gain), memoryview(shift)):
             s = a_i * s + b_i
             yield s
 
@@ -391,10 +399,11 @@ def _guard(t, finite, P, kernel_hit) -> None:
         i = int(np.argmin(finite))
         msg = f"non-finite state encountered at t={t[i]:.6g}"
         found.append((t[i], 0, NonFiniteStateError(msg)))
-    not_positive = np.argwhere(P <= 0.0)
-    if not_positive.size:
-        i, j = not_positive[0]
-        msg = f"error variance P_{j + 1}={P[i, j]} not positive at t={t[i]:.6g}"
+    not_positive = P <= 0.0
+    if not_positive.any():
+        # Transposed, the first hit is the earliest t, then the lowest j.
+        i, j = np.argwhere(not_positive.T)[0]
+        msg = f"error variance P_{j + 1}={P[j, i]} not positive at t={t[i]:.6g}"
         found.append((t[i], 1, UndefinedVarianceError(msg)))
     if kernel_hit is not None:
         t_k, den = kernel_hit
@@ -414,12 +423,17 @@ def _run(scn: Scenario, cfg: SimConfig, traces: TraceSet) -> Trajectory:
     eco = traces.ecological.values
     build = _continuous_path if cfg.scheme == "continuous" else _discrete_path
     path = build(scn, cfg, traces, t, epoch, spe)
-    x_bar, tau_bar = path.x_ctrl[path.record], path.tau_ctrl[path.record]
+    x_bar, tau_bar = path.x_ctrl[path.record], path.tau_ctrl[:, path.record]
     # Solve the controls up to the first singular kernel denominator only.
     den = 1.0 + p.rho - path.x_ctrl * p.delta
     singular = np.abs(den) <= EPS_SINGULAR
     m = int(np.argmax(singular)) if singular.any() else den.size
-    u = control_kernel(p.a, p.tau, path.tau_ctrl[:m], path.x_ctrl[:m], p.delta, p.rho)
+    # A (T, n) view of the player-major columns, so each tau_bar[..., i] the
+    # kernel reads is contiguous.  u stays C-ordered (T, n): numpy sums a
+    # contiguous axis in sequence only below 8 entries, so a player-major u
+    # would change the bits of its row sums from n = 8 up.
+    tau_ctrl = path.tau_ctrl[:, :m].T
+    u = control_kernel(p.a, p.tau, tau_ctrl, path.x_ctrl[:m], p.delta, p.rho)
     if cfg.clamp_controls:
         u = np.where(u > 0.0, u, 0.0)
     stage = path.stage[:, : path.stage[2].searchsorted(m)]
@@ -429,7 +443,7 @@ def _run(scn: Scenario, cfg: SimConfig, traces: TraceSet) -> Trajectory:
         xd = path.x_ctrl[stage]
     S = _stock(p.s0, h, xd * u.sum(axis=1)[stage], 1.0 - xd * p.delta)
     finite = (
-        np.isfinite(x_bar) & np.isfinite(path.beta) & np.isfinite(tau_bar).all(axis=1)
+        np.isfinite(x_bar) & np.isfinite(path.beta) & np.isfinite(tau_bar).all(axis=0)
     )
     finite[: S.size] &= np.isfinite(S)
     kernel_hit = (path.t_ctrl[m], float(den[m])) if m < den.size else None
@@ -441,8 +455,8 @@ def _run(scn: Scenario, cfg: SimConfig, traces: TraceSet) -> Trajectory:
         x_real=eco[np.minimum(epoch, eco.size - 1)],
         x_bar=x_bar,
         var_mu=np.where(alpha > 1.0, beta / (kappa * (alpha - 1.0)), np.nan),
-        tau_bar=tau_bar,
-        P=path.P,
+        tau_bar=tau_bar.T,
+        P=path.P.T,
         u=u[path.record],
     )
 
@@ -522,20 +536,24 @@ def window_diagnostics(
     traj: Trajectory, scn: Scenario, t_lo: float, t_hi: float
 ) -> DiagnosticsWindow:
     """Sup of |x_bar - mu|, |tau_bar - tau|, var_mu, P, and the distance of the
-    controls from the full-information controls, over [t_lo, t_hi]."""
-    mask = (traj.t >= t_lo - 1e-12) & (traj.t <= t_hi + 1e-12)
-    if not mask.any():
+    controls from the full-information controls, over the grid points within
+    1e-12 of [t_lo, t_hi].  ``traj.t`` increases, as on every ``simulate``
+    grid, so those points are one slice of the run."""
+    lo = traj.t.searchsorted(t_lo - 1e-12, "left")
+    hi = traj.t.searchsorted(t_hi + 1e-12, "right")
+    if lo >= hi or math.isnan(t_hi):
         raise ValueError(f"window [{t_lo}, {t_hi}] contains no grid points")
+    window = slice(lo, hi)
     u_known = np.array(known_state_equilibrium(scn.params, scn.mu_true).controls)
     tau_true = np.array(scn.params.tau)
     return DiagnosticsWindow(
         t_lo=t_lo,
         t_hi=t_hi,
-        x_gap=float(np.max(np.abs(traj.x_bar[mask] - scn.mu_true))),
-        tau_gap=float(np.max(np.abs(traj.tau_bar[mask] - tau_true))),
-        var_mu=float(np.max(traj.var_mu[mask])),
-        p_max=float(np.max(traj.P[mask])),
-        control_gap=float(np.max(np.abs(traj.u[mask] - u_known))),
+        x_gap=float(np.max(np.abs(traj.x_bar[window] - scn.mu_true))),
+        tau_gap=float(np.max(np.abs(traj.tau_bar[window] - tau_true))),
+        var_mu=float(np.max(traj.var_mu[window])),
+        p_max=float(np.max(traj.P[window])),
+        control_gap=float(np.max(np.abs(traj.u[window] - u_known))),
     )
 
 
@@ -555,6 +573,8 @@ def discounted_payoff(
     """
     if not 0 <= player < p.n:
         raise ValueError(f"player={player}: must lie in 0..{p.n - 1}")
+    if not (math.isfinite(t_trunc) and t_trunc >= traj.t[0]):
+        raise ValueError(f"t_trunc={t_trunc}: must be finite and >= t={traj.t[0]}")
     if t_trunc > traj.t[-1] + 1e-9:
         raise ValueError("t_trunc exceeds the simulated horizon")
     total_u = traj.u.sum(axis=1)

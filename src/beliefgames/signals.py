@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -56,18 +57,22 @@ class SignalTrace:
     def __post_init__(self):
         if not (self.dt > 0.0) or not math.isfinite(self.dt):
             raise ValueError(f"hold interval dt must be positive, got {self.dt}")
-        vals = np.asarray(self.values, dtype=float)
+        if not math.isfinite(self.t0):
+            raise ValueError(f"start time t0 must be finite, got {self.t0}")
+        vals = np.array(self.values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("trace needs a non-empty 1-d value sequence")
         if not np.all(np.isfinite(vals)):
             raise ValueError("trace values must be finite")
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        # Prefix sums of the exact step-function integral, one entry per node.
-        cum = np.concatenate(([0.0], np.cumsum(vals * self.dt)))
+
+    @cached_property
+    def _cum(self) -> np.ndarray:
+        """Prefix sums of the exact step-function integral, one entry per node."""
+        cum = np.concatenate(([0.0], np.cumsum(self.values * self.dt)))
         cum.setflags(write=False)
-        object.__setattr__(self, "_cum", cum)
+        return cum
 
     def __len__(self) -> int:
         return self.values.size

@@ -27,6 +27,7 @@ from beliefgames import (
     default_traces,
     discounted_payoff,
     kalman_path,
+    known_state_equilibrium,
     simulate,
     solve_equilibrium,
     step_discrete,
@@ -35,6 +36,7 @@ from beliefgames import (
     window_diagnostics,
 )
 from beliefgames.config import default_config
+from beliefgames.equilibrium import control_kernel
 from conftest import max_rel_gap
 
 TRAJ_FIELDS = ("t", "S", "x_real", "x_bar", "var_mu", "tau_bar", "P", "u")
@@ -316,6 +318,90 @@ def test_window_diagnostics_tail_beats_midrun(two_player_scenario):
     assert tail.p_max < mid.p_max
 
 
+def n_player_scenario(n):
+    rng = np.random.default_rng(n)
+    p = GameParams(
+        a=tuple(rng.uniform(2.0, 4.0, n).tolist()),
+        tau=tuple(rng.uniform(0.5, 1.5, n).tolist()),
+        delta=0.8,
+        rho=0.1,
+        s0=0.1,
+    )
+    return Scenario(
+        params=p,
+        mu_true=0.5,
+        sigma=0.2,
+        tau0=tuple(rng.uniform(0.4, 1.2, n).tolist()),
+        p0=tuple(rng.uniform(0.5, 1.0, n).tolist()),
+        r=tuple(rng.uniform(0.15, 1.0, n).tolist()),
+    )
+
+
+@pytest.mark.parametrize("scheme", ["continuous", "discrete"])
+@pytest.mark.parametrize("n", [1, 2, 8, 10])
+def test_controls_equal_the_kernel_row_by_row(n, scheme):
+    # The engine hands the kernel a transposed view of its player-major
+    # columns; every recorded row must still be the kernel's own answer.
+    scn = n_player_scenario(n)
+    p = scn.params
+    cfg = SimConfig(scheme=scheme, dt_signal=0.05, h_ode=0.025, horizon=5.0)
+    traj = simulate(scn, cfg, seed=n)
+    assert traj.u.shape == traj.tau_bar.shape == traj.P.shape == (traj.t.size, n)
+    for i in range(traj.t.size):
+        row = control_kernel(p.a, p.tau, traj.tau_bar[i], traj.x_bar[i], p.delta, p.rho)
+        assert np.array_equal(traj.u[i], row), i
+
+
+def masked_window(traj, scn, t_lo, t_hi):
+    """window_diagnostics as a boolean mask over the grid, for reference."""
+    mask = (traj.t >= t_lo - 1e-12) & (traj.t <= t_hi + 1e-12)
+    if not mask.any():
+        return None
+    u_known = np.array(known_state_equilibrium(scn.params, scn.mu_true).controls)
+    return (
+        float(np.max(np.abs(traj.x_bar[mask] - scn.mu_true))),
+        float(np.max(np.abs(traj.tau_bar[mask] - np.array(scn.params.tau)))),
+        float(np.max(traj.var_mu[mask])),
+        float(np.max(traj.P[mask])),
+        float(np.max(np.abs(traj.u[mask] - u_known))),
+    )
+
+
+@pytest.mark.parametrize(
+    "t_lo, t_hi",
+    [
+        (0.0, 10.0),  # on grid points, the whole run
+        (2.5, 5.0),
+        (2.51, 4.99),  # between grid points
+        (2.5 + 5e-13, 5.0 - 5e-13),  # within 1e-12 inside the ends
+        (2.5 - 5e-13, 5.0 + 5e-13),  # within 1e-12 outside the ends
+        (2.5 + 1e-12, 5.0 - 1e-12),  # exactly at the tolerance
+        (2.5 + 2e-12, 5.0 - 2e-12),  # just beyond the tolerance
+        (5.0, 5.0),  # a single grid point
+        (5.0 + 1e-12, 5.0 - 1e-12),  # the same point, at the tolerance
+        (2.501, 2.509),  # no grid point
+        (-3.0, 0.01),  # starts before the run
+        (9.99, 30.0),  # ends after the run
+        (10.5, 12.0),  # outside the run
+        (5.0, 4.0),  # reversed
+        (math.nan, 1.0),
+        (1.0, math.nan),
+    ],
+)
+def test_window_diagnostics_match_a_boolean_mask(two_player_scenario, t_lo, t_hi):
+    cfg = SimConfig(dt_signal=0.05, h_ode=0.01, horizon=10.0)
+    traj = simulate(two_player_scenario, cfg, seed=5)
+    expected = masked_window(traj, two_player_scenario, t_lo, t_hi)
+    if expected is None:
+        with pytest.raises(ValueError, match="contains no grid points"):
+            window_diagnostics(traj, two_player_scenario, t_lo, t_hi)
+        return
+    diag = window_diagnostics(traj, two_player_scenario, t_lo, t_hi)
+    got = (diag.x_gap, diag.tau_gap, diag.var_mu, diag.p_max, diag.control_gap)
+    assert got == expected
+    assert (diag.t_lo, diag.t_hi) == (t_lo, t_hi)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -438,6 +524,14 @@ def test_discounted_payoff_truncation_bound(two_player_scenario):
     assert abs(full.value - half.value) <= half.tail_bound
     with pytest.raises(ValueError):
         discounted_payoff(traj, p, 0, 41.0)
+
+
+@pytest.mark.parametrize("t_trunc", [-1.0, -1e-9, math.nan, -math.inf])
+def test_discounted_payoff_rejects_truncation_before_the_run(two_player_scenario, t_trunc):
+    # Before the run the quadrature sums nothing and would report 0.0.
+    traj = simulate(two_player_scenario, SimConfig(horizon=1.0), seed=7)
+    with pytest.raises(ValueError, match=r"t_trunc=.*: must be finite and >= t=0\.0$"):
+        discounted_payoff(traj, two_player_scenario.params, 0, t_trunc)
 
 
 def test_discounted_payoff_large_rho_asymptotics(two_player_params):

@@ -256,3 +256,11 @@ def test_trace_rejects_non_finite_values():
         SignalTrace(t0=0.0, dt=0.1, values=np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         SignalTrace(t0=0.0, dt=0.0, values=np.array([1.0]))
+
+
+@pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+def test_trace_rejects_non_finite_start_time(t0):
+    # A NaN t0 would pass the engine's start check (abs(nan) > 1e-12 is
+    # False) and be saved as rows that load_trace rejects.
+    with pytest.raises(ValueError, match=r"t0 must be finite"):
+        SignalTrace(t0=t0, dt=0.1, values=np.array([1.0, 2.0]))
