@@ -282,6 +282,42 @@ def test_scheme_x_bar_gap_matches_closed_forms(seed, mu0):
         assert abs(row.x_bar - predicted) <= 1e-10 * predicted, (dt, row.x_bar, predicted)
 
 
+@pytest.mark.parametrize("seed", [3, 11, 20240811])
+@pytest.mark.parametrize("tau0", [0.0, 0.6])
+def test_scheme_tau_bar_gap_matches_closed_forms(seed, tau0):
+    # The tau_bar gap is a function of the cost traces alone: the sup over the
+    # grid and the players of the continuous form
+    # tau0 + p0 int_0^t (y - tau0) / (p0 t + r) minus the discrete form at the
+    # grid point's epoch k, tau0 + P_k dt sum_{j<k} (y_j - tau0) / (r - dt P_j),
+    # where P_{k+1} = P_k (1 - dt P_k / r).
+    cfg = default_config()
+    scn, sim = replace(cfg.scenario, tau0=tau0), cfg.sim
+    rows = compare_schemes(scn, sim, [0.08, 0.04, 0.02], seed)
+    fine = default_traces(scn, replace(sim, dt_signal=0.02), seed).cost
+    h = sim.h_ode
+    steps = np.arange(round(sim.horizon / h) + 1)
+    t = h * steps
+    for row in rows:
+        dt = row.dt_signal
+        spe = round(dt / h)
+        epochs = steps[-1] // spe
+        predicted = 0.0
+        for trace, p0, r in zip(fine, scn.p0, scn.r):
+            y = trace.values[:: round(dt / 0.02)] - tau0
+            held = y[steps[:-1] // spe]
+            integral = np.concatenate(([0.0], h * np.cumsum(held)))
+            cont = tau0 + p0 * integral / (p0 * t + r)
+            P = [p0]
+            for _ in range(epochs):
+                P.append(P[-1] * (1.0 - dt * P[-1] / r))
+            P = np.array(P)
+            terms = dt * y[:epochs] / (r - dt * P[:-1])
+            disc_k = tau0 + P * np.concatenate(([0.0], np.cumsum(terms)))
+            disc = disc_k[steps // spe]
+            predicted = max(predicted, np.max(np.abs(cont - disc)))
+        assert abs(row.tau_bar - predicted) <= 1e-10 * predicted, (dt, row.tau_bar, predicted)
+
+
 def test_compare_schemes_rejects_non_nested_dts(two_player_scenario):
     cfg = SimConfig(dt_signal=0.16, h_ode=0.02, horizon=10.0)
     with pytest.raises(ValueError):
