@@ -10,12 +10,12 @@ of the belief ODEs: with the signal held, the Normal-Gamma mean and the
 Kalman-Bucy mean are rational functions of the signal prefix sums, and beta
 has an exact increment per step.  "discrete" applies Euler jumps once per
 signal epoch (at the end of each hold interval, which keeps kappa/alpha at
-epoch boundaries identical across schemes).  It scans the epochs on Python
-floats, one loop for (mu, beta, kappa, alpha) and then one per player for
-(tau_hat, P), repeating the arithmetic of ``normal_gamma.step_discrete`` and
-``kalman.step_discrete_kalman`` operation for operation, so its columns are
-bit-identical to theirs.  Neither scheme calls those modules; they stay the
-standalone API and the reference integrators the tests compare against.
+epoch boundaries equal across schemes), in closed form too: both means are
+prefix sums of the held signals and beta is one cumulative sum.  Only the
+Kalman error variance, whose jump does not depend on the signals, is a loop,
+one per player.  Neither scheme calls ``normal_gamma`` or ``kalman``; their
+integrators and Euler steps stay the standalone API and the references that
+``verify`` and the tests compare the engine against.
 
 Both schemes solve the controls for the whole run in one call of the array
 kernel, at every time an RK4 stage of the stock needs them, and advance the
@@ -264,10 +264,10 @@ class _Path(NamedTuple):
     record: np.ndarray  # control point of each grid point
 
 
-def _prefix(held: np.ndarray, prior, width: float, repeats: int, size: int):
-    """Prefix sums of (held - prior) * width over ``size`` half steps, along
-    the last axis, where each held value covers ``repeats`` half steps; entry
-    0 is zero."""
+def _prefix(held: np.ndarray, prior, width, repeats: int, size: int):
+    """Prefix sums of (held - prior) * width over ``size`` steps, along the
+    last axis, where each held value covers ``repeats`` steps; entry 0 is
+    zero.  ``width`` is the step length, or one weight per held value."""
     out = np.zeros(held.shape[:-1] + (size + 1,))
     steps = np.repeat((held - prior) * width, repeats, axis=-1)
     np.cumsum(steps[..., :size], axis=-1, out=out[..., 1:])
@@ -319,43 +319,40 @@ def _discrete_path(
 ) -> _Path:
     dt = cfg.dt_signal
     used = epoch[-1]  # epochs that end within the horizon
-    # One belief state per epoch boundary: the prior, then the Euler jump that
-    # absorbs the signal held over each epoch, in the operation order of
-    # step_discrete and step_discrete_kalman so the columns match them bit for
-    # bit.  Python floats give the same IEEE results as float64 arrays; with
-    # kappa0 > 0 and r > 0 no division is by zero, and a non-finite value
-    # propagates to the guard pass, which reports it.
-    mu, beta, kappa, alpha = scn.mu0, scn.beta0, scn.kappa0, scn.alpha0
-    mus, betas, kappas, alphas = [mu], [beta], [kappa], [alpha]
-    for x in traces.ecological.values[:used].tolist():
-        innov = x - mu
-        den = kappa + 1.0
-        mu = mu + dt * (innov / den)
-        beta = beta + dt * (kappa * innov * innov / (2.0 * den))
-        kappa = kappa + dt
-        alpha = alpha + 0.5 * dt
-        mus.append(mu)
-        betas.append(beta)
-        kappas.append(kappa)
-        alphas.append(alpha)
-    taus, Ps = [], []
-    for tau, P, r, cost in zip(scn.tau0, scn.p0, scn.r, traces.cost):
-        tau_j, P_j = [tau], [P]
-        for y in cost.values[:used].tolist():
-            tau = tau + dt * ((P / r) * (y - tau))
-            P = P + dt * (-P * P / r)
-            tau_j.append(tau)
-            P_j.append(P)
-        taus.append(tau_j)
-        Ps.append(P_j)
+    # The Euler jumps in closed form, one belief state per epoch boundary k.
+    # The mean jump telescopes, since kappa_k + 1 - dt = kappa_{k-1} + 1, to
+    # x_bar_k = mu0 + dt sum_{j<k} (x_j - mu0) / (kappa_{k-1} + 1).
+    kappa = scn.kappa0 + dt * np.arange(used + 1)
+    eco = traces.ecological.values[:used]
+    x_bar = _prefix(eco, scn.mu0, dt, 1, used)
+    x_bar[1:] /= kappa[:-1] + 1.0
+    x_bar += scn.mu0
+    e = eco - x_bar[:-1]
+    d_beta = dt * kappa[:-1] * e * e / (2.0 * (kappa[:-1] + 1.0))
+    # P_{k+1} = P_k (1 - dt P_k / r) does not depend on the signals; dividing
+    # the Kalman mean jump by it telescopes the mean to
+    # tau_k = tau0 + P_k dt sum_{j<k} (y_j - tau0) / (r - dt P_j).
+    P = []
+    for p, r_j in zip(scn.p0, scn.r):
+        row = [p]
+        for _ in range(used):
+            p *= 1.0 - dt * p / r_j
+            row.append(p)
+        P.append(row)
+    P = np.array(P)
+    y = np.stack([c.values[:used] for c in traces.cost])
+    tau0, r = (np.array(v)[:, None] for v in (scn.tau0, scn.r))
+    tau = _prefix(y, tau0, dt / (r - dt * P[:, :-1]), 1, used)
+    tau *= P
+    tau += tau0
     return _Path(
-        np.array(betas)[epoch],
-        np.array(kappas)[epoch],
-        np.array(alphas)[epoch],
-        np.array(Ps)[:, epoch],
+        np.cumsum(np.concatenate(([scn.beta0], d_beta)))[epoch],
+        kappa[epoch],
+        scn.alpha0 + 0.5 * dt * epoch,
+        P[:, epoch],
         t[::spe],
-        np.array(mus),
-        np.array(taus),
+        x_bar,
+        tau,
         np.broadcast_to(epoch[:-1], (3, t.size - 1)),
         epoch,
     )
@@ -390,21 +387,22 @@ def _stock(s0: float, h: float, drive: np.ndarray, lam: np.ndarray) -> np.ndarra
 def _guard(t, finite, P, kernel_hit) -> None:
     """Raise the typed error of the earliest unhealthy time.
 
-    At equal t a non-finite state comes first, then an error variance P_j that
-    is not positive (a discrete Kalman step with dt*P_j/R_j >= 1), then the
-    kernel denominator ``kernel_hit = (t, den)``.
+    At equal t an error variance P_j that is not positive (a discrete Kalman
+    step with dt*P_j/R_j >= 1, which at equality also turns tau_hat_j NaN)
+    comes first, then a non-finite state, then the kernel denominator
+    ``kernel_hit = (t, den)``.
     """
     found = []
     if not finite.all():
         i = int(np.argmin(finite))
         msg = f"non-finite state encountered at t={t[i]:.6g}"
-        found.append((t[i], 0, NonFiniteStateError(msg)))
+        found.append((t[i], 1, NonFiniteStateError(msg)))
     not_positive = P <= 0.0
     if not_positive.any():
         # Transposed, the first hit is the earliest t, then the lowest j.
         i, j = np.argwhere(not_positive.T)[0]
         msg = f"error variance P_{j + 1}={P[j, i]} not positive at t={t[i]:.6g}"
-        found.append((t[i], 1, UndefinedVarianceError(msg)))
+        found.append((t[i], 0, UndefinedVarianceError(msg)))
     if kernel_hit is not None:
         t_k, den = kernel_hit
         msg = f"value-slope denominator {den!r} ~ 0 at t={t_k:.6g}"

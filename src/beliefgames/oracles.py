@@ -6,13 +6,16 @@ normalizes the raw normal likelihood times the Normal-Gamma prior on a
 centred sum of squares, and zooms onto the posterior mass pass by pass.  The
 best-response search scores each constant deviation by the trapezoid sum of
 its discounted payoff along the classical RK4 recurrence of the frozen-belief
-expected dynamics, summed in closed form as geometric series.
+expected dynamics, summed in closed form as geometric series.  Under the
+discrete scheme, ``verify`` chains the standalone Euler steps over the run's
+epochs and compares the engine's closed-form columns with them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -41,10 +44,11 @@ from .kalman import (
     KalmanBelief,
     kalman_path,
     mean_closed_form,
+    step_discrete_kalman,
     variance_closed_form,
     variance_path,
 )
-from .normal_gamma import NormalGammaBelief, belief_path, closed_form_mean
+from .normal_gamma import NormalGammaBelief, belief_path, closed_form_mean, step_discrete
 from .signals import SignalTrace
 
 
@@ -236,6 +240,11 @@ def best_response_value(
     """
     if not 0 <= player < p.n:
         raise ValueError(f"player={player}: must lie in 0..{p.n - 1}")
+    if len(controls) != p.n:
+        raise ValueError(f"controls needs one entry per player, got {len(controls)}")
+    for name, value in (("t_trunc", t_trunc), ("h", h)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"{name}={value}: must be positive and finite")
     devs = np.asarray(list(deviations), dtype=float)
     if devs.size == 0:
         raise ValueError("empty deviation grid")
@@ -283,54 +292,45 @@ def best_response_value(
     )
 
 
-def _sup_rel(gap: np.ndarray, scale: np.ndarray) -> float:
-    """Largest |gap| relative to its roundoff scale; a zero gap at a zero
-    scale reads 0 and a NaN gap reads NaN."""
-    return float(np.max(np.abs(gap) / np.maximum(scale, np.finfo(float).tiny)))
-
-
-def _discrete_law_gaps(
+def _discrete_euler_gaps(
     scn: Scenario, cfg: SimConfig, traces: TraceSet, traj: Trajectory
 ) -> dict[str, float]:
-    """Gaps of a discrete run's epoch-boundary columns from three exact laws
-    of its Euler jumps, which share no arithmetic with the engine's scan.
-
-    With x_j, y_j the signals held over epoch j and k >= 1:
-
-    - x_bar_k = (mu0 (kappa0 + 1 - dt) + dt sum_{j<k} x_j) / (kappa0 + 1 + (k-1) dt),
-      since kappa_k + 1 - dt = kappa_{k-1} + 1 telescopes the mean step;
-    - tau_k / P_k = tau0 / P0 + sum_{j<k} dt y_j / (r - dt P_j), from
-      P_{k+1} = P_k (1 - dt P_k / r) and the recorded P column;
-    - 1/P_{k+1} - 1/P_k = dt / (r - dt P_k), on the P column alone.
-
-    Each gap is relative to the sum of the magnitudes of its terms, so
-    roundoff reads about machine epsilon times the epoch count at most.
-    """
+    """Gaps of a discrete run's epoch-boundary columns from ``step_discrete``
+    and ``step_discrete_kalman`` chained over the epochs, each relative to the
+    sup norm of its column; a NaN in only one of the two reads NaN.  var_mu is
+    singular at alpha = 1, which alpha0 > 1 keeps off the epoch boundaries."""
     dt = cfg.dt_signal
     rows = slice(None, None, round(dt / cfg.h_ode))  # the epoch boundaries
-    x_bar, tau, P = traj.x_bar[rows], traj.tau_bar[rows], traj.P[rows]
-    epochs = x_bar.size - 1  # that end within the horizon
-    x = traces.ecological.values[:epochs]
-    y = np.column_stack([c.values[:epochs] for c in traces.cost])
-    r, tau0, p0 = np.array(scn.r), np.array(scn.tau0), np.array(scn.p0)
+    epochs = traj.t[rows].size - 1  # that end within the horizon
 
-    den = scn.kappa0 + 1.0 + dt * np.arange(epochs)
-    head = scn.mu0 * (scn.kappa0 + 1.0 - dt)
-    mean = (head + dt * np.cumsum(x)) / den
-    mean_scale = (abs(head) + dt * np.cumsum(np.abs(x))) / den
+    def chain(step, prior, trace):
+        values = trace.values[:epochs].tolist()
+        return list(accumulate(values, lambda b, v: step(b, v, dt), initial=prior))
 
-    gain = dt / (r - dt * P[:-1])  # per unit signal, epochs 0..K-1
-    ratio = tau0 / p0 + np.cumsum(gain * y, axis=0)
-    ratio_scale = np.abs(tau0 / p0) + np.cumsum(np.abs(gain * y), axis=0)
+    prior = NormalGammaBelief(scn.mu0, scn.kappa0, scn.alpha0, scn.beta0)
+    motion = chain(step_discrete, prior, traces.ecological)
+    var_mu = [b.estimator_variance() if b.alpha > 1.0 else math.nan for b in motion]
+    payoff = [
+        chain(step_discrete_kalman, KalmanBelief(tau0, p0, r), cost)
+        for tau0, p0, r, cost in zip(scn.tau0, scn.p0, scn.r, traces.cost)
+    ]
 
-    step = 1.0 / P[1:] - 1.0 / P[:-1]
-    step_scale = 1.0 / P[1:] + 1.0 / P[:-1] + np.abs(gain)
+    def gap(observed, expected):  # each row one column of the run
+        expected = np.array(expected)
+        both = np.isnan(observed) & np.isnan(expected)
+        diff = np.abs(np.where(both, 0.0, observed - expected)).max(axis=-1)
+        scale = np.abs(np.where(both, 0.0, expected)).max(axis=-1)
+        return float(np.max(diff / np.maximum(scale, np.finfo(float).tiny)))
+
     return {
-        "discrete-mean-prefix-sum": _sup_rel(x_bar[1:] - mean, mean_scale),
-        "discrete-kalman-mean-prefix-sum": _sup_rel(
-            tau[1:] / P[1:] - ratio, ratio_scale
+        "discrete-mean-euler": gap(traj.x_bar[rows], [b.mu_hat for b in motion]),
+        "discrete-var-mu-euler": gap(traj.var_mu[rows], var_mu),
+        "discrete-kalman-mean-euler": gap(
+            traj.tau_bar[rows].T, [[b.tau_hat for b in c] for c in payoff]
         ),
-        "discrete-variance-reciprocal-step": _sup_rel(step - gain, step_scale),
+        "discrete-variance-euler": gap(
+            traj.P[rows].T, [[b.P for b in c] for c in payoff]
+        ),
     }
 
 
@@ -377,9 +377,9 @@ def closed_form_cross_check(
     """Run every closed-form oracle on the run of ``(scn, cfg, seed)``.
 
     Aggregates the belief and Kalman closed-form comparisons, the equilibrium
-    stationarity check, under the discrete scheme the exact laws of the run's
-    own Euler jumps, and the published-formula delta reports.  Each check
-    passes by its own tolerance; the deltas have none and never fail.
+    stationarity check, under the discrete scheme the run's own columns
+    against the Euler steps, and the published-formula delta reports.  Each
+    check passes by its own tolerance; the deltas have none and never fail.
     """
     checks: list[CheckResult] = []
 
@@ -432,8 +432,8 @@ def closed_form_cross_check(
 
     traj = simulate(scn, cfg, traces=traces)
     if cfg.scheme == "discrete":
-        note = "relative sup over the epochs, to the scale of the summed terms"
-        for name, observed in _discrete_law_gaps(scn, cfg, traces, traj).items():
+        note = "relative sup over the epochs, to the sup norm of the column"
+        for name, observed in _discrete_euler_gaps(scn, cfg, traces, traj).items():
             check(name, observed, 1e-9, note)
 
     # Published-formula deltas; informational, reported but never gated.

@@ -236,13 +236,29 @@ def test_equilibrium_report_contents(runner, tmp_path):
     assert np.isfinite(report["closed_form"]["control_delta_max"])
 
 
-def test_verify_passes_and_writes_report(runner, tmp_path):
+DISCRETE_CHECKS = {
+    "discrete-mean-euler",
+    "discrete-var-mu-euler",
+    "discrete-kalman-mean-euler",
+    "discrete-variance-euler",
+}
+
+
+@pytest.mark.parametrize("scheme", ["continuous", "discrete"])
+def test_verify_passes_and_writes_report(runner, tmp_path, scheme):
+    cfg = tmp_path / "scenario.ini"
+    text = default_config_text()
+    cfg.write_text(text.replace("scheme = continuous", f"scheme = {scheme}"))
     out = tmp_path / "artifacts"
-    result = runner.invoke(main, ["--out", str(out), "verify"])
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "verify"])
     assert result.exit_code == 0, result.output
     report = json.loads((out / "verification.json").read_text())
     assert report["all_passed"] is True
     assert "note" in report
+    # The Euler-step checks run, and pass, under the discrete scheme only.
+    ran = DISCRETE_CHECKS & {c["name"] for c in report["checks"]}
+    assert ran == (DISCRETE_CHECKS if scheme == "discrete" else set())
+    assert all(f"PASS {name}: " in result.output for name in ran)
     # The controls delta is taken at the run's final beliefs, not at the
     # known state, so it differs from the known-state delta.
     observed = {c["name"]: c["observed"] for c in report["checks"]}

@@ -152,8 +152,9 @@ discrete_player_prior = st.tuples(
 def test_discrete_scheme_matches_stepwise_updates(
     players, dt, ratio, epochs, mu0, kappa0, alpha0, beta0, mode, seed
 ):
-    """The discrete run's belief columns reproduce the standalone discrete
-    update operators applied per signal epoch, bit for bit."""
+    """The discrete run's belief columns stay within 1e-12 of the standalone
+    discrete update operators applied per signal epoch, relative to each
+    column's sup norm, and hold their values between epochs."""
     n = len(players)
     tau0, gain, r = (tuple(v) for v in zip(*players))
     p0 = tuple(g * r_j / dt for g, r_j in zip(gain, r))
@@ -169,28 +170,39 @@ def test_discrete_scheme_matches_stepwise_updates(
     traces = default_traces(scn, cfg, seed)
     traj = simulate(scn, cfg, traces=traces)
 
-    motion = NormalGammaBelief(mu0, kappa0, alpha0, beta0)
-    payoff = [KalmanBelief(*prior) for prior in zip(tau0, p0, r)]
-    for k in range(epochs + 1):
-        if k:
-            motion = step_discrete(motion, float(traces.ecological.values[k - 1]), dt)
-            payoff = [
-                step_discrete_kalman(b, float(tr.values[k - 1]), dt)
-                for b, tr in zip(payoff, traces.cost)
-            ]
-        i = k * ratio  # the epoch boundary
-        assert traj.x_bar[i] == motion.mu_hat
-        if motion.alpha > 1.0:
-            assert traj.var_mu[i] == motion.estimator_variance()
-        else:
-            assert np.isnan(traj.var_mu[i])
-        assert traj.tau_bar[i].tolist() == [b.tau_hat for b in payoff]
-        assert traj.P[i].tolist() == [b.P for b in payoff]
-        # Between epochs the beliefs hold their values.
-        for column in (traj.x_bar, traj.var_mu, traj.tau_bar, traj.P):
-            held = column[i : i + ratio]
-            expect = np.broadcast_to(column[i], held.shape)
-            assert np.array_equal(held, expect, equal_nan=True)
+    motion = [NormalGammaBelief(mu0, kappa0, alpha0, beta0)]
+    payoff = [[KalmanBelief(*prior)] for prior in zip(tau0, p0, r)]
+    for k in range(epochs):
+        motion.append(step_discrete(motion[-1], float(traces.ecological.values[k]), dt))
+        for chain, tr in zip(payoff, traces.cost):
+            chain.append(step_discrete_kalman(chain[-1], float(tr.values[k]), dt))
+
+    def assert_close(observed, expected):
+        expected = np.array(expected)
+        gap = np.max(np.abs(observed - expected), axis=0)
+        assert np.all(gap <= 1e-12 * np.max(np.abs(expected), axis=0))
+
+    rows = slice(None, None, ratio)  # the epoch boundaries
+    assert_close(traj.x_bar[rows], [b.mu_hat for b in motion])
+    # var_mu = beta / (kappa (alpha - 1)) is singular at alpha = 1, where the
+    # chain's accumulated alpha, a few ulps off its affine form, decides
+    # between NaN and 1e16.  So kappa and alpha are held to their affine forms
+    # first, and var_mu then checks the chain's beta.
+    k = np.arange(epochs + 1)
+    kappa, alpha = kappa0 + dt * k, alpha0 + 0.5 * dt * k
+    assert_close([b.kappa for b in motion], kappa)
+    assert_close([b.alpha for b in motion], alpha)
+    beta = np.array([b.beta for b in motion])
+    var_mu = np.full_like(beta, np.nan)
+    np.divide(beta, kappa * (alpha - 1.0), out=var_mu, where=alpha > 1.0)
+    assert np.array_equal(np.isnan(traj.var_mu[rows]), np.isnan(var_mu))
+    assert_close(np.nan_to_num(traj.var_mu[rows]), np.nan_to_num(var_mu))
+    assert_close(traj.tau_bar[rows], np.array([[b.tau_hat for b in c] for c in payoff]).T)
+    assert_close(traj.P[rows], np.array([[b.P for b in c] for c in payoff]).T)
+    # Between epochs the beliefs hold their values.
+    for column in (traj.x_bar, traj.var_mu, traj.tau_bar, traj.P):
+        held = column[: epochs * ratio].reshape(epochs, ratio, -1)
+        assert np.array_equal(held, held[:, :1].repeat(ratio, 1), equal_nan=True)
 
 
 MAX_FLOAT = 1.7976931348623157e308

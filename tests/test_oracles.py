@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import re
 import textwrap
 from dataclasses import replace
 
@@ -160,6 +161,25 @@ def test_player_out_of_range_rejected(player):
         best_response_value(p, b, [0.75, 0.75], player, [0.5], 10.0)
 
 
+@pytest.mark.parametrize(
+    "controls, t_trunc, h, message",
+    [
+        ([0.7], 10.0, 0.01, "controls needs one entry per player, got 1"),
+        ([0.7, 0.7, 5.0], 10.0, 0.01, "controls needs one entry per player, got 3"),
+        ([0.7, 0.7], -1.0, 0.01, "t_trunc=-1.0: must be positive and finite"),
+        ([0.7, 0.7], math.nan, 0.01, "t_trunc=nan: must be positive and finite"),
+        ([0.7, 0.7], 10.0, -0.01, "h=-0.01: must be positive and finite"),
+        ([0.7, 0.7], 10.0, 0.0, "h=0.0: must be positive and finite"),
+    ],
+    ids=["one-control", "phantom-player", "negative-t", "nan-t", "negative-h", "zero-h"],
+)
+def test_best_response_rejects_bad_input(controls, t_trunc, h, message):
+    p = GameParams(a=(2.0, 2.0), tau=(1.0, 1.0), delta=0.5, rho=0.25)
+    b = BeliefProfile(0.5, (1.0, 1.0))
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        best_response_value(p, b, controls, 0, [0.5], t_trunc, h=h)
+
+
 def loop_values(p, b, controls, player, devs, t_trunc, h):
     """Reference: step RK4 and the trapezoid rule one time step at a time."""
     devs = np.asarray(devs, dtype=float)
@@ -291,9 +311,10 @@ def test_check_result_pass_is_decided_by_its_tolerance():
 
 
 DISCRETE_LAWS = {
-    "discrete-mean-prefix-sum",
-    "discrete-kalman-mean-prefix-sum",
-    "discrete-variance-reciprocal-step",
+    "discrete-mean-euler",
+    "discrete-var-mu-euler",
+    "discrete-kalman-mean-euler",
+    "discrete-variance-euler",
 }
 
 
@@ -335,7 +356,7 @@ def test_discrete_laws_hold_on_the_configured_run(case):
 
 
 def mutated_discrete_path(old, new):
-    """The engine's discrete scan with one source fragment replaced."""
+    """The engine's discrete closed forms with one source fragment replaced."""
     source = textwrap.dedent(inspect.getsource(engine._discrete_path))
     assert source.count(old) == 1, old
     namespace = dict(vars(engine))
@@ -346,13 +367,17 @@ def mutated_discrete_path(old, new):
 @pytest.mark.parametrize(
     "old, new, failing",
     [
-        ("den = kappa + 1.0", "den = kappa", {"discrete-mean-prefix-sum"}),
         (
-            "P = P + dt * (-P * P / r)",
-            "P = P + dt * (P * P / r)",
-            {"discrete-kalman-mean-prefix-sum", "discrete-variance-reciprocal-step"},
+            "x_bar[1:] /= kappa[:-1] + 1.0",
+            "x_bar[1:] /= kappa[:-1]",
+            {"discrete-mean-euler", "discrete-var-mu-euler"},
         ),
-        ("(y - tau)", "(tau - y)", {"discrete-kalman-mean-prefix-sum"}),
+        (
+            "p *= 1.0 - dt * p / r_j",
+            "p *= 1.0 + dt * p / r_j",
+            {"discrete-kalman-mean-euler", "discrete-variance-euler"},
+        ),
+        ("_prefix(y, tau0, dt", "_prefix(y, tau0, -dt", {"discrete-kalman-mean-euler"}),
     ],
     ids=["mean-step-kappa", "variance-step-sign", "kalman-mean-step-sign"],
 )
