@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -530,6 +531,13 @@ class DiagnosticsWindow:
         return asdict(self)
 
 
+@lru_cache(maxsize=16)
+def _known_controls(params: GameParams, mu_true: float) -> tuple[float, ...]:
+    # They depend on the scenario alone, and a seed sweep asks for them in
+    # every window of every seed.
+    return known_state_equilibrium(params, mu_true).controls
+
+
 def window_diagnostics(
     traj: Trajectory, scn: Scenario, t_lo: float, t_hi: float
 ) -> DiagnosticsWindow:
@@ -542,7 +550,7 @@ def window_diagnostics(
     if lo >= hi or math.isnan(t_hi):
         raise ValueError(f"window [{t_lo}, {t_hi}] contains no grid points")
     window = slice(lo, hi)
-    u_known = np.array(known_state_equilibrium(scn.params, scn.mu_true).controls)
+    u_known = np.array(_known_controls(scn.params, scn.mu_true))
     tau_true = np.array(scn.params.tau)
     return DiagnosticsWindow(
         t_lo=t_lo,

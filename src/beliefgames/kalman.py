@@ -7,20 +7,21 @@ The hidden state is a constant, so the filter reduces to
 
 with measurement noise variance R.  P has the exact solution
 P(t) = P0 R / (t P0 + R): ``kalman_path`` reads P from it and integrates only
-tau_hat, and ``variance_path`` integrates P's ODE alone as the reference for
-the closed form.
+tau_hat, whose rate is affine in tau_hat, so each RK4 step is one
+multiply-add whose coefficients numpy sums from the stage gains.
+``variance_path`` integrates P's ODE alone, in the scaled unknown h P / R, as
+the reference for the closed form.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteStateError
-from .signals import SignalTrace, require_finite, step_grid
+from .signals import SignalTrace, _increment_walk, require_finite, step_grid
 
 
 @dataclass(frozen=True)
@@ -92,45 +93,50 @@ def kalman_path(
     """
     t, ys = trace.held_steps(b.t, duration, h, "kalman_path")
     t_rel = h * np.arange(ys.size)
-    tau, r, half = b.tau_hat, b.R, 0.5 * h
+    r, half = b.R, 0.5 * h
     # The gain P/R at each step's start, middle and end, with P read off the
-    # closed form; the loop reads them as raw doubles and carries tau_hat alone.
-    p_end = variance_closed_form(b.P, r, t_rel + h)
-    gains = [variance_closed_form(b.P, r, t_rel + s) / r for s in (0.0, half)]
-    tau_buf = array("d", [tau])
-    for y, g1, g2, g4 in zip(*map(memoryview, (ys, *gains, p_end / r))):
-        k1 = g1 * (y - tau)
-        k2 = g2 * (y - (tau + half * k1))
-        k3 = g2 * (y - (tau + half * k2))
-        k4 = g4 * (y - (tau + h * k3))
-        tau = tau + h * (k1 + 2.0 * (k2 + k3) + k4) / 6.0
-        tau_buf.append(tau)
-    tau_arr = np.frombuffer(tau_buf)
+    # closed form.  Each stage rate is then affine in tau_hat at the step
+    # start, p + q*tau_hat, so only the walk over the steps is a loop.
+    # A gain past the float range runs on to the finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_end = variance_closed_form(b.P, r, t_rel + h)
+        g1, g2 = (variance_closed_form(b.P, r, t_rel + s) / r for s in (0.0, half))
+        g4 = p_end / r
+        p1, q1 = g1 * ys, -g1
+        p2, q2 = g2 * (ys - half * p1), -g2 * (1.0 + half * q1)
+        p3, q3 = g2 * (ys - half * p2), -g2 * (1.0 + half * q2)
+        p4, q4 = g4 * (ys - h * p3), -g4 * (1.0 + h * q3)
+        tau_arr = _increment_walk(b.tau_hat, h, (p1, p2, p3, p4), (q1, q2, q3, q4))
     p_arr = np.concatenate(([b.P], p_end))
     require_finite(t, "Kalman state", tau_arr, p_arr)
     return KalmanPath(t=t, tau_hat=tau_arr, P=p_arr)
 
 
 def variance_path(b: KalmanBelief, duration: float, h: float) -> np.ndarray:
-    """Integrate P' = -P^2/R over ``duration`` by RK4: the reference for
-    :func:`variance_closed_form`, on the grid ``b.t + i*h``.
+    """Integrate P' = -P^2/R over ``duration`` by RK4 in w = h*P/R: the
+    reference for :func:`variance_closed_form`, on the grid ``b.t + i*h``.
 
     ``h`` must divide the duration.  A non-finite P raises
     :class:`NonFiniteStateError` naming its first grid time.
     """
     t = step_grid(b.t, duration, h, "variance_path")
-    p, r, half = b.P, b.R, 0.5 * h
-    p_buf = array("d", [p])
-    for _ in range(t.size - 1):
-        k1 = -p * p / r
-        q = p + half * k1
-        k2 = -q * q / r
-        q = p + half * k2
-        k3 = -q * q / r
-        q = p + h * k3
-        k4 = -q * q / r
-        p = p + h * (k1 + 2.0 * (k2 + k3) + k4) / 6.0
-        p_buf.append(p)
-    p_arr = np.frombuffer(p_buf)
+    # In w = h*P/R the ODE reads w' = -w^2/h, so each RK4 stage slope times h
+    # is the square of its stage value; P = w*R/h on the way out.
+
+    def walk(w):
+        yield w
+        for _ in range(t.size - 1):
+            k1 = w * w
+            v = w - 0.5 * k1
+            k2 = v * v
+            v = w - 0.5 * k2
+            k3 = v * v
+            v = w - k3
+            w = w - (k1 + 2.0 * (k2 + k3) + v * v) / 6.0
+            yield w
+
+    with np.errstate(over="ignore"):
+        p_arr = np.fromiter(walk(h * b.P / b.R), float, t.size)
+        p_arr *= b.R / h
     require_finite(t, "Kalman state", p_arr)
     return p_arr

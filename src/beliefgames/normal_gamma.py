@@ -11,7 +11,10 @@ updating they evolve by the ODE system
 
 driven by the held signal x(t).  kappa and alpha are affine in time and are
 always propagated in closed form; mu_hat and beta are integrated with a
-fixed-step classical fourth-order scheme.  The discrete counterpart is one
+fixed-step classical fourth-order scheme.  mu_hat's rate is affine in
+mu_hat, so each of its steps is one multiply-add whose coefficients numpy
+sums from the stages; beta never feeds back and follows from the recorded
+mu_hat.  The discrete counterpart is one
 explicit-Euler application of the same rates scaled by dt, which at dt = 1
 reduces to the single-observation conjugate update.
 """
@@ -19,13 +22,12 @@ reduces to the single-observation conjugate update.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteStateError, UndefinedVarianceError
-from .signals import SignalTrace, require_finite
+from .signals import SignalTrace, _increment_walk, require_finite
 
 
 @dataclass(frozen=True)
@@ -119,18 +121,16 @@ def belief_path(
     k1 = b.kappa + np.arange(xs.size) * h
     k2, k4 = k1 + half, k1 + h
     d1, d2, d4 = k1 + 1.0, k2 + 1.0, k4 + 1.0
-    # beta never feeds back, so the loop steps mu_hat alone, on raw doubles.
-    mu = b.mu_hat
-    mu_buf = array("d", [mu])
-    for x, c1, c2, c4 in zip(*map(memoryview, (xs, d1, d2, d4))):
-        m1 = (x - mu) / c1
-        m2 = (x - (mu + half * m1)) / c2
-        m3 = (x - (mu + half * m2)) / c2
-        m4 = (x - (mu + h * m3)) / c4
-        mu = mu + h * (m1 + 2.0 * (m2 + m3) + m4) / 6.0
-        mu_buf.append(mu)
-    mu_arr = np.frombuffer(mu_buf)
-    # beta's stage rates from mu_hat at each step start, in the loop's arithmetic.
+    # Each stage rate of mu_hat is affine in mu_hat at the step start,
+    # p + q*mu_hat, so only the walk over the steps is a loop; beta never
+    # feeds back.
+    p1, q1 = xs / d1, -1.0 / d1
+    p2, q2 = (xs - half * p1) / d2, -(1.0 + half * q1) / d2
+    p3, q3 = (xs - half * p2) / d2, -(1.0 + half * q2) / d2
+    p4, q4 = (xs - h * p3) / d4, -(1.0 + h * q3) / d4
+    mu_arr = _increment_walk(b.mu_hat, h, (p1, p2, p3, p4), (q1, q2, q3, q4))
+    del p1, q1, p2, q2, p3, q3, p4, q4  # before beta's grid-long arrays
+    # beta's stage rates from mu_hat at each step start.
     mu_start = mu_arr[:-1]
     with np.errstate(over="ignore", invalid="ignore"):
         e = xs - mu_start

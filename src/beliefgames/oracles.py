@@ -297,8 +297,7 @@ def _discrete_euler_gaps(
 ) -> dict[str, float]:
     """Gaps of a discrete run's epoch-boundary columns from ``step_discrete``
     and ``step_discrete_kalman`` chained over the epochs, each relative to the
-    sup norm of its column; a NaN in only one of the two reads NaN.  var_mu is
-    singular at alpha = 1, which alpha0 > 1 keeps off the epoch boundaries."""
+    sup norm of its column; a NaN in only one of the two reads NaN."""
     dt = cfg.dt_signal
     rows = slice(None, None, round(dt / cfg.h_ode))  # the epoch boundaries
     epochs = traj.t[rows].size - 1  # that end within the horizon
@@ -309,7 +308,15 @@ def _discrete_euler_gaps(
 
     prior = NormalGammaBelief(scn.mu0, scn.kappa0, scn.alpha0, scn.beta0)
     motion = chain(step_discrete, prior, traces.ecological)
-    var_mu = [b.estimator_variance() if b.alpha > 1.0 else math.nan for b in motion]
+    # var_mu = beta / (kappa (alpha - 1)) is singular at alpha = 1, where the
+    # chain's accumulated alpha, a few ulps off alpha0 + k dt/2, decides between
+    # NaN and 1e16.  So it reads the chain's beta at the epoch's affine kappa
+    # and alpha.
+    k = np.arange(epochs + 1)
+    kappa, alpha = scn.kappa0 + dt * k, scn.alpha0 + 0.5 * dt * k
+    var_mu = np.full(k.size, np.nan)
+    beta = np.array([b.beta for b in motion])
+    np.divide(beta, kappa * (alpha - 1.0), out=var_mu, where=alpha > 1.0)
     payoff = [
         chain(step_discrete_kalman, KalmanBelief(tau0, p0, r), cost)
         for tau0, p0, r, cost in zip(scn.tau0, scn.p0, scn.r, traces.cost)

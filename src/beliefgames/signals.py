@@ -165,6 +165,32 @@ def require_finite(t: np.ndarray, what: str, *columns: np.ndarray) -> None:
         raise NonFiniteStateError(f"non-finite {what} at t={float(t[bad[0]])!r}")
 
 
+def _increment_walk(s0: float, h: float, p, q) -> np.ndarray:
+    """``[s0, s1, ...]``: the RK4 steps of an ODE that is affine in its state,
+    whose four stage slopes in step i are p[k][i] + q[k][i] * s_i.
+
+    The slopes sum to d_i s_i + b_i with d = h (q1 + 2 (q2 + q3) + q4) / 6 and
+    b the same sum of the p's, taken in place in ``q[1]`` and ``p[1]``.  Each
+    step is then s + (d_i s + b_i): the gain form (1 + d_i) s_i + b_i would
+    round d_i against 1 on every step.
+    """
+    for k1, k2, k3, k4 in (p, q):
+        k2 += k3
+        k2 *= 2.0
+        k2 += k1
+        k2 += k4
+        k2 *= h
+        k2 /= 6.0
+
+    def walk(s):
+        yield s
+        for d_i, b_i in zip(memoryview(q[1]), memoryview(p[1])):
+            s = s + (d_i * s + b_i)
+            yield s
+
+    return np.fromiter(walk(s0), float, q[1].size + 1)
+
+
 def _step_count(total: float, step: float, what: str) -> int:
     """Number of steps of size ``step`` in ``total``.  Raises ValueError unless
     ``step`` is positive and divides ``total``; only a zero total gives 0."""

@@ -231,9 +231,9 @@ def swinging(first=0):
 def test_discrete_scan_hazards_raise_typed_errors_at_their_time(
     two_player_params, eco, cost, p0, r, error, what, t
 ):
-    """The Python-float scan lets overflow and a non-positive P run on to the
-    guard pass, which names the earliest bad time; no ZeroDivisionError or
-    OverflowError escapes it."""
+    """The discrete closed forms and the P recursion let overflow and a
+    non-positive P run on to the guard pass, which names the earliest bad
+    time; no ZeroDivisionError or OverflowError escapes it."""
     eco_tr = SignalTrace(0.0, 0.02, np.full(500, 0.5) if eco is None else eco)
     cost_tr = SignalTrace(0.0, 0.02, np.full(500, 0.7) if cost is None else cost)
     traces = TraceSet(eco_tr, (cost_tr, constant_traces(1, 0.02, 500).cost[0]))
@@ -354,6 +354,18 @@ def test_perfect_information_diagnostics_are_zero(two_player_params):
     assert diag.var_mu == 0.0
     assert diag.control_gap <= 1e-12
     assert diag.p_max <= 1e-30
+
+
+def test_window_diagnostics_solve_the_known_state_of_each_scenario(two_player_scenario):
+    traj = simulate(two_player_scenario, SimConfig(horizon=5.0), seed=2)
+    gaps = {}
+    for mu_true in (0.5, 0.6, 0.5):
+        scn = replace(two_player_scenario, mu_true=mu_true)
+        known = known_state_equilibrium(scn.params, mu_true).controls
+        gap = window_diagnostics(traj, scn, 2.5, 5.0).control_gap
+        assert gap == float(np.max(np.abs(traj.u[traj.t >= 2.5 - 1e-12] - known)))
+        gaps.setdefault(mu_true, gap)
+    assert gaps[0.5] != gaps[0.6]
 
 
 def test_window_diagnostics_tail_beats_midrun(two_player_scenario):

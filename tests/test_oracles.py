@@ -284,6 +284,39 @@ def test_cross_check_fault_injection_fails_foc(monkeypatch):
     assert failing == {"equilibrium-foc"}
 
 
+@pytest.mark.parametrize(
+    "name, fault, failing",
+    [
+        (
+            "closed_form_mean",
+            lambda f: lambda trace, mu0, kappa0, t: (
+                (trace.integral(0.0, t) + mu0 * kappa0) / (kappa0 + t)
+            ),
+            "motion-mean-closed-form",
+        ),
+        (
+            "mean_closed_form",
+            lambda f: lambda trace, p0, r, t: f(trace, 1.01 * p0, r, t),
+            "kalman-mean-closed-form",
+        ),
+        (
+            "variance_closed_form",
+            lambda f: lambda p0, r, elapsed: f(1.01 * p0, r, elapsed),
+            "kalman-variance-closed-form",
+        ),
+    ],
+    ids=["motion-mean", "kalman-mean", "kalman-variance"],
+)
+def test_cross_check_fault_injection_fails_its_reference_check(
+    monkeypatch, name, fault, failing
+):
+    # The RK4 references do not read these closed forms, so only the one
+    # check built on the faulty closed form fails.
+    monkeypatch.setattr(oracles, name, fault(getattr(oracles, name)))
+    report = closed_form_cross_check(*default_case())
+    assert {c.name for c in report.checks if not c.passed} == {failing}
+
+
 def test_cross_check_report_round_trips_to_json():
     report = closed_form_cross_check(*default_case())
     back = json.loads(json.dumps(report.as_dict()))
@@ -341,8 +374,14 @@ def five_player_case(**sim):
         five_player_case(),
         # h = dt/5, and the horizon ends 0.06 into an epoch.
         five_player_case(dt_signal=0.1, h_ode=0.02, horizon=20.06),
+        # alpha_k = 0.5 + 0.05 k lands on 1 at k = 10, where var_mu is NaN.
+        (
+            replace(default_case()[0], alpha0=0.5),
+            replace(default_case()[1], dt_signal=0.1, h_ode=0.1, horizon=2.0),
+            3,
+        ),
     ],
-    ids=["default", "five-players", "five-players-partial-epoch"],
+    ids=["default", "five-players", "five-players-partial-epoch", "alpha-lands-on-one"],
 )
 def test_discrete_laws_hold_on_the_configured_run(case):
     scn, sim, seed = case
