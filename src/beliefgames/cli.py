@@ -1,8 +1,13 @@
-"""Command-line entry points: gen-traces, simulate, compare-dt, equilibrium, verify."""
+"""Command-line entry points: gen-traces, simulate, compare-dt, equilibrium, verify.
+
+Commands echo to ``sys.stdout`` by name: click's default stream, cached per
+``sys.stdout`` as its own weak key's value, would keep each replaced one alive.
+"""
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import astuple
 from pathlib import Path
 
@@ -73,7 +78,7 @@ def cmd_gen_traces(load):
     paths = _trace_paths(out, cfg.scenario.params.n)
     for path, trace in zip(paths, (traces.ecological, *traces.cost)):
         save_trace(trace, path)
-        click.echo(f"wrote {path}")
+        click.echo(f"wrote {path}", file=sys.stdout)
 
 
 @main.command("simulate")
@@ -105,7 +110,7 @@ def cmd_simulate(load, dt, horizon, scheme, traces_dir):
         traj = simulate(cfg.scenario, cfg.sim, seed=cfg.seed)
     path = out / "trajectory.csv"
     traj.to_csv(path)
-    click.echo(f"wrote {path} ({traj.t.size} grid points)")
+    click.echo(f"wrote {path} ({traj.t.size} grid points)", file=sys.stdout)
 
 
 @main.command("compare-dt")
@@ -125,7 +130,7 @@ def cmd_compare_dt(load, dt_list):
     path = _out_dir(cfg) / "dt_gaps.csv"
     head = ["dt,gap_x_bar,gap_tau_bar,gap_u,gap_S"]
     _write_csv(path, head, [astuple(r) for r in rows])
-    click.echo(f"wrote {path}")
+    click.echo(f"wrote {path}", file=sys.stdout)
 
 
 @main.command("equilibrium")
@@ -138,7 +143,7 @@ def cmd_equilibrium(load):
     report = equilibrium_report(scn.params, beliefs, mu_true=scn.mu_true)
     path = _out_dir(cfg) / "equilibrium.json"
     _write_json(path, {**report, "note": _NOTE})
-    click.echo(f"wrote {path}")
+    click.echo(f"wrote {path}", file=sys.stdout)
 
 
 @main.command("verify")
@@ -151,8 +156,9 @@ def cmd_verify(load):
     _write_json(path, {**report.as_dict(), "note": _NOTE})
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
-        click.echo(f"{status} {check.name}: observed={check.observed:.3g}")
-    click.echo(f"wrote {path}")
+        line = f"{status} {check.name}: observed={check.observed:.3g}"
+        click.echo(line, file=sys.stdout)
+    click.echo(f"wrote {path}", file=sys.stdout)
     if not report.all_passed:
         raise click.ClickException("verification failed")
 

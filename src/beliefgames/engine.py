@@ -150,9 +150,9 @@ class TraceSet:
     cost: tuple[SignalTrace, ...]
 
 
-def default_traces(scn: Scenario, cfg: SimConfig, seed: TraceSeed | int) -> TraceSet:
+def default_traces(scn: Scenario, cfg: SimConfig, seed: int) -> TraceSet:
     """Seeded traces for one run; stream 0 is ecological, stream j+1 is cost j."""
-    base = seed.seed if isinstance(seed, TraceSeed) else int(seed)
+    base = int(seed)
     eco = sample_ecological_trace(
         scn.mu_true,
         scn.sigma,
@@ -229,7 +229,7 @@ def simulate(
     scn: Scenario,
     cfg: SimConfig,
     traces: TraceSet | None = None,
-    seed: TraceSeed | int | None = None,
+    seed: int | None = None,
 ) -> Trajectory:
     """Advance the coupled system over the horizon.
 
@@ -475,7 +475,7 @@ def compare_schemes(
     scn: Scenario,
     cfg: SimConfig,
     dt_list: list[float],
-    seed: TraceSeed | int,
+    seed: int,
 ) -> list[SchemeGap]:
     """Run both schemes per dt on signals subsampled from one fine trace.
 

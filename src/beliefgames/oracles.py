@@ -6,9 +6,9 @@ normalizes the raw normal likelihood times the Normal-Gamma prior on a
 centred sum of squares, and zooms onto the posterior mass pass by pass.  The
 best-response search scores each constant deviation by the trapezoid sum of
 its discounted payoff along the classical RK4 recurrence of the frozen-belief
-expected dynamics, summed in closed form as geometric series.  Under the
-discrete scheme, ``verify`` chains the standalone Euler steps over the run's
-epochs and compares the engine's closed-form columns with them.
+expected dynamics, summed in closed form as geometric series.  ``verify``
+holds the configured run's own belief columns to RK4 integrations of the
+belief ODEs (continuous scheme) or to chained Euler steps (discrete scheme).
 """
 
 from __future__ import annotations
@@ -40,15 +40,8 @@ from .equilibrium import (
     value_slope,
 )
 from .errors import GridUnderflowError
-from .kalman import (
-    KalmanBelief,
-    kalman_path,
-    mean_closed_form,
-    step_discrete_kalman,
-    variance_closed_form,
-    variance_path,
-)
-from .normal_gamma import NormalGammaBelief, belief_path, closed_form_mean, step_discrete
+from .kalman import KalmanBelief, kalman_path, step_discrete_kalman, variance_path
+from .normal_gamma import NormalGammaBelief, belief_path, step_discrete
 from .signals import SignalTrace
 
 
@@ -131,11 +124,17 @@ def _wide_grid(xs: np.ndarray, prior: NormalGammaBelief, n_mu, n_lam) -> BayesGr
     if xs.size:
         centre_lo = min(prior.mu_hat, float(xs.min()))
         centre_hi = max(prior.mu_hat, float(xs.max()))
-        s = float(xs.std()) if xs.size > 1 else prior_mu_sd
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            s = float(xs.std()) if xs.size > 1 else prior_mu_sd
     else:
         centre_lo = centre_hi = prior.mu_hat
         s = prior_mu_sd
     spread = 8.0 * max(s, prior_mu_sd, 1e-8)
+    # Every squared residual on the grid is at most the window's width squared.
+    width = centre_hi - centre_lo + 2.0 * spread
+    if not math.isfinite(width * width):
+        msg = "the observations' spread overflows: squared residuals on a grid window"
+        raise GridUnderflowError(f"{msg} {width:.3g} wide exceed the float range")
     lam_hi = 8.0 * max(prior_lam_mean, 1.0 / max(s * s, 1e-12))
     return BayesGrid(
         mu_lo=centre_lo - spread,
@@ -292,12 +291,54 @@ def best_response_value(
     )
 
 
-def _discrete_euler_gaps(
+def _gap(observed, expected) -> float:
+    """Largest gap of the run's columns from the expected ones (one per row),
+    relative to each column's sup norm; a NaN in only one of the two is NaN."""
+    expected = np.array(expected)
+    both = np.isnan(observed) & np.isnan(expected)
+    diff = np.abs(np.where(both, 0.0, observed - expected)).max(axis=-1)
+    scale = np.abs(np.where(both, 0.0, expected)).max(axis=-1)
+    return float(np.max(diff / np.maximum(scale, np.finfo(float).tiny)))
+
+
+def _var_mu(scn: Scenario, beta: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """A reference's beta over kappa (alpha - 1) at the run's affine kappa0 + t
+    and alpha0 + t/2, NaN where alpha <= 1.  var_mu is singular at alpha = 1,
+    where the reference's own alpha, a few ulps off, would decide between NaN
+    and 1e16."""
+    alpha = scn.alpha0 + 0.5 * t
+    var_mu = np.full(t.shape, np.nan)
+    np.divide(beta, (scn.kappa0 + t) * (alpha - 1.0), out=var_mu, where=alpha > 1.0)
+    return var_mu
+
+
+def _continuous_reference(
     scn: Scenario, cfg: SimConfig, traces: TraceSet, traj: Trajectory
-) -> dict[str, float]:
-    """Gaps of a discrete run's epoch-boundary columns from ``step_discrete``
-    and ``step_discrete_kalman`` chained over the epochs, each relative to the
-    sup norm of its column; a NaN in only one of the two reads NaN."""
+) -> tuple:
+    """``belief_path``, ``kalman_path`` and ``variance_path`` from the
+    configured priors, player 1's for the Kalman filter, at every grid point."""
+    # The largest step that divides h_ode, and so the hold interval and the
+    # horizon, with h <= 1e-3 and h P0/R <= 0.01, as RK4's error in P is about
+    # (h P0/R)^4 / 200 of P0; it stops refining at 1e-5, where a gap may fail.
+    h_max = max(1e-5, min(1e-3, 0.01 * scn.r[0] / scn.p0[0]))
+    per_step = max(1, math.ceil(cfg.h_ode / h_max - 1e-9))
+    h, rows = cfg.h_ode / per_step, slice(None, None, per_step)
+    prior = NormalGammaBelief(scn.mu0, scn.kappa0, scn.alpha0, scn.beta0)
+    # Copies, so that each walk's grid-long arrays are freed before the next.
+    path = belief_path(prior, traces.ecological, cfg.horizon, h)
+    mu_hat, beta = path.mu_hat[rows].copy(), path.beta[rows].copy()
+    del path
+    kb = KalmanBelief(scn.tau0[0], scn.p0[0], scn.r[0])
+    tau_hat = kalman_path(kb, traces.cost[0], cfg.horizon, h).tau_hat[rows].copy()
+    P = variance_path(kb, cfg.horizon, h)[rows]
+    return slice(None), traj.t, mu_hat, beta, [tau_hat], [P]
+
+
+def _discrete_reference(
+    scn: Scenario, cfg: SimConfig, traces: TraceSet, traj: Trajectory
+) -> tuple:
+    """``step_discrete`` and ``step_discrete_kalman`` chained over the epochs
+    from the configured priors, every player's, at the epoch boundaries."""
     dt = cfg.dt_signal
     rows = slice(None, None, round(dt / cfg.h_ode))  # the epoch boundaries
     epochs = traj.t[rows].size - 1  # that end within the horizon
@@ -308,37 +349,18 @@ def _discrete_euler_gaps(
 
     prior = NormalGammaBelief(scn.mu0, scn.kappa0, scn.alpha0, scn.beta0)
     motion = chain(step_discrete, prior, traces.ecological)
-    # var_mu = beta / (kappa (alpha - 1)) is singular at alpha = 1, where the
-    # chain's accumulated alpha, a few ulps off alpha0 + k dt/2, decides between
-    # NaN and 1e16.  So it reads the chain's beta at the epoch's affine kappa
-    # and alpha.
-    k = np.arange(epochs + 1)
-    kappa, alpha = scn.kappa0 + dt * k, scn.alpha0 + 0.5 * dt * k
-    var_mu = np.full(k.size, np.nan)
-    beta = np.array([b.beta for b in motion])
-    np.divide(beta, kappa * (alpha - 1.0), out=var_mu, where=alpha > 1.0)
     payoff = [
         chain(step_discrete_kalman, KalmanBelief(tau0, p0, r), cost)
         for tau0, p0, r, cost in zip(scn.tau0, scn.p0, scn.r, traces.cost)
     ]
-
-    def gap(observed, expected):  # each row one column of the run
-        expected = np.array(expected)
-        both = np.isnan(observed) & np.isnan(expected)
-        diff = np.abs(np.where(both, 0.0, observed - expected)).max(axis=-1)
-        scale = np.abs(np.where(both, 0.0, expected)).max(axis=-1)
-        return float(np.max(diff / np.maximum(scale, np.finfo(float).tiny)))
-
-    return {
-        "discrete-mean-euler": gap(traj.x_bar[rows], [b.mu_hat for b in motion]),
-        "discrete-var-mu-euler": gap(traj.var_mu[rows], var_mu),
-        "discrete-kalman-mean-euler": gap(
-            traj.tau_bar[rows].T, [[b.tau_hat for b in c] for c in payoff]
-        ),
-        "discrete-variance-euler": gap(
-            traj.P[rows].T, [[b.P for b in c] for c in payoff]
-        ),
-    }
+    return (
+        rows,
+        dt * np.arange(epochs + 1),
+        [b.mu_hat for b in motion],
+        np.array([b.beta for b in motion]),
+        [[b.tau_hat for b in c] for c in payoff],
+        [[b.P for b in c] for c in payoff],
+    )
 
 
 @dataclass(frozen=True)
@@ -381,12 +403,14 @@ class VerificationReport:
 def closed_form_cross_check(
     scn: Scenario, cfg: SimConfig, seed: int
 ) -> VerificationReport:
-    """Run every closed-form oracle on the run of ``(scn, cfg, seed)``.
+    """Run every oracle on the run of ``(scn, cfg, seed)``.
 
-    Aggregates the belief and Kalman closed-form comparisons, the equilibrium
-    stationarity check, under the discrete scheme the run's own columns
-    against the Euler steps, and the published-formula delta reports.  Each
-    check passes by its own tolerance; the deltas have none and never fail.
+    The equilibrium stationarity check; the run's own x_bar, var_mu, tau_hat
+    and P columns against its scheme's reference from the configured priors,
+    as the checks ``<scheme>-{mean,var-mu,kalman-mean,variance}-<method>``
+    (RK4 integrators under the continuous scheme, chained Euler steps under
+    the discrete one); and the published-formula delta reports.  Each check
+    passes by its own tolerance; the deltas have none and never fail.
     """
     checks: list[CheckResult] = []
 
@@ -396,39 +420,7 @@ def closed_form_cross_check(
         checks.append(CheckResult(name, tolerance, observed, note))
 
     traces = default_traces(scn, cfg, seed)
-    eco, cost = traces.ecological, traces.cost[0]
-    # Largest step <= 1e-3 that divides h_ode, and with it the hold
-    # interval and the horizon, both of which h_ode divides.
-    h = cfg.h_ode / max(1, math.ceil(cfg.h_ode / 1e-3 - 1e-9))
-
-    # Mean estimate vs its closed form over the whole grid (zero-mean
-    # prior, where the printed constant matches the ODE initial condition).
-    prior = NormalGammaBelief(0.0, scn.kappa0, scn.alpha0, scn.beta0)
-    path = belief_path(prior, eco, cfg.horizon, h)
-    cf = closed_form_mean(eco, 0.0, scn.kappa0, path.t)
-    rel = np.abs(path.mu_hat - cf) / np.maximum(np.abs(cf), 1e-12)
-    note = "relative sup over the grid, zero-mean prior"
-    check("motion-mean-closed-form", float(rel.max()), 1e-8, note)
-
-    # kappa/alpha affinity.
-    aff = max(
-        float(np.max(np.abs(path.kappa - (scn.kappa0 + path.t)))),
-        float(np.max(np.abs(path.alpha - (scn.alpha0 + 0.5 * path.t)))),
-    )
-    check("motion-affine-hyperparams", aff, 1e-12)
-    del path, cf, rel  # free the grid-long arrays before the Kalman paths and the run
-
-    # Kalman variance: ODE integration vs the exact solution.
-    kb = KalmanBelief(0.0, scn.p0[0], scn.r[0])
-    p_ode = float(variance_path(kb, cfg.horizon, h)[-1])
-    p_exact = variance_closed_form(kb.P, kb.R, cfg.horizon)
-    check("kalman-variance-closed-form", abs(p_ode - p_exact) / p_exact, 1e-6)
-
-    # Kalman mean closed form (valid for a zero initial estimate).
-    tau_hat = float(kalman_path(kb, cost, cfg.horizon, h).tau_hat[-1])
-    tau_cf = mean_closed_form(cost, kb.P, kb.R, cfg.horizon)
-    tau_gap = abs(tau_hat - tau_cf) / max(abs(tau_cf), 1e-12)
-    check("kalman-mean-closed-form", tau_gap, 1e-8, "zero initial estimate")
+    traj = simulate(scn, cfg, traces=traces)
 
     # Stationarity of the solved equilibrium at converged beliefs.
     params, mu = scn.params, scn.mu_true
@@ -437,11 +429,21 @@ def closed_form_cross_check(
     res = foc_residual(params, beliefs, sol.f1, sol.f2, sol.value_slopes)
     check("equilibrium-foc", res, 1e-9)
 
-    traj = simulate(scn, cfg, traces=traces)
     if cfg.scheme == "discrete":
-        note = "relative sup over the epochs, to the sup norm of the column"
-        for name, observed in _discrete_euler_gaps(scn, cfg, traces, traj).items():
-            check(name, observed, 1e-9, note)
+        reference, method, over = _discrete_reference, "euler", "the epochs"
+    else:
+        reference, method, over = _continuous_reference, "rk4", "the grid"
+    # The run's rows it covers, their times, and its columns for len(P) players.
+    rows, t, mu_hat, beta, tau_hat, P = reference(scn, cfg, traces, traj)
+    gaps = {
+        "mean": _gap(traj.x_bar[rows], mu_hat),
+        "var-mu": _gap(traj.var_mu[rows], _var_mu(scn, beta, t)),
+        "kalman-mean": _gap(traj.tau_bar[rows, : len(P)].T, tau_hat),
+        "variance": _gap(traj.P[rows, : len(P)].T, P),
+    }
+    note = f"relative sup over {over}, to the sup norm of the column"
+    for law, observed in gaps.items():
+        check(f"{cfg.scheme}-{law}-{method}", observed, 1e-9, note)
 
     # Published-formula deltas; informational, reported but never gated.
     # Controls at the run's final beliefs; the known state is the last row.

@@ -86,30 +86,22 @@ class SignalTrace:
         tol = _BOUNDARY_EPS * self.dt
         return self.t0 - tol <= t_lo and t_hi <= self.end + tol
 
-    def index_at(self, s):
-        """Hold-interval index of time(s) ``s``; raises outside [t0, end)."""
-        s = np.asarray(s, dtype=float)
-        u = (s - self.t0) / self.dt
-        outside = np.flatnonzero(~((u >= -_BOUNDARY_EPS) & (s < self.end)))
-        if outside.size:
-            raise TraceCoverageError(
-                f"time {float(s.flat[outside[0]])!r} outside trace coverage "
-                f"[{self.t0!r}, {self.end!r})"
-            )
-        k = np.minimum(np.floor(u + _BOUNDARY_EPS), len(self) - 1).astype(int)
-        return int(k) if k.ndim == 0 else k
-
     def held_steps(self, t_start: float, duration: float, h: float, what: str):
         """The grid ``t_start + i*h`` over ``duration`` and the value held over
-        each step; ``h`` must divide the duration and the hold interval."""
+        each step; ``h`` must divide the duration, the hold interval and the
+        offset ``t_start - t0``, so every step lies within one hold interval."""
         t = step_grid(t_start, duration, h, what)
-        _step_count(self.dt, h, f"{what} hold interval")
+        per_value = _step_count(self.dt, h, f"{what} hold interval")
         if not self.covers(t_start, t_start + duration):
             raise TraceCoverageError(
                 f"trace [{self.t0!r}, {self.end!r}) does not cover the update "
                 f"window [{t_start!r}, {t_start + duration!r}]"
             )
-        return t, self.values[self.index_at(t[:-1] + 0.5 * h)]
+        offset = t_start - self.t0
+        if abs(offset) <= _BOUNDARY_EPS * self.dt:  # covers()'s tolerance
+            offset = 0.0
+        k0 = _step_count(offset, h, f"{what} start offset from t0")
+        return t, self.values[(k0 + np.arange(t.size - 1)) // per_value]
 
     def integral(self, t_lo: float, t_hi):
         """Exact integral of the step function over [t_lo, t_hi], for one or an
@@ -126,8 +118,7 @@ class SignalTrace:
         return self._position(hi) - self._position(t_lo)
 
     def _position(self, s):
-        # Antiderivative of the step function, valid on the closed interval
-        # [t0, end]; the right endpoint is reachable here (unlike index_at).
+        # Antiderivative of the step function, valid on the closed interval [t0, end].
         s = np.asarray(s, dtype=float)
         k = np.floor((s - self.t0) / self.dt + _BOUNDARY_EPS)
         kc = np.clip(k, 0, len(self) - 1).astype(int)

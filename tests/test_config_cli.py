@@ -1,8 +1,12 @@
+import gc
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -236,11 +240,19 @@ def test_equilibrium_report_contents(runner, tmp_path):
     assert np.isfinite(report["closed_form"]["control_delta_max"])
 
 
-DISCRETE_CHECKS = {
-    "discrete-mean-euler",
-    "discrete-var-mu-euler",
-    "discrete-kalman-mean-euler",
-    "discrete-variance-euler",
+SCHEME_CHECKS = {
+    "continuous": {
+        "continuous-mean-rk4",
+        "continuous-var-mu-rk4",
+        "continuous-kalman-mean-rk4",
+        "continuous-variance-rk4",
+    },
+    "discrete": {
+        "discrete-mean-euler",
+        "discrete-var-mu-euler",
+        "discrete-kalman-mean-euler",
+        "discrete-variance-euler",
+    },
 }
 
 
@@ -255,9 +267,10 @@ def test_verify_passes_and_writes_report(runner, tmp_path, scheme):
     report = json.loads((out / "verification.json").read_text())
     assert report["all_passed"] is True
     assert "note" in report
-    # The Euler-step checks run, and pass, under the discrete scheme only.
-    ran = DISCRETE_CHECKS & {c["name"] for c in report["checks"]}
-    assert ran == (DISCRETE_CHECKS if scheme == "discrete" else set())
+    # Each scheme's four checks of the run run, and pass, under that scheme only.
+    every = SCHEME_CHECKS["continuous"] | SCHEME_CHECKS["discrete"]
+    ran = every & {c["name"] for c in report["checks"]}
+    assert ran == SCHEME_CHECKS[scheme]
     assert all(f"PASS {name}: " in result.output for name in ran)
     # The controls delta is taken at the run's final beliefs, not at the
     # known state, so it differs from the known-state delta.
@@ -356,3 +369,22 @@ def test_verify_accepts_every_step_that_simulate_accepts(runner, tmp_path):
         result = runner.invoke(main, ["--config", str(cfg), "--out", str(out), command])
         assert result.exit_code == 0, result.output
     assert result.output.count("PASS ") == 8
+
+
+def test_in_process_commands_free_the_stdout_they_wrote_to(tmp_path):
+    # Six calls under redirect_stdout, as a host that captures each command's
+    # output does; every sink must be collectable once its call returns.
+    sinks = []
+    for i in range(6):
+        sink, out = io.StringIO(), tmp_path / f"run{i}"
+        with redirect_stdout(sink):
+            main.main(
+                args=["--out", str(out), "equilibrium"],
+                prog_name="beliefgames",
+                standalone_mode=False,
+            )
+        assert sink.getvalue() == f"wrote {out / 'equilibrium.json'}\n"
+        sinks.append(weakref.ref(sink))
+        del sink
+    gc.collect()
+    assert [ref() for ref in sinks] == [None] * 6

@@ -18,6 +18,7 @@ from beliefgames import (
     SimConfig,
     SingularSystemError,
     TraceCoverageError,
+    TraceSeed,
     TraceSet,
     Trajectory,
     UndefinedVarianceError,
@@ -72,6 +73,17 @@ def test_requires_exactly_one_signal_source(two_player_scenario, base_config):
     traces = default_traces(two_player_scenario, base_config, 7)
     with pytest.raises(ValueError):
         simulate(two_player_scenario, base_config, traces=traces, seed=7)
+
+
+def test_seeds_are_plain_integers(two_player_scenario, base_config):
+    # A TraceSeed's stream would be dropped: each run draws its own streams.
+    seed = TraceSeed(5, 3)
+    with pytest.raises(TypeError):
+        simulate(two_player_scenario, base_config, seed=seed)
+    with pytest.raises(TypeError):
+        default_traces(two_player_scenario, base_config, seed)
+    with pytest.raises(TypeError):
+        compare_schemes(two_player_scenario, base_config, [0.04, 0.02], seed)
 
 
 def test_bitwise_determinism(two_player_scenario, base_config):

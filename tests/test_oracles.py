@@ -3,6 +3,7 @@ import json
 import math
 import re
 import textwrap
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -266,7 +267,7 @@ def test_cross_check_passes_on_default_scenario():
     report = closed_form_cross_check(*default_case())
     assert report.all_passed
     names = [c.name for c in report.checks]
-    assert "motion-mean-closed-form" in names
+    assert "continuous-mean-rk4" in names
     assert "equilibrium-foc" in names
     deltas = [c for c in report.checks if c.tolerance is None]
     assert deltas and all(np.isfinite(c.observed) for c in deltas)
@@ -288,21 +289,21 @@ def test_cross_check_fault_injection_fails_foc(monkeypatch):
     "name, fault, failing",
     [
         (
-            "closed_form_mean",
-            lambda f: lambda trace, mu0, kappa0, t: (
-                (trace.integral(0.0, t) + mu0 * kappa0) / (kappa0 + t)
-            ),
-            "motion-mean-closed-form",
+            "belief_path",
+            lambda f: lambda *args: (
+                lambda path: replace(path, mu_hat=1.01 * path.mu_hat)
+            )(f(*args)),
+            "continuous-mean-rk4",
         ),
         (
-            "mean_closed_form",
-            lambda f: lambda trace, p0, r, t: f(trace, 1.01 * p0, r, t),
-            "kalman-mean-closed-form",
+            "kalman_path",
+            lambda f: lambda b, *args: f(replace(b, P=1.01 * b.P), *args),
+            "continuous-kalman-mean-rk4",
         ),
         (
-            "variance_closed_form",
-            lambda f: lambda p0, r, elapsed: f(1.01 * p0, r, elapsed),
-            "kalman-variance-closed-form",
+            "variance_path",
+            lambda f: lambda b, *args: f(replace(b, P=1.01 * b.P), *args),
+            "continuous-variance-rk4",
         ),
     ],
     ids=["motion-mean", "kalman-mean", "kalman-variance"],
@@ -310,8 +311,8 @@ def test_cross_check_fault_injection_fails_foc(monkeypatch):
 def test_cross_check_fault_injection_fails_its_reference_check(
     monkeypatch, name, fault, failing
 ):
-    # The RK4 references do not read these closed forms, so only the one
-    # check built on the faulty closed form fails.
+    # Each RK4 reference feeds one check only, so a faulty reference fails
+    # that check and no other.
     monkeypatch.setattr(oracles, name, fault(getattr(oracles, name)))
     report = closed_form_cross_check(*default_case())
     assert {c.name for c in report.checks if not c.passed} == {failing}
@@ -394,13 +395,13 @@ def test_discrete_laws_hold_on_the_configured_run(case):
     assert not DISCRETE_LAWS & {c.name for c in continuous.checks}
 
 
-def mutated_discrete_path(old, new):
-    """The engine's discrete closed forms with one source fragment replaced."""
-    source = textwrap.dedent(inspect.getsource(engine._discrete_path))
+def mutated(function, old, new):
+    """An engine function with one source fragment replaced."""
+    source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1, old
     namespace = dict(vars(engine))
     exec(source.replace(old, new), namespace)
-    return namespace["_discrete_path"]
+    return namespace[function.__name__]
 
 
 @pytest.mark.parametrize(
@@ -426,6 +427,85 @@ def test_discrete_laws_fail_at_an_injected_fault(monkeypatch, old, new, failing)
     scn = replace(scn, p0=0.2)
     sim = replace(sim, scheme="discrete", horizon=1.0)
     assert closed_form_cross_check(scn, sim, seed).all_passed
-    monkeypatch.setattr(engine, "_discrete_path", mutated_discrete_path(old, new))
+    faulty = mutated(engine._discrete_path, old, new)
+    monkeypatch.setattr(engine, "_discrete_path", faulty)
     report = closed_form_cross_check(scn, sim, seed)
     assert {c.name for c in report.checks if not c.passed} == failing
+
+
+CONTINUOUS_LAWS = {
+    "continuous-mean-rk4",
+    "continuous-var-mu-rk4",
+    "continuous-kalman-mean-rk4",
+    "continuous-variance-rk4",
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        default_case(),
+        (replace(default_case()[0], mu0=0.3), default_case()[1], 11),
+        # alpha = 0.5 + t/2 lands on 1 at the grid point t = 1, where var_mu is
+        # NaN in the run and in the reference.
+        (replace(default_case()[0], alpha0=0.5), default_case()[1], 3),
+        # P0/R = 40: the reference steps at 2.5e-4, not 1e-3.
+        (
+            replace(default_case()[0], p0=10.0),
+            replace(default_case()[1], horizon=2.0),
+            5,
+        ),
+    ],
+    ids=["default", "nonzero-mu0", "alpha-lands-on-one", "large-p0-over-r"],
+)
+def test_continuous_laws_hold_on_the_configured_run(case):
+    scn, sim, seed = case
+    report = closed_form_cross_check(scn, sim, seed)
+    assert report.all_passed
+    laws = {c.name: c for c in report.checks if c.name in CONTINUOUS_LAWS}
+    assert set(laws) == CONTINUOUS_LAWS
+    assert all(c.tolerance == 1e-9 for c in laws.values())
+    # RK4's truncation error sits below roundoff on the means, but not on P:
+    # about (h*P0/R)^4 / 200 of P0, with h*P0/R at most 0.01.
+    assert all(c.observed <= 1e-12 for n, c in laws.items() if "variance" not in n)
+    assert laws["continuous-variance-rk4"].observed <= 1e-10
+    discrete = closed_form_cross_check(scn, replace(sim, scheme="discrete"), seed)
+    assert not CONTINUOUS_LAWS & {c.name for c in discrete.checks}
+
+
+@pytest.mark.parametrize(
+    "old, new, failing",
+    [
+        (
+            "x_half /= scn.kappa0 + 1.0 + t_half",
+            "x_half /= scn.kappa0 + t_half",
+            # beta's increments read x_bar, so var_mu moves with it.
+            {"continuous-mean-rk4", "continuous-var-mu-rk4"},
+        ),
+        (
+            "d_beta = 0.5 * d * d",
+            "d_beta = (1.0 + 1e-6) * 0.5 * d * d",
+            {"continuous-var-mu-rk4"},
+        ),
+        ("tau_half *= p0", "tau_half *= 1.01 * p0", {"continuous-kalman-mean-rk4"}),
+        (
+            "p0 * r / (t * p0 + r),",
+            "1.001 * p0 * r / (t * p0 + r),",
+            {"continuous-variance-rk4"},
+        ),
+    ],
+    ids=["mean-kappa", "beta-increment", "kalman-gain", "variance-scale"],
+)
+def test_continuous_laws_fail_at_an_injected_fault(monkeypatch, old, new, failing):
+    faulty = mutated(engine._continuous_path, old, new)
+    monkeypatch.setattr(engine, "_continuous_path", faulty)
+    report = closed_form_cross_check(*default_case())
+    assert {c.name for c in report.checks if not c.passed} == failing
+
+
+@pytest.mark.parametrize("xs", [[1e200, -1e200], [3e153, -3e153, 0.0]])
+def test_overflowing_spread_raises_grid_underflow(xs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridUnderflowError, match="spread overflows"):
+            grid_bayes_posterior(xs, PRIOR)

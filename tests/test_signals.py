@@ -6,10 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefgames import (
+    KalmanBelief,
+    NormalGammaBelief,
     SignalTrace,
     TraceCoverageError,
     TraceFormatError,
     TraceSeed,
+    belief_path,
+    kalman_path,
     load_trace,
     sample_cost_trace,
     sample_ecological_trace,
@@ -79,29 +83,42 @@ def test_cost_trace_mean_obeys_law_of_large_numbers():
 
 def test_hold_value_examples():
     trace = SignalTrace(t0=0.0, dt=0.02, values=np.arange(5.0), label="x")
-    assert trace.values[trace.index_at(0.019)] == 0.0
-    assert trace.values[trace.index_at(0.02)] == 1.0
-    assert trace.values[trace.index_at(trace.end - 1e-6)] == 4.0
-    with pytest.raises(TraceCoverageError):
-        trace.index_at(trace.end)
-    with pytest.raises(TraceCoverageError):
-        trace.index_at(-0.01)
-    with pytest.raises(TraceCoverageError):
-        trace.index_at(float("nan"))
+    _, held = trace.held_steps(0.0, 0.1, 0.01, "x")
+    assert held.tolist() == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0]
+    assert trace.held_steps(0.02, 0.01, 0.01, "x")[1].tolist() == [1.0]
+    assert trace.held_steps(0.09, 0.01, 0.01, "x")[1].tolist() == [4.0]
+    for t_start, duration in ((0.0, 0.11), (-0.01, 0.01), (float("nan"), 0.01)):
+        with pytest.raises(TraceCoverageError):
+            trace.held_steps(t_start, duration, 0.01, "x")
 
 
 def test_hold_value_is_right_continuous_with_boundary_jumps():
     trace = SignalTrace(t0=1.0, dt=0.5, values=np.array([2.0, -3.0, 7.0]))
     for k, expect in enumerate(trace.values):
         edge = 1.0 + 0.5 * k
-        assert trace.values[trace.index_at(edge)] == expect
-        assert trace.values[trace.index_at(edge + 0.25)] == expect
-    # An array of times gives the array of the scalar lookups' indices.
-    times = 1.0 + 0.25 * np.arange(6)
-    assert trace.index_at(times).tolist() == [trace.index_at(s) for s in times]
+        assert trace.held_steps(edge, 0.5, 0.25, "test")[1].tolist() == [expect] * 2
     t, held = trace.held_steps(1.0, 1.5, 0.25, "test")
     assert t.tolist() == [1.0 + 0.25 * i for i in range(7)]
     assert held.tolist() == [2.0, 2.0, -3.0, -3.0, 7.0, 7.0]
+    # From a start inside a hold interval, the values follow the steps.
+    assert trace.held_steps(1.25, 0.5, 0.25, "test")[1].tolist() == [2.0, -3.0]
+    # A start within rounding of t0 is t0.
+    shifted = SignalTrace(t0=0.1 + 0.2, dt=0.5, values=trace.values)
+    assert shifted.held_steps(0.3, 1.5, 0.25, "test")[1].tolist() == held.tolist()
+
+
+def test_held_steps_reject_a_start_off_the_step_grid():
+    # A step from 0.025 would straddle the jump at 0.1.
+    trace = SignalTrace(0.0, 0.1, [0.0, 1.0, 0.0, 0.0])
+    message = r"^x start offset from t0: 0\.05 does not divide 0\.025$"
+    with pytest.raises(ValueError, match=message):
+        trace.held_steps(0.025, 0.1, 0.05, "x")
+    b = NormalGammaBelief(0.0, 1.0, 2.0, 1.0, t=0.025)
+    with pytest.raises(ValueError, match="belief_path start offset from t0"):
+        belief_path(b, trace, 0.1, 0.05)
+    kb = KalmanBelief(0.0, 1.0, 1.0, t=0.025)
+    with pytest.raises(ValueError, match="kalman_path start offset from t0"):
+        kalman_path(kb, trace, 0.1, 0.05)
 
 
 def test_integral_matches_manual_sum():
