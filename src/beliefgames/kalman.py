@@ -10,7 +10,8 @@ P(t) = P0 R / (t P0 + R): ``kalman_path`` reads P from it and integrates only
 tau_hat, whose rate is affine in tau_hat, so each RK4 step is one
 multiply-add whose coefficients numpy sums from the stage gains.
 ``variance_path`` integrates P's ODE alone, in the scaled unknown h P / R, as
-the reference for the closed form.
+the reference for the closed form.  Both step in one size or in a given size
+each (``verify`` grades them with time).
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteStateError
-from .signals import SignalTrace, _increment_walk, require_finite, step_grid
+from .signals import (
+    SignalTrace,
+    _increment_walk,
+    _step_units,
+    require_finite,
+    step_grid,
+)
 
 
 @dataclass(frozen=True)
@@ -82,17 +89,19 @@ class KalmanPath:
 
 
 def kalman_path(
-    b: KalmanBelief, trace: SignalTrace, duration: float, h: float
+    b: KalmanBelief, trace: SignalTrace, duration: float, h
 ) -> KalmanPath:
     """Integrate tau_hat over ``duration`` by RK4, recording every grid point.
 
     P is read off its closed form, anchored at ``b``, at each step's start,
-    middle and end.  ``h`` must divide both the duration and the trace's hold
-    interval.  A non-finite state raises :class:`NonFiniteStateError` naming
-    its first grid time.
+    middle and end.  ``h`` is one step size, which must divide both the
+    duration and the trace's hold interval, or an array of step sizes (see
+    :meth:`SignalTrace.held_steps`).  A non-finite state raises
+    :class:`NonFiniteStateError` naming its first grid time.
     """
     t, ys = trace.held_steps(b.t, duration, h, "kalman_path")
-    t_rel = h * np.arange(ys.size)
+    u, k = _step_units(duration, h, "kalman_path")
+    t_rel = u * k[:-1]
     r, half = b.R, 0.5 * h
     # The gain P/R at each step's start, middle and end, with P read off the
     # closed form.  Each stage rate is then affine in tau_hat at the step
@@ -112,31 +121,42 @@ def kalman_path(
     return KalmanPath(t=t, tau_hat=tau_arr, P=p_arr)
 
 
-def variance_path(b: KalmanBelief, duration: float, h: float) -> np.ndarray:
+def variance_path(b: KalmanBelief, duration: float, h) -> np.ndarray:
     """Integrate P' = -P^2/R over ``duration`` by RK4 in w = h*P/R: the
-    reference for :func:`variance_closed_form`, on the grid ``b.t + i*h``.
+    reference for :func:`variance_closed_form`, on the grid of
+    :func:`step_grid` from ``b.t``.
 
-    ``h`` must divide the duration.  A non-finite P raises
-    :class:`NonFiniteStateError` naming its first grid time.
+    ``h`` is one step size, which must divide the duration, or an array of
+    step sizes.  A non-finite P raises :class:`NonFiniteStateError` naming its
+    first grid time.
     """
     t = step_grid(b.t, duration, h, "variance_path")
+    hs = np.broadcast_to(np.asarray(h, dtype=float), (t.size - 1,))
+    # Runs of equal steps, as (step, count).
+    first = np.flatnonzero(np.diff(hs, prepend=np.nan))
+    runs = zip(hs[first].tolist(), np.diff(np.append(first, hs.size)).tolist())
     # In w = h*P/R the ODE reads w' = -w^2/h, so each RK4 stage slope times h
-    # is the square of its stage value; P = w*R/h on the way out.
+    # is the square of its stage value; w follows h from run to run (exactly,
+    # when the step doubles), and P = w*R/h on the way out.
 
-    def walk(w):
+    def walk(w, h_run):
         yield w
-        for _ in range(t.size - 1):
-            k1 = w * w
-            v = w - 0.5 * k1
-            k2 = v * v
-            v = w - 0.5 * k2
-            k3 = v * v
-            v = w - k3
-            w = w - (k1 + 2.0 * (k2 + k3) + v * v) / 6.0
-            yield w
+        for h_next, count in runs:
+            w *= h_next / h_run
+            h_run = h_next
+            for _ in range(count):
+                k1 = w * w
+                v = w - 0.5 * k1
+                k2 = v * v
+                v = w - 0.5 * k2
+                k3 = v * v
+                v = w - k3
+                w = w - (k1 + 2.0 * (k2 + k3) + v * v) / 6.0
+                yield w
 
+    h0 = float(np.ravel(h)[0])
     with np.errstate(over="ignore"):
-        p_arr = np.fromiter(walk(h * b.P / b.R), float, t.size)
-        p_arr *= b.R / h
+        p_arr = np.fromiter(walk(h0 * b.P / b.R, h0), float, t.size)
+        p_arr *= b.R / np.append(h0, hs)
     require_finite(t, "Kalman state", p_arr)
     return p_arr

@@ -10,8 +10,9 @@ updating they evolve by the ODE system
     beta'   = kappa (x - mu_hat)^2 / (2 (kappa + 1))
 
 driven by the held signal x(t).  kappa and alpha are affine in time and are
-always propagated in closed form; mu_hat and beta are integrated with a
-fixed-step classical fourth-order scheme.  mu_hat's rate is affine in
+always propagated in closed form; mu_hat and beta are integrated with the
+classical fourth-order scheme, in steps of one size or of a given size each
+(``verify`` grades them with time).  mu_hat's rate is affine in
 mu_hat, so each of its steps is one multiply-add whose coefficients numpy
 sums from the stages; beta never feeds back and follows from the recorded
 mu_hat.  The discrete counterpart is one
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteStateError, UndefinedVarianceError
-from .signals import SignalTrace, _increment_walk, require_finite
+from .signals import SignalTrace, _increment_walk, _step_units, require_finite
 
 
 @dataclass(frozen=True)
@@ -107,18 +108,21 @@ class BeliefPath:
 
 
 def belief_path(
-    b: NormalGammaBelief, trace: SignalTrace, duration: float, h: float
+    b: NormalGammaBelief, trace: SignalTrace, duration: float, h
 ) -> BeliefPath:
     """Integrate the belief over ``duration`` by RK4, recording every grid point.
 
-    ``h`` must divide both the duration and the trace's hold interval, so no
-    integration step ever straddles a signal jump.  A non-finite state raises
-    :class:`NonFiniteStateError` naming its first grid time.
+    ``h`` is one step size, which must divide both the duration and the
+    trace's hold interval, or an array of step sizes (see
+    :meth:`SignalTrace.held_steps`); either way no integration step straddles
+    a signal jump.  A non-finite state raises :class:`NonFiniteStateError`
+    naming its first grid time.
     """
     t, xs = trace.held_steps(b.t, duration, h, "belief_path")
+    u, k = _step_units(duration, h, "belief_path")
     half = 0.5 * h
     # kappa at each step's start, middle and end, and the rates' denominators.
-    k1 = b.kappa + np.arange(xs.size) * h
+    k1 = b.kappa + u * k[:-1]
     k2, k4 = k1 + half, k1 + h
     d1, d2, d4 = k1 + 1.0, k2 + 1.0, k4 + 1.0
     # Each stage rate of mu_hat is affine in mu_hat at the step start,

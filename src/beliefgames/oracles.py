@@ -312,24 +312,56 @@ def _var_mu(scn: Scenario, beta: np.ndarray, t: np.ndarray) -> np.ndarray:
     return var_mu
 
 
+def _graded_steps(h_ode: float, horizon: float, c: float) -> tuple:
+    """RK4 steps h_ode/2^j (j >= 0) over the horizon, and the indices of the
+    grid points at the multiples of h_ode.  A step from t is at most
+    0.01 (t + c), and the step doubles only at a multiple of the doubled step,
+    so every multiple of h_ode is a step end."""
+    j = 0
+    while h_ode * 2.0**-j > 0.01 * c:
+        j += 1
+    # Positions count the finest step u; a step of m units starts at a
+    # multiple of m.
+    u, per_ode = h_ode * 2.0**-j, 2**j
+    end = round(horizon / h_ode) * per_ode
+    if end >= 2**53:
+        raise ValueError(
+            f"verify's RK4 reference: P0/R = {1.0 / c:.3g} needs steps of {u:.3g}, "
+            f"too many to count over a horizon of {horizon}"
+        )
+    sizes, counts, pos, m = [], [], 0, 1
+    while pos < end:
+        nxt = end
+        if m < per_ode:
+            nxt = pos + pos % (2 * m)  # the next multiple of 2m
+            while not 2 * m * u <= 0.01 * (u * nxt + c):
+                nxt += 2 * m
+            nxt = min(nxt, end)
+        sizes.append(m)
+        counts.append((nxt - pos) // m)
+        pos, m = nxt, 2 * m
+    units = np.repeat(sizes, counts)
+    rows = np.flatnonzero(np.concatenate(([0], np.cumsum(units))) % per_ode == 0)
+    return u * units, rows
+
+
 def _continuous_reference(
     scn: Scenario, cfg: SimConfig, traces: TraceSet, traj: Trajectory
 ) -> tuple:
     """``belief_path``, ``kalman_path`` and ``variance_path`` from the
     configured priors, player 1's for the Kalman filter, at every grid point."""
-    # The largest step that divides h_ode, and so the hold interval and the
-    # horizon, with h <= 1e-3 and h P0/R <= 0.01, as RK4's error in P is about
-    # (h P0/R)^4 / 200 of P0; it stops refining at 1e-5, where a gap may fail.
-    h_max = max(1e-5, min(1e-3, 0.01 * scn.r[0] / scn.p0[0]))
-    per_step = max(1, math.ceil(cfg.h_ode / h_max - 1e-9))
-    h, rows = cfg.h_ode / per_step, slice(None, None, per_step)
+    # mu_hat's rate is 1/(kappa0 + 1 + t) and those of tau_hat and P are
+    # P/R = 1/(t + R/P0), so steps h <= 0.01 (t + c) hold h * rate <= 0.01 at
+    # every step.  RK4's error in P then stays below about 5e-11 of P0.
+    c = min(scn.kappa0 + 1.0, scn.r[0] / scn.p0[0])
+    h, rows = _graded_steps(cfg.h_ode, cfg.horizon, c)
     prior = NormalGammaBelief(scn.mu0, scn.kappa0, scn.alpha0, scn.beta0)
-    # Copies, so that each walk's grid-long arrays are freed before the next.
+    # Indexing by rows copies, so each walk's arrays are freed before the next.
     path = belief_path(prior, traces.ecological, cfg.horizon, h)
-    mu_hat, beta = path.mu_hat[rows].copy(), path.beta[rows].copy()
+    mu_hat, beta = path.mu_hat[rows], path.beta[rows]
     del path
     kb = KalmanBelief(scn.tau0[0], scn.p0[0], scn.r[0])
-    tau_hat = kalman_path(kb, traces.cost[0], cfg.horizon, h).tau_hat[rows].copy()
+    tau_hat = kalman_path(kb, traces.cost[0], cfg.horizon, h).tau_hat[rows]
     P = variance_path(kb, cfg.horizon, h)[rows]
     return slice(None), traj.t, mu_hat, beta, [tau_hat], [P]
 

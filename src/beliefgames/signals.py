@@ -86,12 +86,13 @@ class SignalTrace:
         tol = _BOUNDARY_EPS * self.dt
         return self.t0 - tol <= t_lo and t_hi <= self.end + tol
 
-    def held_steps(self, t_start: float, duration: float, h: float, what: str):
-        """The grid ``t_start + i*h`` over ``duration`` and the value held over
-        each step; ``h`` must divide the duration, the hold interval and the
-        offset ``t_start - t0``, so every step lies within one hold interval."""
-        t = step_grid(t_start, duration, h, what)
-        per_value = _step_count(self.dt, h, f"{what} hold interval")
+    def held_steps(self, t_start: float, duration: float, h, what: str):
+        """The grid from ``t_start`` over ``duration`` in steps ``h`` (see
+        :func:`step_grid`) and the value held over each step; the smallest step
+        must divide the hold interval and the offset ``t_start - t0``, and no
+        step may straddle a hold-interval boundary."""
+        u, k = _step_units(duration, h, what)
+        per_value = _step_count(self.dt, u, f"{what} hold interval")
         if not self.covers(t_start, t_start + duration):
             raise TraceCoverageError(
                 f"trace [{self.t0!r}, {self.end!r}) does not cover the update "
@@ -100,8 +101,11 @@ class SignalTrace:
         offset = t_start - self.t0
         if abs(offset) <= _BOUNDARY_EPS * self.dt:  # covers()'s tolerance
             offset = 0.0
-        k0 = _step_count(offset, h, f"{what} start offset from t0")
-        return t, self.values[(k0 + np.arange(t.size - 1)) // per_value]
+        k0 = _step_count(offset, u, f"{what} start offset from t0")
+        held = (k0 + k[:-1]) // per_value
+        if np.any((k0 + k[1:] - 1) // per_value != held):
+            raise ValueError(f"{what}: a step straddles a hold-interval boundary")
+        return t_start + u * k, self.values[held]
 
     def integral(self, t_lo: float, t_hi):
         """Exact integral of the step function over [t_lo, t_hi], for one or an
@@ -141,11 +145,35 @@ class SignalTrace:
         )
 
 
-def step_grid(t_start: float, duration: float, h: float, what: str) -> np.ndarray:
-    """The grid ``t_start + i*h`` over ``duration``, which ``h`` must divide."""
+def step_grid(t_start: float, duration: float, h, what: str) -> np.ndarray:
+    """The grid from ``t_start`` over ``duration`` in steps ``h``: one step size
+    that divides the duration, or an array of step sizes, each a whole multiple
+    of the smallest, that together span it."""
+    u, k = _step_units(duration, h, what)
+    return t_start + u * k
+
+
+def _step_units(duration: float, h, what: str) -> tuple[float, np.ndarray]:
+    """``(u, k)``: the grid points of :func:`step_grid` sit at offsets ``u * k``
+    from its start, with ``u`` the smallest step and ``k`` whole numbers."""
     if duration < 0.0:
         raise ValueError("duration must be non-negative")
-    return t_start + h * np.arange(_step_count(duration, h, f"{what} duration") + 1)
+    if np.ndim(h) == 0:
+        return h, np.arange(_step_count(duration, h, f"{what} duration") + 1)
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 1 or h.size == 0 or not np.all((h > 0.0) & np.isfinite(h)):
+        msg = "step sizes must be a non-empty 1-d array of positive floats"
+        raise ValueError(f"{what}: {msg}")
+    u = float(h.min())
+    m = h / u
+    whole = np.rint(m)
+    if np.any(np.abs(m - whole) > 1e-9 * whole):
+        raise ValueError(f"{what}: every step size must be a whole multiple of {u}")
+    k = np.concatenate(([0], np.cumsum(whole.astype(np.int64))))
+    if k[-1] != _step_count(duration, u, f"{what} duration"):
+        span = float(u * k[-1])
+        raise ValueError(f"{what}: the steps span {span!r}, not {duration!r}")
+    return u, k
 
 
 def require_finite(t: np.ndarray, what: str, *columns: np.ndarray) -> None:
@@ -156,9 +184,10 @@ def require_finite(t: np.ndarray, what: str, *columns: np.ndarray) -> None:
         raise NonFiniteStateError(f"non-finite {what} at t={float(t[bad[0]])!r}")
 
 
-def _increment_walk(s0: float, h: float, p, q) -> np.ndarray:
+def _increment_walk(s0: float, h, p, q) -> np.ndarray:
     """``[s0, s1, ...]``: the RK4 steps of an ODE that is affine in its state,
-    whose four stage slopes in step i are p[k][i] + q[k][i] * s_i.
+    whose four stage slopes in step i are p[k][i] + q[k][i] * s_i; ``h`` is the
+    step size, or an array of one per step.
 
     The slopes sum to d_i s_i + b_i with d = h (q1 + 2 (q2 + q3) + q4) / 6 and
     b the same sum of the p's, taken in place in ``q[1]`` and ``p[1]``.  Each

@@ -449,7 +449,7 @@ CONTINUOUS_LAWS = {
         # alpha = 0.5 + t/2 lands on 1 at the grid point t = 1, where var_mu is
         # NaN in the run and in the reference.
         (replace(default_case()[0], alpha0=0.5), default_case()[1], 3),
-        # P0/R = 40: the reference steps at 2.5e-4, not 1e-3.
+        # P0/R = 40: the reference's first steps are 0.02/128.
         (
             replace(default_case()[0], p0=10.0),
             replace(default_case()[1], horizon=2.0),
@@ -465,12 +465,70 @@ def test_continuous_laws_hold_on_the_configured_run(case):
     laws = {c.name: c for c in report.checks if c.name in CONTINUOUS_LAWS}
     assert set(laws) == CONTINUOUS_LAWS
     assert all(c.tolerance == 1e-9 for c in laws.values())
-    # RK4's truncation error sits below roundoff on the means, but not on P:
-    # about (h*P0/R)^4 / 200 of P0, with h*P0/R at most 0.01.
+    # RK4's truncation error sits below roundoff on the means, but not on P,
+    # with h*P/R at most 0.01 on every step.
     assert all(c.observed <= 1e-12 for n, c in laws.items() if "variance" not in n)
     assert laws["continuous-variance-rk4"].observed <= 1e-10
     discrete = closed_form_cross_check(scn, replace(sim, scheme="discrete"), seed)
     assert not CONTINUOUS_LAWS & {c.name for c in discrete.checks}
+
+
+def recorded_steps(monkeypatch) -> dict:
+    """The step argument of every call to each of verify's three RK4 walks."""
+    calls = {name: [] for name in ("belief_path", "kalman_path", "variance_path")}
+    for name, steps in calls.items():
+
+        def walk(*args, _walk=getattr(oracles, name), _steps=steps):
+            _steps.append(args[-1])
+            return _walk(*args)
+
+        monkeypatch.setattr(oracles, name, walk)
+    return calls
+
+
+@pytest.mark.parametrize("horizon, most", [(2.0, 320), (10.0, 720), (20.0, 1220)])
+def test_verify_walks_once_each_on_a_graded_dyadic_grid(monkeypatch, horizon, most):
+    scn, sim, seed = default_case()
+    sim = replace(sim, horizon=horizon)
+    calls = recorded_steps(monkeypatch)
+    assert closed_form_cross_check(scn, sim, seed).all_passed
+    (h,) = calls["belief_path"]
+    assert all(len(c) == 1 and c[0] is h for c in calls.values())
+    assert h.size <= most
+    # Every step is h_ode/2^j, j >= 0, and starts at a multiple of itself,
+    # so every multiple of h_ode is a step end.
+    j = np.log2(sim.h_ode / h)
+    assert np.array_equal(j, np.round(j)) and j.min() == 0 and np.all(np.diff(j) <= 0)
+    units = np.round(h / h.min()).astype(int)
+    k = np.concatenate(([0], np.cumsum(units)))
+    assert np.all(k[:-1] % units == 0)
+    per_ode = round(sim.h_ode / h.min())
+    assert np.isin(np.arange(0, k[-1] + 1, per_ode), k).all()
+    # h <= 0.01 (t + c) at each step's start t, with c = min(kappa0 + 1, R/P0).
+    c = min(scn.kappa0 + 1.0, scn.r[0] / scn.p0[0])
+    assert np.all(h <= 0.01 * (h.min() * k[:-1] + c))
+
+
+@pytest.mark.parametrize("p0, r, most", [(25000.0, 0.25, 2200), (1e6, 0.01, 3200)])
+def test_verify_passes_a_stiff_kalman_prior(monkeypatch, p0, r, most):
+    # Uniform steps no finer than 1e-5 read continuous-variance-rk4 1.47e-8 at
+    # P0/R = 1e5 and overflowed P at 1e8; graded steps refine only the start.
+    scn, sim, seed = default_case()
+    scn = replace(scn, p0=(p0, scn.p0[1]), r=(r, scn.r[1]))
+    calls = recorded_steps(monkeypatch)
+    report = closed_form_cross_check(scn, sim, seed)
+    assert report.all_passed
+    variance = next(c for c in report.checks if c.name == "continuous-variance-rk4")
+    assert variance.observed <= 1e-12
+    assert calls["variance_path"][0].size <= most
+
+
+def test_verify_names_a_prior_too_stiff_for_its_reference_grid():
+    # P0/R = 4e20 asks for 2^61 finest steps per h_ode, past the float count.
+    scn, sim, seed = default_case()
+    scn = replace(scn, p0=(1e20, scn.p0[1]))
+    with pytest.raises(ValueError, match=r"P0/R = 4e\+20 needs steps of .* too many"):
+        closed_form_cross_check(scn, sim, seed)
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,10 @@
 ``belief_path`` and ``kalman_path`` sum each step's affine stage slopes in
 numpy and walk the steps in Python; ``belief_path`` derives beta's stages
 from the recorded mu_hat; ``variance_path`` steps P in the scaled unknown
-h*P/R.  Here they are held, entry by entry, within 2e-14 relative of the same
-RK4 steps run in ``decimal`` on the exact values of the float inputs: the
+h*P/R.  Each takes one step size or an array of them, such as the graded
+dyadic grid ``verify`` steps on.  Here they are held, entry by entry, within
+2e-14 relative of the same RK4 steps run in ``decimal`` on the exact values
+of the float inputs: the
 (mu_hat, beta) subsystem with kappa advancing through the stages, tau_hat
 with P read off its exact solution at the stage times, and P's own ODE.
 Each entry's scale is the larger of it and the entry before it.  The generic
@@ -15,6 +17,7 @@ and not a fit to the code under test.
 import re
 import warnings
 from decimal import Decimal, localcontext
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from beliefgames import (
     variance_closed_form,
     variance_path,
 )
+from beliefgames.oracles import _graded_steps
 
 # The bound tests/test_discrete_reference.py gates the discrete scheme with.
 REL = 2e-14
@@ -83,10 +87,19 @@ def _rk4_pair(tau, p, r, y, h, p_exact):
     return tau_next, p + h * (k1p + 2.0 * (k2p + k3p) + k4p) / 6.0
 
 
+def steps_from(h, steps):
+    """(start offset from the grid start, size) of each step, for one step
+    size ``h`` or a list of one per step."""
+    if np.ndim(h) == 0:
+        return [(i * h, h) for i in range(steps)]
+    sizes = np.asarray(h).tolist()
+    return list(zip(accumulate(sizes[:-1], initial=0.0), sizes))
+
+
 def reference_belief(b, xs, h):
     mu, beta = [b.mu_hat], [b.beta]
-    for i, x in enumerate(map(float, xs)):
-        m, bt = _rk4_mu_beta(mu[-1], beta[-1], b.kappa + i * h, x, h)
+    for (s, step), x in zip(steps_from(h, len(xs)), map(float, xs)):
+        m, bt = _rk4_mu_beta(mu[-1], beta[-1], b.kappa + s, x, step)
         mu.append(m)
         beta.append(bt)
     return np.array(mu), np.array(beta)
@@ -94,8 +107,7 @@ def reference_belief(b, xs, h):
 
 def reference_kalman(b, ys, h, exact):
     tau, p = [b.tau_hat], [b.P]
-    for i, y in enumerate(map(float, ys)):
-        t_rel = i * h
+    for (t_rel, h), y in zip(steps_from(h, len(ys)), map(float, ys)):
         stages = (t_rel, t_rel + 0.5 * h, t_rel + h)
         p_exact = [variance_closed_form(b.P, b.R, s) for s in stages] if exact else None
         tn, pn = _rk4_pair(tau[-1], p[-1], b.R, y, h, p_exact)
@@ -104,20 +116,29 @@ def reference_kalman(b, ys, h, exact):
     return np.array(tau), np.array(p)
 
 
-def rk4_50_digits(y0, rates, h, steps):
-    """Every point of ``steps`` RK4 steps of y' = rates(i, s, y) in 50-digit
-    arithmetic, one row per component; s is the stage's offset into step i."""
+def grid_50_digits(h, steps):
+    """The grid's offsets from its start and its step sizes, in ``Decimal``."""
+    sizes = [Decimal(v) for v in (np.broadcast_to(h, steps).tolist())]
     with localcontext() as ctx:
         ctx.prec = 50
-        h = Decimal(h)
-        half = h / 2
+        return list(accumulate(sizes, initial=Decimal(0))), sizes
+
+
+def rk4_50_digits(y0, rates, h, steps):
+    """Every point of ``steps`` RK4 steps of y' = rates(i, s, y) in 50-digit
+    arithmetic, one row per component; ``h`` is the step size or a list of one
+    per step, and s is the stage's time from the grid start."""
+    grid, sizes = grid_50_digits(h, steps)
+    with localcontext() as ctx:
+        ctx.prec = 50
         y = [Decimal(v) for v in y0]
         out = [y]
-        for i in range(steps):
-            k1 = rates(i, 0, y)
-            k2 = rates(i, half, [v + half * k for v, k in zip(y, k1)])
-            k3 = rates(i, half, [v + half * k for v, k in zip(y, k2)])
-            k4 = rates(i, h, [v + h * k for v, k in zip(y, k3)])
+        for i, (t, h) in enumerate(zip(grid, sizes)):
+            half = h / 2
+            k1 = rates(i, t, y)
+            k2 = rates(i, t + half, [v + half * k for v, k in zip(y, k1)])
+            k3 = rates(i, t + half, [v + half * k for v, k in zip(y, k2)])
+            k4 = rates(i, t + h, [v + h * k for v, k in zip(y, k3)])
             y = [
                 v + h * (a + 2 * (b + c) + d) / 6
                 for v, a, b, c, d in zip(y, k1, k2, k3, k4)
@@ -129,10 +150,10 @@ def rk4_50_digits(y0, rates, h, steps):
 def decimal_belief(b, xs, h):
     """mu_hat and beta, kappa advancing through the stages."""
     x = [Decimal(v) for v in xs.tolist()]
-    kappa0, step = Decimal(b.kappa), Decimal(h)
+    kappa0 = Decimal(b.kappa)
 
     def rates(i, s, state):
-        kappa, innov = kappa0 + i * step + s, x[i] - state[0]
+        kappa, innov = kappa0 + s, x[i] - state[0]
         den = kappa + 1
         return innov / den, kappa * innov * innov / (2 * den)
 
@@ -142,18 +163,18 @@ def decimal_belief(b, xs, h):
 def decimal_kalman(b, ys, h):
     """tau_hat with P read off its exact solution, and that P on the grid."""
     y = [Decimal(v) for v in ys.tolist()]
-    p0, r, step = Decimal(b.P), Decimal(b.R), Decimal(h)
+    p0, r = Decimal(b.P), Decimal(b.R)
 
     def exact(t):
         return p0 * r / (t * p0 + r)
 
     def rates(i, s, state):
-        return (exact(i * step + s) / r * (y[i] - state[0]),)
+        return (exact(s) / r * (y[i] - state[0]),)
 
     (tau,) = rk4_50_digits((b.tau_hat,), rates, h, len(y))
     with localcontext() as ctx:
         ctx.prec = 50
-        p = np.array([exact(i * step) for i in range(len(y) + 1)], dtype=float)
+        p = np.array([exact(t) for t in grid_50_digits(h, len(y))[0]], dtype=float)
     return tau, p
 
 
@@ -215,14 +236,17 @@ def test_paths_match_the_stage_loops_bit_for_bit(t0, div, p0, r):
 
 
 def test_paths_match_the_stage_loops_at_the_verify_shape():
-    # verify's grid: dt 0.02 held over h = 1e-3 steps, here 2000 of them.
-    dt, h, duration = 0.02, 1e-3, 2.0
+    # verify's grid: dt = h_ode = 0.02 held over the graded steps from the
+    # priors' c = min(kappa0 + 1, R/P0), here 370 of them.
+    dt, duration = 0.02, 2.0
+    b = NormalGammaBelief(0.35, 1.2, 2.5, 0.9)
+    kb = KalmanBelief(0.8, 1.7, 0.3)
+    h, _ = _graded_steps(dt, duration, min(b.kappa + 1.0, kb.R / kb.P))
     rng = np.random.default_rng(20)
     trace = SignalTrace(t0=0.0, dt=dt, values=0.5 + 0.2 * rng.standard_normal(100))
     _, xs = trace.held_steps(0.0, duration, h, "reference")
-    assert xs.size >= 2000
+    assert xs.size >= 300 and np.unique(h).size >= 4
 
-    b = NormalGammaBelief(0.35, 1.2, 2.5, 0.9)
     path = belief_path(b, trace, duration, h)
     mu, beta = decimal_belief(b, xs, h)
     assert step_rel_gap(path.mu_hat, mu) <= REL
@@ -230,7 +254,6 @@ def test_paths_match_the_stage_loops_at_the_verify_shape():
     mu_loop, beta_loop = reference_belief(b, xs, h)
     assert max(step_rel_gap(mu_loop, mu), step_rel_gap(beta_loop, beta)) <= REL
 
-    kb = KalmanBelief(0.8, 1.7, 0.3)
     tau, p_exact = decimal_kalman(kb, xs, h)
     p_ode = decimal_variance(kb, xs.size, h)
     kpath = kalman_path(kb, trace, duration, h)
@@ -240,6 +263,34 @@ def test_paths_match_the_stage_loops_at_the_verify_shape():
     tau_loop, _ = reference_kalman(kb, xs, h, exact=True)
     _, p_ode_loop = reference_kalman(kb, xs, h, exact=False)
     assert max(step_rel_gap(tau_loop, tau), step_rel_gap(p_ode_loop, p_ode)) <= REL
+
+
+@pytest.mark.parametrize("t0,p0,r", [(0.0, 4.0, 0.25), (1.3, 9.0, 0.25)])
+def test_paths_match_50_digit_rk4_on_a_graded_dyadic_grid(t0, p0, r):
+    """Steps dt/2^j that double three times or more over the span: every walk
+    within REL of 50-digit RK4 on the same steps."""
+    dt, duration = 0.05, 1.5
+    b = NormalGammaBelief(0.3, 1.5, 2.0, 0.7, t=t0)
+    kb = KalmanBelief(0.4, p0, r, t=t0)
+    h, _ = _graded_steps(dt, duration, min(b.kappa + 1.0, r / p0))
+    assert np.unique(h).size >= 4
+    rng = np.random.default_rng(3)
+    trace = SignalTrace(t0=t0, dt=dt, values=0.5 + rng.standard_normal(40))
+    t, xs = trace.held_steps(t0, duration, h, "reference")
+
+    path = belief_path(b, trace, duration, h)
+    mu, beta = decimal_belief(b, xs, h)
+    assert np.array_equal(path.t, t)
+    assert step_rel_gap(path.mu_hat, mu) <= REL
+    assert step_rel_gap(path.beta, beta) <= REL
+
+    kpath = kalman_path(kb, trace, duration, h)
+    tau, p_exact = decimal_kalman(kb, xs, h)
+    assert np.array_equal(kpath.t, t)
+    assert step_rel_gap(kpath.tau_hat, tau) <= REL
+    assert step_rel_gap(kpath.P, p_exact) <= REL
+    p_ode = decimal_variance(kb, xs.size, h)
+    assert step_rel_gap(variance_path(kb, duration, h), p_ode) <= REL
 
 
 def test_belief_path_overflow_mid_run_names_the_stage_loops_time_silently():

@@ -121,6 +121,21 @@ def test_held_steps_reject_a_start_off_the_step_grid():
         kalman_path(kb, trace, 0.1, 0.05)
 
 
+def test_held_steps_take_an_array_of_step_sizes():
+    trace = SignalTrace(t0=1.0, dt=0.5, values=np.array([2.0, -3.0, 7.0]))
+    t, held = trace.held_steps(1.0, 1.5, [0.125, 0.125, 0.25, 0.5, 0.5], "test")
+    assert t.tolist() == [1.0, 1.125, 1.25, 1.5, 2.0, 2.5]
+    assert held.tolist() == [2.0, 2.0, 2.0, -3.0, 7.0]
+    for steps, message in (
+        ([0.25, 0.375, 0.375, 0.5], "every step size must be a whole multiple of 0.25"),
+        ([0.25, 0.25, 0.5], r"the steps span 1\.0, not 1\.5"),
+        ([0.25, 0.5, 0.25, 0.5], "a step straddles a hold-interval boundary"),
+        ([0.5, -0.5, 1.5], "step sizes must be a non-empty 1-d array of positive floats"),
+    ):
+        with pytest.raises(ValueError, match=f"^test: {message}$"):
+            trace.held_steps(1.0, 1.5, steps, "test")
+
+
 def test_integral_matches_manual_sum():
     trace = SignalTrace(t0=0.0, dt=0.5, values=np.array([1.0, 2.0, 4.0]))
     assert trace.integral(0.0, 1.5) == pytest.approx(0.5 * (1 + 2 + 4), rel=1e-15)
