@@ -69,4 +69,4 @@ from .signals import (
     save_trace,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

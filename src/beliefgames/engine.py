@@ -19,8 +19,9 @@ integrators and Euler steps stay the standalone API and the references that
 
 Both schemes solve the controls for the whole run in one call of the array
 kernel, at every time an RK4 stage of the stock needs them, and advance the
-stock by classical RK4, whose step is affine in the stock.  One guard pass
-over the run then raises the typed error of the earliest unhealthy time.
+stock S' = drive - lam*S by the RK4 for affine ODEs that ``belief_path`` and
+``kalman_path`` use too (``signals._affine_rk4``).  One guard pass over the
+run then raises the typed error of the earliest unhealthy time.
 
 Inside the engine the per-player columns (tau_hat and P) are player-major,
 shape (n, T), so every numpy pass over them runs along a contiguous row of
@@ -32,6 +33,7 @@ view, and ``Trajectory`` receives (T, n) views, its public shape.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -55,6 +57,7 @@ from .errors import (
 from .signals import (
     SignalTrace,
     TraceSeed,
+    _affine_rk4,
     _sample_count,
     _step_count,
     _write_csv,
@@ -152,7 +155,7 @@ class TraceSet:
 
 def default_traces(scn: Scenario, cfg: SimConfig, seed: int) -> TraceSet:
     """Seeded traces for one run; stream 0 is ecological, stream j+1 is cost j."""
-    base = int(seed)
+    base = operator.index(seed)
     eco = sample_ecological_trace(
         scn.mu_true,
         scn.sigma,
@@ -359,32 +362,6 @@ def _discrete_path(
     )
 
 
-def _stock(s0: float, h: float, drive: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Classical RK4 for S' = drive - lam*S on every step.
-
-    ``drive`` and ``lam`` hold one row per stage time s = 0, h/2, h (the two
-    midpoint stages share a row).  Each stage slope is affine in S, k = p + q*S,
-    so the step is S_{i+1} = A_i S_i + B_i; only that recurrence is a loop.
-    """
-    (c1, c2, c4), (l1, l2, l4) = drive, lam
-    h2 = 0.5 * h
-    p1, q1 = c1, -l1
-    p2, q2 = c2 - l2 * h2 * p1, -l2 * (1.0 + h2 * q1)
-    p3, q3 = c2 - l2 * h2 * p2, -l2 * (1.0 + h2 * q2)
-    p4, q4 = c4 - l4 * h * p3, -l4 * (1.0 + h * q3)
-    sixth = h / 6.0
-    gain = 1.0 + sixth * (q1 + 2.0 * (q2 + q3) + q4)
-    shift = sixth * (p1 + 2.0 * (p2 + p3) + p4)
-
-    def walk(s):
-        yield s
-        for a_i, b_i in zip(memoryview(gain), memoryview(shift)):
-            s = a_i * s + b_i
-            yield s
-
-    return np.fromiter(walk(s0), float, gain.size + 1)
-
-
 def _guard(t, finite, P, kernel_hit) -> None:
     """Raise the typed error of the earliest unhealthy time.
 
@@ -440,7 +417,7 @@ def _run(scn: Scenario, cfg: SimConfig, traces: TraceSet) -> Trajectory:
         xd = np.broadcast_to(eco[epoch[: stage.shape[1]]], stage.shape)
     else:
         xd = path.x_ctrl[stage]
-    S = _stock(p.s0, h, xd * u.sum(axis=1)[stage], 1.0 - xd * p.delta)
+    S = _affine_rk4(p.s0, h, xd * u.sum(axis=1)[stage], 1.0 - xd * p.delta)
     finite = (
         np.isfinite(x_bar) & np.isfinite(path.beta) & np.isfinite(tau_bar).all(axis=0)
     )

@@ -7,8 +7,8 @@ The hidden state is a constant, so the filter reduces to
 
 with measurement noise variance R.  P has the exact solution
 P(t) = P0 R / (t P0 + R): ``kalman_path`` reads P from it and integrates only
-tau_hat, whose rate is affine in tau_hat, so each RK4 step is one
-multiply-add whose coefficients numpy sums from the stage gains.
+tau_hat, whose rate is affine in tau_hat, by the RK4 for affine ODEs that
+the stock and the Normal-Gamma mean share (``signals._affine_rk4``).
 ``variance_path`` integrates P's ODE alone, in the scaled unknown h P / R, as
 the reference for the closed form.  Both step in one size or in a given size
 each (``verify`` grades them with time).
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NonFiniteStateError
 from .signals import (
     SignalTrace,
-    _increment_walk,
+    _affine_rk4,
     _step_units,
     require_finite,
     step_grid,
@@ -103,20 +103,14 @@ def kalman_path(
     u, k = _step_units(duration, h, "kalman_path")
     t_rel = u * k[:-1]
     r, half = b.R, 0.5 * h
-    # The gain P/R at each step's start, middle and end, with P read off the
-    # closed form.  Each stage rate is then affine in tau_hat at the step
-    # start, p + q*tau_hat, so only the walk over the steps is a loop.
-    # A gain past the float range runs on to the finiteness check.
+    # P off the closed form at each step's start, middle and end; then
+    # tau_hat' = g y - g tau_hat with the gain g = P/R.  A gain past the
+    # float range runs on to the finiteness check.
     with np.errstate(over="ignore", invalid="ignore"):
-        p_end = variance_closed_form(b.P, r, t_rel + h)
-        g1, g2 = (variance_closed_form(b.P, r, t_rel + s) / r for s in (0.0, half))
-        g4 = p_end / r
-        p1, q1 = g1 * ys, -g1
-        p2, q2 = g2 * (ys - half * p1), -g2 * (1.0 + half * q1)
-        p3, q3 = g2 * (ys - half * p2), -g2 * (1.0 + half * q2)
-        p4, q4 = g4 * (ys - h * p3), -g4 * (1.0 + h * q3)
-        tau_arr = _increment_walk(b.tau_hat, h, (p1, p2, p3, p4), (q1, q2, q3, q4))
-    p_arr = np.concatenate(([b.P], p_end))
+        p = np.stack([variance_closed_form(b.P, r, t_rel + s) for s in (0.0, half, h)])
+        g = p / r
+        tau_arr = _affine_rk4(b.tau_hat, h, g * ys, g)
+    p_arr = np.concatenate(([b.P], p[2]))
     require_finite(t, "Kalman state", tau_arr, p_arr)
     return KalmanPath(t=t, tau_hat=tau_arr, P=p_arr)
 

@@ -13,9 +13,9 @@ driven by the held signal x(t).  kappa and alpha are affine in time and are
 always propagated in closed form; mu_hat and beta are integrated with the
 classical fourth-order scheme, in steps of one size or of a given size each
 (``verify`` grades them with time).  mu_hat's rate is affine in
-mu_hat, so each of its steps is one multiply-add whose coefficients numpy
-sums from the stages; beta never feeds back and follows from the recorded
-mu_hat.  The discrete counterpart is one
+mu_hat, so it steps by the RK4 for affine ODEs that the stock and the
+Kalman mean share (``signals._affine_rk4``); beta never feeds back and
+follows from the recorded mu_hat.  The discrete counterpart is one
 explicit-Euler application of the same rates scaled by dt, which at dt = 1
 reduces to the single-observation conjugate update.
 """
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteStateError, UndefinedVarianceError
-from .signals import SignalTrace, _increment_walk, _step_units, require_finite
+from .signals import SignalTrace, _affine_rk4, _step_units, require_finite
 
 
 @dataclass(frozen=True)
@@ -124,16 +124,9 @@ def belief_path(
     # kappa at each step's start, middle and end, and the rates' denominators.
     k1 = b.kappa + u * k[:-1]
     k2, k4 = k1 + half, k1 + h
-    d1, d2, d4 = k1 + 1.0, k2 + 1.0, k4 + 1.0
-    # Each stage rate of mu_hat is affine in mu_hat at the step start,
-    # p + q*mu_hat, so only the walk over the steps is a loop; beta never
-    # feeds back.
-    p1, q1 = xs / d1, -1.0 / d1
-    p2, q2 = (xs - half * p1) / d2, -(1.0 + half * q1) / d2
-    p3, q3 = (xs - half * p2) / d2, -(1.0 + half * q2) / d2
-    p4, q4 = (xs - h * p3) / d4, -(1.0 + h * q3) / d4
-    mu_arr = _increment_walk(b.mu_hat, h, (p1, p2, p3, p4), (q1, q2, q3, q4))
-    del p1, q1, p2, q2, p3, q3, p4, q4  # before beta's grid-long arrays
+    d1, d2, d4 = d = np.stack((k1, k2, k4)) + 1.0
+    # mu_hat' = x/d - mu_hat/d; beta never feeds back.
+    mu_arr = _affine_rk4(b.mu_hat, h, xs / d, 1.0 / d)
     # beta's stage rates from mu_hat at each step start.
     mu_start = mu_arr[:-1]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -247,6 +247,12 @@ def best_response_value(
     devs = np.asarray(list(deviations), dtype=float)
     if devs.size == 0:
         raise ValueError("empty deviation grid")
+    # A NaN would win argmax, or turn every value NaN.
+    if not (all(map(math.isfinite, controls)) and np.isfinite(devs).all()):
+        for name, values in (("controls", controls), ("deviations", devs.tolist())):
+            bad = next((v for v in values if not math.isfinite(v)), None)
+            if bad is not None:
+                raise ValueError(f"{name}: entries must be finite, got {bad}")
     others_total = float(sum(controls) - controls[player])
     a_i = p.a[player]
     tau_i = p.tau[player]

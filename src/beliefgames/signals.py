@@ -9,6 +9,7 @@ streams and can be persisted to CSV so that a run can be replayed exactly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -42,7 +43,7 @@ class TraceSeed:
 def _as_seed(seed: TraceSeed | int) -> TraceSeed:
     if isinstance(seed, TraceSeed):
         return seed
-    return TraceSeed(int(seed))
+    return TraceSeed(operator.index(seed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,31 +185,33 @@ def require_finite(t: np.ndarray, what: str, *columns: np.ndarray) -> None:
         raise NonFiniteStateError(f"non-finite {what} at t={float(t[bad[0]])!r}")
 
 
-def _increment_walk(s0: float, h, p, q) -> np.ndarray:
-    """``[s0, s1, ...]``: the RK4 steps of an ODE that is affine in its state,
-    whose four stage slopes in step i are p[k][i] + q[k][i] * s_i; ``h`` is the
-    step size, or an array of one per step.
+def _affine_rk4(s0: float, h, c, l) -> np.ndarray:
+    """``[s0, s1, ...]``: classical RK4 for s' = c(t) - l(t) s.  ``c`` and
+    ``l`` each hold three rows, their values at the steps' starts, middles and
+    ends; ``h`` is the step size, or an array of one per step.
 
-    The slopes sum to d_i s_i + b_i with d = h (q1 + 2 (q2 + q3) + q4) / 6 and
-    b the same sum of the p's, taken in place in ``q[1]`` and ``p[1]``.  Each
-    step is then s + (d_i s + b_i): the gain form (1 + d_i) s_i + b_i would
-    round d_i against 1 on every step.
+    Each stage slope is affine in the step's start value, p_k + q_k s, so the
+    slopes sum to d s + b with d = h (q1 + 2 (q2 + q3) + q4) / 6 and b the same
+    sum of the p's, and only the walk over the steps is a loop.  Each step is
+    s + (d s + b): the gain form (1 + d) s + b would round d against 1 on
+    every step.
     """
-    for k1, k2, k3, k4 in (p, q):
-        k2 += k3
-        k2 *= 2.0
-        k2 += k1
-        k2 += k4
-        k2 *= h
-        k2 /= 6.0
+    (c1, c2, c4), (l1, l2, l4) = c, l
+    half = 0.5 * h
+    p1, q1 = c1, -l1
+    p2, q2 = c2 - l2 * half * p1, -l2 * (1.0 + half * q1)
+    p3, q3 = c2 - l2 * half * p2, -l2 * (1.0 + half * q2)
+    p4, q4 = c4 - l4 * h * p3, -l4 * (1.0 + h * q3)
+    d = h * (q1 + 2.0 * (q2 + q3) + q4) / 6.0
+    b = h * (p1 + 2.0 * (p2 + p3) + p4) / 6.0
 
     def walk(s):
         yield s
-        for d_i, b_i in zip(memoryview(q[1]), memoryview(p[1])):
+        for d_i, b_i in zip(memoryview(d), memoryview(b)):
             s = s + (d_i * s + b_i)
             yield s
 
-    return np.fromiter(walk(s0), float, q[1].size + 1)
+    return np.fromiter(walk(s0), float, d.size + 1)
 
 
 def _step_count(total: float, step: float, what: str) -> int:

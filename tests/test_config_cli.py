@@ -24,6 +24,14 @@ from beliefgames.config import (
 )
 
 
+def test_version_matches_pyproject():
+    # Python 3.10 has no tomllib, so read the [project] version line as text.
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    (version,) = re.findall(r'^version = "([^"]+)"$', project, flags=re.M)
+    assert beliefgames.__version__ == version
+
+
 def test_shipped_default_config_parses():
     cfg = default_config()
     assert cfg.scenario.params.n == 2

@@ -24,11 +24,14 @@ from beliefgames import (
     UndefinedVarianceError,
     belief_path,
     c_bar,
+    closed_form_cross_check,
     compare_schemes,
     default_traces,
     discounted_payoff,
     kalman_path,
     known_state_equilibrium,
+    sample_cost_trace,
+    sample_ecological_trace,
     simulate,
     solve_equilibrium,
     step_discrete,
@@ -77,13 +80,22 @@ def test_requires_exactly_one_signal_source(two_player_scenario, base_config):
 
 def test_seeds_are_plain_integers(two_player_scenario, base_config):
     # A TraceSeed's stream would be dropped: each run draws its own streams.
-    seed = TraceSeed(5, 3)
-    with pytest.raises(TypeError):
-        simulate(two_player_scenario, base_config, seed=seed)
-    with pytest.raises(TypeError):
-        default_traces(two_player_scenario, base_config, seed)
-    with pytest.raises(TypeError):
-        compare_schemes(two_player_scenario, base_config, [0.04, 0.02], seed)
+    # A float would be truncated: 1.7 would run seed 1.
+    for seed in (TraceSeed(5, 3), 1.7):
+        with pytest.raises(TypeError):
+            simulate(two_player_scenario, base_config, seed=seed)
+        with pytest.raises(TypeError):
+            default_traces(two_player_scenario, base_config, seed)
+        with pytest.raises(TypeError):
+            compare_schemes(two_player_scenario, base_config, [0.04, 0.02], seed)
+        with pytest.raises(TypeError):
+            closed_form_cross_check(two_player_scenario, base_config, seed)
+    for sample in (sample_ecological_trace, sample_cost_trace):
+        with pytest.raises(TypeError):
+            sample(0.5, 0.2, 0.02, 1.0, 1.7)
+    # Integers of any kind still seed, and seed alike.
+    runs = [simulate(two_player_scenario, base_config, seed=s) for s in (5, np.int64(5))]
+    assert np.array_equal(runs[0].S, runs[1].S)
 
 
 def test_bitwise_determinism(two_player_scenario, base_config):

@@ -181,6 +181,28 @@ def test_best_response_rejects_bad_input(controls, t_trunc, h, message):
         best_response_value(p, b, controls, 0, [0.5], t_trunc, h=h)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_best_response_rejects_a_non_finite_deviation(bad):
+    # A NaN deviation would win argmax and be returned as the best control.
+    p = GameParams(a=(2.0, 2.0), tau=(1.0, 1.0), delta=0.5, rho=0.25)
+    b = BeliefProfile(0.5, (1.0, 1.0))
+    message = f"deviations: entries must be finite, got {bad}"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        best_response_value(p, b, [0.7, 0.7], 0, [0.5, bad, 1.5], 10.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_best_response_rejects_a_non_finite_control(bad):
+    # A NaN control of any player, the searching one too, would turn every
+    # value NaN.
+    p = GameParams(a=(2.0, 2.0), tau=(1.0, 1.0), delta=0.5, rho=0.25)
+    b = BeliefProfile(0.5, (1.0, 1.0))
+    message = f"controls: entries must be finite, got {bad}"
+    for controls in ([0.7, bad], [bad, 0.7]):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            best_response_value(p, b, controls, 0, [0.5, 1.0, 1.5], 10.0)
+
+
 def loop_values(p, b, controls, player, devs, t_trunc, h):
     """Reference: step RK4 and the trapezoid rule one time step at a time."""
     devs = np.asarray(devs, dtype=float)

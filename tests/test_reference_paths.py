@@ -1,17 +1,20 @@
-"""The reference integrators against RK4 run in 50-digit arithmetic.
+"""The reference integrators and the engine's stock against RK4 run in
+50-digit arithmetic.
 
-``belief_path`` and ``kalman_path`` sum each step's affine stage slopes in
-numpy and walk the steps in Python; ``belief_path`` derives beta's stages
-from the recorded mu_hat; ``variance_path`` steps P in the scaled unknown
-h*P/R.  Each takes one step size or an array of them, such as the graded
-dyadic grid ``verify`` steps on.  Here they are held, entry by entry, within
-2e-14 relative of the same RK4 steps run in ``decimal`` on the exact values
-of the float inputs: the
-(mu_hat, beta) subsystem with kappa advancing through the stages, tau_hat
-with P read off its exact solution at the stage times, and P's own ODE.
-Each entry's scale is the larger of it and the entry before it.  The generic
-float stage loops below meet the same bound, so it measures float roundoff
-and not a fit to the code under test.
+``belief_path``, ``kalman_path`` and the engine's stock step their affine
+ODEs s' = c - l*s by one helper, ``signals._affine_rk4``, which sums each
+step's stage slopes in numpy and walks the steps in Python; ``belief_path``
+derives beta's stages from the recorded mu_hat; ``variance_path`` steps P in
+the scaled unknown h*P/R.  Each reference takes one step size or an array of
+them, such as the graded dyadic grid ``verify`` steps on.  Here they are
+held, entry by entry, within 2e-14 relative of the same RK4 steps run in
+``decimal`` on the exact values of the float inputs: the (mu_hat, beta)
+subsystem with kappa advancing through the stages, tau_hat with P read off
+its exact solution at the stage times, and P's own ODE.  Each entry's scale
+is the larger of it and the entry before it.  The generic float stage loops
+below meet the same bound, so it measures float roundoff and not a fit to
+the code under test.  The stock is held within 2e-15 of each entry of a
+50-digit RK4 of the stage rows (drive, lam) the engine hands the helper.
 """
 
 import re
@@ -27,15 +30,21 @@ from beliefgames import (
     NonFiniteStateError,
     NormalGammaBelief,
     SignalTrace,
+    SimConfig,
     belief_path,
+    engine,
     kalman_path,
+    simulate,
     variance_closed_form,
     variance_path,
 )
+from beliefgames.engine import DYNAMICS_MODES, SCHEMES
 from beliefgames.oracles import _graded_steps
 
 # The bound tests/test_discrete_reference.py gates the discrete scheme with.
 REL = 2e-14
+# The engine's stock, entry by entry, on the configs below.
+STOCK_REL = 2e-15
 
 
 def step_rel_gap(observed, expected):
@@ -325,3 +334,42 @@ def test_belief_path_steps_beta_like_the_stage_loop_one_step_at_a_time():
         path = belief_path(b, trace, h, h)
         assert step_rel_gap(path.mu_hat, decimal_belief(b, trace.values, h)[0]) <= REL
         assert np.array_equal(path.beta, beta)
+
+
+def decimal_stock(s0, h, c, l):
+    """S' = c - l*S, with ``c`` and ``l`` read off their rows at each step's
+    start, middle and end."""
+    c, l = ([[Decimal(v) for v in row.tolist()] for row in a] for a in (c, l))
+    grid, sizes = grid_50_digits(h, len(c[0]))
+
+    def rates(i, s, state):
+        k = round(2 * (s - grid[i]) / sizes[i])  # 0, 1, 2 at start, middle, end
+        return (c[k][i] - l[k][i] * state[0],)
+
+    (stock,) = rk4_50_digits((s0,), rates, h, len(c[0]))
+    return stock
+
+
+@pytest.mark.parametrize("mode", DYNAMICS_MODES)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_engine_stock_matches_50_digit_rk4_of_its_stage_rows(
+    monkeypatch, two_player_scenario, scheme, mode
+):
+    """The stock walks the same RK4 helper as the two means, here on the stage
+    rows (drive, lam) of a C6-sized run: horizon 200 in 4000 steps."""
+    calls = []
+    walk = engine._affine_rk4
+
+    def record(s0, h, c, l):
+        calls.append((s0, h, np.array(c), np.array(l)))
+        return walk(s0, h, c, l)
+
+    monkeypatch.setattr(engine, "_affine_rk4", record)
+    cfg = SimConfig(scheme, 0.05, 0.05, 200.0, mode)
+    for seed in (1, 2):
+        calls.clear()
+        stock = simulate(two_player_scenario, cfg, seed=seed).S
+        ((s0, h, c, l),) = calls
+        expected = decimal_stock(s0, h, c, l)
+        assert stock.size == 4001
+        assert np.max(np.abs(stock - expected) / np.abs(expected)) <= STOCK_REL
