@@ -14,6 +14,7 @@ belief ODEs (continuous scheme) or to chained Euler steps (discrete scheme).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -80,9 +81,22 @@ class GridPosterior:
     variance: float
 
 
+# A cell whose log weight lies this far below the peak's weighs exactly zero.
+# np.exp leaves its SIMD path for inputs below about -708, whose results are
+# subnormal or zero, at 20-200x the cost per element.
+_LOG_FLOOR = -700.0
+
+
 def _grid_moments(
     xs: np.ndarray, prior: NormalGammaBelief, grid: BayesGrid
 ) -> tuple[float, float, float, float]:
+    """Means and variances of both marginals on one grid.
+
+    The log weight less its peak, row(lam) - lam rate(mu) - peak, is one
+    rank-2 matrix product, and each marginal one matrix-vector product.  It
+    is floored at ``_LOG_FLOOR`` before ``exp`` and the floor's weight
+    subtracted after, so a cell under e^-700 of the peak weighs exactly zero.
+    """
     mu, lam = grid.axes()
     n = xs.size
     xbar = float(xs.mean()) if n else 0.0
@@ -96,19 +110,23 @@ def _grid_moments(
         rate = prior.beta + 0.5 * (
             ss + n * (xbar - mu) ** 2 + prior.kappa * (mu - prior.mu_hat) ** 2
         )
-        logp = -lam[:, None] * rate
-    logp += (prior.alpha - 0.5 + 0.5 * n) * np.log(lam)[:, None]
-    peak = float(np.max(logp))
-    if not math.isfinite(peak):
-        raise GridUnderflowError("all posterior grid weights underflowed to zero")
-    logp -= peak
+        row = (prior.alpha - 0.5 + 0.5 * n) * np.log(lam)
+        # rate >= 0 and lam > 0, so every row peaks at the smallest rate.
+        peak = float(np.max(row - lam * rate.min()))
+        if not math.isfinite(peak):
+            raise GridUnderflowError("all posterior grid weights underflowed to zero")
+        # logp - peak as one rank-2 product [lam, row - peak] @ [-rate; 1].
+        logp = np.stack((lam, row - peak), axis=1) @ np.stack((-rate, np.ones_like(rate)))
+    np.maximum(logp, _LOG_FLOOR, out=logp)
     w = np.exp(logp, out=logp)
-    z = float(w.sum())
+    w -= math.exp(_LOG_FLOOR)  # exactly 0 at the floor, as after an underflow
+    w_lam = w @ np.ones(mu.size)
+    z = float(w_lam.sum())
     if z <= 0.0 or not math.isfinite(z):
         raise GridUnderflowError("posterior grid normalization failed")
     # Central moments of the two marginals.
-    w_mu = w.sum(axis=0) / z
-    w_lam = w.sum(axis=1) / z
+    w_mu = (np.ones(lam.size) @ w) / z
+    w_lam /= z
     mu_mean = float(w_mu @ mu)
     lam_mean = float(w_lam @ lam)
     mu_var = float(w_mu @ (mu - mu_mean) ** 2)
@@ -170,6 +188,9 @@ def grid_bayes_posterior(
     narrower than one cell still gets a window.  The zoom stops once the sd
     of the mean spans 1/40 of the window; ``GridUnderflowError`` if it has
     not after 8 passes, or if the window falls below the float spacing.
+    In each pass, cells that weigh under e^-700 of the peak cell count as
+    exactly zero, as those under the float's underflow (about e^-745) would;
+    this keeps ``np.exp`` off its slow path for subnormal results.
     """
     if isinstance(observations, SignalTrace):
         xs = np.asarray(observations.values, dtype=float)
@@ -244,7 +265,10 @@ def best_response_value(
     for name, value in (("t_trunc", t_trunc), ("h", h)):
         if not (value > 0.0 and math.isfinite(value)):
             raise ValueError(f"{name}={value}: must be positive and finite")
-    devs = np.asarray(list(deviations), dtype=float)
+    # A fresh array; only an iterable without a length goes through a list.
+    if not isinstance(deviations, (np.ndarray, Sequence)):
+        deviations = list(deviations)
+    devs = np.array(deviations, dtype=float)
     if devs.size == 0:
         raise ValueError("empty deviation grid")
     # A NaN would win argmax, or turn every value NaN.

@@ -99,6 +99,104 @@ def test_long_trace_zoom_stays_within_c3(seed):
     assert abs(post.mean - expect) / abs(expect) <= 1e-3
 
 
+def pass_grids(xs):
+    """The wide, first zoomed and last grids of one grid_bayes_posterior run."""
+    grids = []
+    moments = oracles._grid_moments
+
+    def record(xs, prior, grid):
+        grids.append(grid)
+        return moments(xs, prior, grid)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_grid_moments", record)
+        grid_bayes_posterior(xs, PRIOR)
+    assert grids[0] == oracles._wide_grid(xs, PRIOR, 400, 400) and len(grids) >= 3
+    return {"wide": grids[0], "first-zoom": grids[1], "last-zoom": grids[-1]}
+
+
+def plain_grid_moments(xs, prior, grid):
+    """Mean and variance of the mean from the full log-weight grid, its max,
+    a plain exp and plain axis sums; and the share of cells that weigh under
+    e^-700 of the peak."""
+    mu, lam = grid.axes()
+    n, xbar = xs.size, xs.mean()
+    ss = np.sum((xs - xbar) ** 2)
+    rate = prior.beta + 0.5 * (
+        ss + n * (xbar - mu) ** 2 + prior.kappa * (mu - prior.mu_hat) ** 2
+    )
+    logp = -lam[:, None] * rate + (prior.alpha - 0.5 + 0.5 * n) * np.log(lam)[:, None]
+    logp -= np.max(logp)
+    w = np.exp(logp)
+    w_mu = w.sum(axis=0) / w.sum()
+    mean = w_mu @ mu
+    return mean, w_mu @ (mu - mean) ** 2, np.mean(logp < -700.0)
+
+
+# About 7x the largest gaps of the floored pass from the plain arithmetic over
+# 20 seeds of these traces: 1.5e-15 in the mean and 1.5e-13 in the variance
+# (both on the wide grid, where a few cells hold all the mass).
+MEAN_GATE, VARIANCE_GATE = 1e-14, 1e-12
+
+
+def grid_pass_gaps(seed, kind):
+    xs = 0.5 + 0.2 * np.random.default_rng(seed).standard_normal(2000)
+    grid = pass_grids(xs)[kind]
+    mean, variance, dead = plain_grid_moments(xs, PRIOR, grid)
+    post = grid_bayes_posterior(xs, PRIOR, grid=grid)
+    gaps = abs(post.mean - mean) / abs(mean), abs(post.variance - variance) / variance
+    return gaps, dead
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", ["wide", "first-zoom", "last-zoom"])
+def test_grid_pass_matches_plain_arithmetic(seed, kind):
+    (mean_gap, variance_gap), dead = grid_pass_gaps(seed, kind)
+    # The wide pass is nearly all dead cells, the last zoomed pass has none.
+    if kind == "wide":
+        assert dead >= 0.9
+    if kind == "last-zoom":
+        assert dead == 0.0
+    assert mean_gap <= MEAN_GATE
+    assert variance_gap <= VARIANCE_GATE
+
+
+@pytest.mark.parametrize("kind", ["wide", "first-zoom", "last-zoom"])
+def test_grid_pass_gate_catches_a_raised_floor(monkeypatch, kind):
+    # Dropping the cells under e^-30 of the peak moves the variance by 4e-11
+    # of itself on the zoomed grids and by 1e-2 on the wide one.
+    monkeypatch.setattr(oracles, "_LOG_FLOOR", -30.0)
+    (_, variance_gap), _ = grid_pass_gaps(0, kind)
+    assert variance_gap > VARIANCE_GATE
+
+
+def test_grid_exp_sees_no_input_below_the_floor(monkeypatch):
+    # Below about -708, np.exp leaves its fast path; the wide pass of a long
+    # trace has nearly all its cells there.
+    lowest, np_exp = [], np.exp
+
+    def exp(x, *args, **kwargs):
+        lowest.append(np.min(x))
+        return np_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", exp)
+    xs = 0.5 + 0.2 * np.random.default_rng(0).standard_normal(2000)
+    grid_bayes_posterior(xs, PRIOR)
+    assert len(lowest) >= 3 and min(lowest) >= oracles._LOG_FLOOR
+
+
+def test_cells_under_the_floor_weigh_exactly_zero():
+    # Every cell but mu = 0 lies some 1e295 below the peak in log weight, yet
+    # each sits up to 1e150 from the mean: a weight of e^-700 there would
+    # give a variance of about 0.016.
+    grid = BayesGrid(-1e150, 1e150, 401, 0.5, 2.0, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        post = grid_bayes_posterior([0.5], PRIOR, grid=grid)
+    assert post.mean == 0.0
+    assert post.variance == 0.0
+
+
 def test_unresolvable_zoom_raises_grid_underflow():
     # Posterior sd of the mean about 1e-18 at 1e8, far below the float spacing
     # there: no window the grid can represent resolves it.
@@ -179,6 +277,23 @@ def test_best_response_rejects_bad_input(controls, t_trunc, h, message):
     b = BeliefProfile(0.5, (1.0, 1.0))
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         best_response_value(p, b, controls, 0, [0.5], t_trunc, h=h)
+
+
+def test_best_response_takes_any_iterable_of_deviations():
+    p = GameParams(a=(2.0, 2.0), tau=(1.0, 1.0), delta=0.5, rho=0.25)
+    b = BeliefProfile(0.5, (1.0, 1.0))
+    devs = np.linspace(0.2, 1.2, 11)
+    results = [
+        best_response_value(p, b, [0.7, 0.7], 0, given, 10.0)
+        for given in (devs, devs.tolist(), (float(d) for d in devs))
+    ]
+    for res in results:
+        np.testing.assert_array_equal(res.controls, devs)
+        np.testing.assert_array_equal(res.values, results[0].values)
+        assert res.best_control == results[0].best_control
+    # The result keeps its own copy of the caller's array.
+    devs[:] = 0.0
+    assert results[0].controls[0] == 0.2 and results[0].controls is not devs
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
