@@ -335,15 +335,16 @@ def _discrete_path(
     d_beta = dt * kappa[:-1] * e * e / (2.0 * (kappa[:-1] + 1.0))
     # P_{k+1} = P_k (1 - dt P_k / r) does not depend on the signals; dividing
     # the Kalman mean jump by it telescopes the mean to
-    # tau_k = tau0 + P_k dt sum_{j<k} (y_j - tau0) / (r - dt P_j).
-    P = []
+    # tau_k = tau0 + P_k dt sum_{j<k} (y_j - tau0) / (r - dt P_j).  Players
+    # that share (p0, r) share the recursion.
+    rows = {}
     for p, r_j in zip(scn.p0, scn.r):
-        row = [p]
-        for _ in range(used):
-            p *= 1.0 - dt * p / r_j
-            row.append(p)
-        P.append(row)
-    P = np.array(P)
+        if (p, r_j) not in rows:
+            row = rows[p, r_j] = [p]
+            for _ in range(used):
+                p *= 1.0 - dt * p / r_j
+                row.append(p)
+    P = np.array([rows[key] for key in zip(scn.p0, scn.r)])
     y = np.stack([c.values[:used] for c in traces.cost])
     tau0, r = (np.array(v)[:, None] for v in (scn.tau0, scn.r))
     tau = _prefix(y, tau0, dt / (r - dt * P[:, :-1]), 1, used)

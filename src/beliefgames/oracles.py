@@ -154,6 +154,7 @@ def _wide_grid(xs: np.ndarray, prior: NormalGammaBelief, n_mu, n_lam) -> BayesGr
         msg = "the observations' spread overflows: squared residuals on a grid window"
         raise GridUnderflowError(f"{msg} {width:.3g} wide exceed the float range")
     lam_hi = 8.0 * max(prior_lam_mean, 1.0 / max(s * s, 1e-12))
+    _require_mu_step(centre_lo - spread, centre_hi + spread, n_mu)
     return BayesGrid(
         mu_lo=centre_lo - spread,
         mu_hi=centre_hi + spread,
@@ -162,6 +163,20 @@ def _wide_grid(xs: np.ndarray, prior: NormalGammaBelief, n_mu, n_lam) -> BayesGr
         lam_hi=lam_hi,
         n_lam=n_lam,
     )
+
+
+def _require_mu_step(mu_lo: float, mu_hi: float, n_mu: int) -> None:
+    """Raise ``GridUnderflowError`` unless a window's mean step is at least
+    the float spacing at its largest |mean|: below it the n_mu points take
+    fewer distinct values, and the moments measure that quantization."""
+    step = (mu_hi - mu_lo) / (n_mu - 1)
+    spacing = math.ulp(max(abs(mu_lo), abs(mu_hi)))
+    if not step >= spacing:
+        raise GridUnderflowError(
+            f"grid did not resolve the posterior mean: the window "
+            f"[{mu_lo!r}, {mu_hi!r}] has a mean step of {step:.3g}, below the "
+            f"float spacing {spacing:.3g} at its largest |mean|"
+        )
 
 
 # The zoom stops once the sd of the mean spans this share of the window (10
@@ -187,7 +202,8 @@ def grid_bayes_posterior(
     in the mean and +/- 8 max(sd, cell step) in the precision, so a posterior
     narrower than one cell still gets a window.  The zoom stops once the sd
     of the mean spans 1/40 of the window; ``GridUnderflowError`` if it has
-    not after 8 passes, or if the window falls below the float spacing.
+    not after 8 passes, or if a window's mean step, the first window's
+    included, falls below the float spacing at its largest |mean|.
     In each pass, cells that weigh under e^-700 of the peak cell count as
     exactly zero, as those under the float's underflow (about e^-745) would;
     this keeps ``np.exp`` off its slow path for subnormal results.
@@ -199,6 +215,7 @@ def grid_bayes_posterior(
     if xs.size and not np.all(np.isfinite(xs)):
         raise ValueError("observations must be finite")
     if grid is not None:
+        _require_mu_step(grid.mu_lo, grid.mu_hi, grid.n_mu)
         mean, var, _, _ = _grid_moments(xs, prior, grid)
         return GridPosterior(mean=mean, variance=var)
     grid = _wide_grid(xs, prior, n_mu, n_lam)
@@ -210,8 +227,7 @@ def grid_bayes_posterior(
             return GridPosterior(mean=mu_mean, variance=mu_var)
         mu_half = 10.0 * max(mu_sd, width / (n_mu - 1))
         lam_half = 8.0 * max(math.sqrt(lam_var), (grid.lam_hi - grid.lam_lo) / (n_lam - 1))
-        if not mu_mean - mu_half < mu_mean + mu_half:
-            break  # narrower than the float spacing at the mean
+        _require_mu_step(mu_mean - mu_half, mu_mean + mu_half, n_mu)
         grid = BayesGrid(
             mu_lo=mu_mean - mu_half,
             mu_hi=mu_mean + mu_half,

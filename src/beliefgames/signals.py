@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -270,14 +270,143 @@ def sample_cost_trace(
     return SignalTrace(t0=0.0, dt=dt, values=values, label=label)
 
 
+# _write_csv encodes its cells in blocks of about this many.
+_CSV_BLOCK = 4096
+# 10^k for k = 0..20, each exact in binary64.
+_POW10 = np.array([float(10**k) for k in range(21)])
+# Word w's offset into the flat ``last`` table of _csv_tables.
+_QUAD_ROWS = 10000 * np.arange(4)[:, None]
+
+
+def _dekker_split(a):
+    """``(hi, lo)`` with hi + lo = a exactly, each on at most 26 bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _dekker_split(_POW10)
+
+
+def _scaled(a: np.ndarray, e: np.ndarray):
+    """``(h, err)``: h = fl(a 10^(16-e)) and h + err = a 10^(16-e) exactly
+    (Dekker's product)."""
+    k = 16 - e
+    p, p_hi, p_lo = _POW10[k], _POW10_HI[k], _POW10_LO[k]
+    h = a * p
+    a_hi, a_lo = _dekker_split(a)
+    return h, ((a_hi * p_hi - h) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+
+
+@cache
+def _csv_tables():
+    """The encoder's lookup tables, as little-endian 8-byte words: ``quad``,
+    the four digits of 0..9999 at bytes 0, 2, 4, 6; ``last``, for word w
+    (its digits 4w+1..4w+4), the index of a quad's last nonzero digit, 0 if
+    none; ``keep[w, top]``, word w's digit bytes for digits k <= top; and
+    ``lead[s, e + 4]``, the bytes before the first digit: "-" when s, then
+    "0." and -1 - e zeros when e < 0."""
+    q = np.arange(10000)
+    digits = q // np.array([[1000], [100], [10], [1]]) % 10
+    quad = np.zeros((10000, 8), np.uint8)
+    quad[:, 0::2] = 48 + digits.T
+    at = np.max(np.where(digits != 0, np.arange(1, 5)[:, None], 0), axis=0)
+    last = np.where(at > 0, at + 4 * np.arange(4)[:, None], 0)
+    keep = np.zeros((4, 17, 8), np.uint8)
+    k = 4 * np.arange(4)[:, None, None] + np.arange(1, 5)
+    keep[:, :, 0::2] = np.where(k <= np.arange(17)[:, None], 0xFF, 0)
+    e = np.arange(-4, 17)
+    lead = np.zeros((2, 21, 8), np.uint8)
+    lead[1, :, 0] = ord("-")
+    lead[:, e < 0, 1:3] = (ord("0"), ord("."))
+    lead[:, :, 3:6] = np.where(np.arange(3) < -1 - e[:, None], ord("0"), 0)
+    tables = tuple(t.view("<u8")[..., 0] for t in (quad, keep, lead)) + (last,)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _encode_cells(x: np.ndarray, seps: np.ndarray) -> bytes:
+    """``"%.17g" % v`` then its separator byte, for each cell v of the 1-d
+    float array ``x`` and the matching uint8 of ``seps``.
+
+    ``%.17g`` writes |v| in [1e-4, 1e17) and zero in fixed notation.  For
+    those cells the 17 significant digits are D = |v| 10^(16-e), e the
+    decimal exponent, rounded half to even on the exact product h + err; a
+    D of 10^17 carries into e + 1.  Each cell is a 40-byte record: sign,
+    "0." and up to three zeros, then for k = 0..16 digit k and a slot byte
+    that holds the point after digit e, or in slot 16 the separator.  Bytes
+    left out (trailing zeros, empty slots) are NUL and one ``translate``
+    drops them.  Every other cell (exponent form, nan, +-inf) is formatted
+    by ``%`` and copied into its record.
+    """
+    quad, keep, lead, last_at = _csv_tables()
+    n = x.size
+    a = np.abs(x)
+    zero = a == 0.0
+    fixed = (a >= 1e-4) & (a < 1e17)
+    a[~fixed] = 1.0  # a stand-in; these cells are redone below
+    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    h, err = _scaled(a, e)
+    # log10 can miss by one next to a power of ten: move e by one where the
+    # exact h + err leaves [1e16, 1e17).
+    low = (h < 1e16) | ((h == 1e16) & (err < 0.0))
+    high = (h > 1e17) | ((h == 1e17) & (err >= 0.0))
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        e[fix] += high[fix].astype(np.intp) - low[fix]
+        h[fix], err[fix] = _scaled(a[fix], e[fix])
+    # h is a whole number and |err| <= 8, so D = h + floor(err) rounded on
+    # the fraction left in err.
+    f = np.floor(err)
+    frac = err - f
+    d = h.astype(np.int64) + f.astype(np.int64)
+    d += (frac > 0.5) | ((frac == 0.5) & (d & 1 == 1))
+    carry = d == 10**17
+    d[carry] = 10**16
+    e += carry
+    d[zero] = 0
+    e[zero] = 0
+    # Digit 0, then four words of four digits.
+    hi = d // 10**8
+    d0 = hi // 10**8
+    halves = np.stack((hi - d0 * 10**8, d - hi * 10**8)).astype(np.int32)
+    words = np.empty((4, n), np.intp)
+    words[0::2] = halves // 10**4
+    words[1::2] = halves - words[0::2] * 10**4
+    last = np.take(last_at, words + _QUAD_ROWS).max(axis=0)
+    rec = np.empty((n, 5), "<u8")
+    rec[:, 0] = np.take(lead, np.signbit(x) * 21 + e + 4)
+    top = np.maximum(e, last)
+    rec[:, 1:] = (np.take(quad, words) & np.take(keep, top, axis=1)).T
+    out = rec.view(np.uint8)
+    out[:, 6] = 48 + d0
+    out[:, 39] = seps
+    point = np.flatnonzero((last > e) & (e >= 0))
+    out[point, 7 + 2 * e[point]] = ord(".")
+    slow = np.flatnonzero(~(fixed | zero))
+    if slow.size:
+        text = ["%.17g" % v for v in x[slow].tolist()]
+        out[slow, :39] = np.array(text, dtype="S39").view(np.uint8).reshape(-1, 39)
+    return out.tobytes().translate(None, b"\0")
+
+
 def _write_csv(path: str | Path, head: list[str], table) -> None:
-    """Write the ``head`` lines, then one ``%.17g`` line per row of the float
-    ``table``: the one CSV encoder of every artifact."""
+    """Write the ``head`` lines, then one line per row of the float
+    ``table``, each cell the bytes of ``"%.17g" % v``: the one CSV encoder
+    of every artifact.  Rows are encoded in blocks of about ``_CSV_BLOCK``
+    cells."""
     table = np.asarray(table, dtype=float)
     rows, cols = table.shape
-    template = "\n".join([",".join(["%.17g"] * cols)] * rows)
-    lines = head + [template % tuple(table.ravel().tolist())] if rows else head
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    step = max(1, _CSV_BLOCK // cols)
+    seps = np.full(cols, ord(","), np.uint8)
+    seps[-1] = ord("\n")
+    seps = np.tile(seps, step)
+    with open(path, "wb") as f:
+        f.write("".join(line + "\n" for line in head).encode("utf-8"))
+        for r in range(0, rows, step):
+            cells = table[r : r + step].ravel()
+            f.write(_encode_cells(cells, seps[: cells.size]))
 
 
 def save_trace(trace: SignalTrace, path: str | Path) -> None:

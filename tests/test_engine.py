@@ -269,6 +269,21 @@ def test_discrete_scan_hazards_raise_typed_errors_at_their_time(
         simulate(scn, SimConfig(scheme="discrete"), traces=traces)
 
 
+def test_discrete_players_sharing_p0_and_r_share_their_variance_bits():
+    # The data-free P recursion runs once per distinct (p0, r); the players
+    # that share it get the same bits as a player that runs it alone.
+    def variance(p0, r):
+        n = len(p0)
+        params = GameParams(a=(3.0,) * n, tau=(1.0,) * n, delta=0.8, rho=0.1, s0=0.1)
+        scn = Scenario(params=params, mu_true=0.5, sigma=0.2, tau0=(0.6,) * n, p0=p0, r=r)
+        return simulate(scn, SimConfig(scheme="discrete"), seed=3).P
+
+    trio = variance((1.0, 2.0, 1.0), (0.25, 0.5, 0.25))
+    solo = variance((1.0,), (0.25,))
+    assert trio[:, 0].tobytes() == trio[:, 2].tobytes() == solo[:, 0].tobytes()
+    assert not np.array_equal(trio[:, 1], trio[:, 0])
+
+
 def test_discrete_and_continuous_share_hyperparameter_clock(two_player_scenario):
     # At epoch boundaries kappa/alpha agree across schemes, so the variance
     # columns line up whenever mu/beta do; check via the t=0 row and the

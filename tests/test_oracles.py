@@ -205,6 +205,18 @@ def test_unresolvable_zoom_raises_grid_underflow():
         grid_bayes_posterior(np.full(2000, 1e8), prior)
 
 
+@pytest.mark.parametrize("m", [1e5, 1e6, 3e8, 1e9, 7e9])
+def test_window_below_the_float_spacing_raises_grid_underflow(m):
+    # Posterior sd of the mean about 1e-18; the exact variance is about 5e-37.
+    # A window whose 400 mean points are fewer distinct floats would report
+    # its own quantization as the variance (1.4e-14 at 1e9); at 7e9 the first
+    # window is a single float.
+    prior = NormalGammaBelief(m, 1.0, 2.0, 1e-30)
+    msg = r"did not resolve .* mean step of .* below the float spacing"
+    with pytest.raises(GridUnderflowError, match=msg):
+        grid_bayes_posterior(np.full(2000, m), prior)
+
+
 def believed_controls(sol, beliefs):
     return [sol.f1[j] + sol.f2 * beliefs.tau_bar[j] for j in range(len(sol.f1))]
 

@@ -283,6 +283,68 @@ def test_csv_writer_matches_per_row_format(tmp_path):
     assert path.read_bytes() == b"a,b,c\n"
 
 
+def percent_17g(head, table) -> list[bytes]:
+    """The lines ``_write_csv`` must write: ``"%.17g" % v`` for every cell."""
+    rows, cols = np.shape(table)
+    row = ",".join(["%.17g"] * cols)
+    body = "\n".join([row] * rows) % tuple(np.ravel(table).tolist())
+    return [line.encode() for line in head + body.split("\n")[:rows]] + [b""]
+
+
+def assert_csv_is_percent_17g(path, head, table):
+    got = path.read_bytes().split(b"\n")
+    want = percent_17g(head, table)
+    if got != want:  # name the first bad line, not a diff of the whole file
+        bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+        assert bad is None, f"line {bad}: {got[bad]!r}, expected {want[bad]!r}"
+        assert len(got) == len(want)
+
+
+def csv_cell_classes(rng, n):
+    """About 5n cells of every class the encoder treats apart, shuffled."""
+    sign = rng.choice([-1.0, 1.0], n)
+    bits = rng.integers(0, 2**64, n // 4, dtype=np.uint64).view(np.float64)  # every exponent
+    log_uniform = sign * np.exp(rng.uniform(np.log(1e-6), np.log(1e18), n))
+    # Ties at the 17th digit: odd k over 2^m with 18 significant digits.
+    m = rng.integers(2, 23, n)
+    lo, hi = (np.minimum(10.0 ** (d - m) * 2.0**m, 2.0**53) for d in (17, 18))
+    k = np.floor(lo + (hi - lo) * rng.random(n))
+    ties = sign * np.ldexp(k + (k % 2 == 0), -m)
+    tens = 10.0 ** rng.integers(-6, 19, n)
+    ulp_off = np.where(rng.random(n) < 0.5, np.nextafter(tens, np.inf), np.nextafter(tens, 0.0))
+    small = sign * rng.integers(0, 10**6, n) / 10.0 ** rng.integers(0, 6, n)  # short, with zeros
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1e300, 1e-4,
+               1e17, 99999999999999984.0, 0.1, 0.5, 1.5, 2.5, 9.9999999999999995e-5]
+    cells = np.concatenate((bits, log_uniform, ties, sign * tens, sign * ulp_off, small, special))
+    return rng.permutation(cells)
+
+
+def test_csv_encoder_matches_percent_17g_on_every_cell_class(tmp_path):
+    # 1,000,036 cells in 250,009 rows: many encoder blocks.
+    table = csv_cell_classes(np.random.default_rng(23), 190_480).reshape(-1, 4)
+    path = tmp_path / "cells.csv"
+    _write_csv(path, ["# meta", "a,b,c,d"], table)
+    assert_csv_is_percent_17g(path, ["# meta", "a,b,c,d"], table)
+
+
+@pytest.mark.parametrize("shape", [(501, 35), (1, 35), (0, 35), (4097, 1), (3, 5)])
+def test_csv_encoder_matches_percent_17g_on_every_table_shape(tmp_path, shape):
+    rng = np.random.default_rng(shape[0])
+    table = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 18, shape)
+    path = tmp_path / "table.csv"
+    _write_csv(path, ["h"], table)
+    assert_csv_is_percent_17g(path, ["h"], table)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(values=st.lists(st.floats(), min_size=1, max_size=60), cols=st.integers(1, 3))
+def test_csv_encoder_matches_percent_17g_on_any_float(tmp_path_factory, values, cols):
+    table = np.resize(np.array(values), (len(values), cols))
+    path = tmp_path_factory.mktemp("csv") / "floats.csv"
+    _write_csv(path, [], table)
+    assert_csv_is_percent_17g(path, [], table)
+
+
 def test_trace_rejects_non_finite_values():
     with pytest.raises(ValueError):
         SignalTrace(t0=0.0, dt=0.1, values=np.array([1.0, np.nan]))
