@@ -55,7 +55,6 @@ from .normal_gamma import (
     step_discrete,
 )
 from .oracles import (
-    BayesGrid,
     best_response_value,
     closed_form_cross_check,
     grid_bayes_posterior,

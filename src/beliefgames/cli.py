@@ -24,13 +24,14 @@ _NOTE = "scenario constants are repository defaults, not published values"
 
 
 class _Group(click.Group):
-    """Reports the package's typed errors and invalid values as one-line CLI
-    errors (exit 1, no traceback), whichever command raises them."""
+    """Reports the package's typed errors, invalid values and file errors
+    (whose message names the path) as one-line CLI errors (exit 1, no
+    traceback), whichever command raises them."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (BeliefGameError, ValueError) as exc:
+        except (BeliefGameError, ValueError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 

@@ -22,8 +22,8 @@ class SingularSystemError(BeliefGameError):
 
 
 class UndefinedVarianceError(BeliefGameError):
-    """A variance is undefined: the estimator variance at gamma shape <= 1, or
-    a discrete Kalman error variance P_j that is no longer positive."""
+    """A variance is undefined: a discrete Kalman error variance P_j that is no
+    longer positive."""
 
 
 class GridUnderflowError(BeliefGameError):

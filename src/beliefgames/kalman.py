@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteStateError
-from .signals import (
-    SignalTrace,
-    _affine_rk4,
-    _step_units,
-    require_finite,
-    step_grid,
-)
+from .signals import SignalTrace, _affine_rk4, _step_units, require_finite
 
 
 @dataclass(frozen=True)
@@ -117,14 +111,14 @@ def kalman_path(
 
 def variance_path(b: KalmanBelief, duration: float, h) -> np.ndarray:
     """Integrate P' = -P^2/R over ``duration`` by RK4 in w = h*P/R: the
-    reference for :func:`variance_closed_form`, on the grid of
-    :func:`step_grid` from ``b.t``.
+    reference for :func:`variance_closed_form`, from ``b.t``.
 
     ``h`` is one step size, which must divide the duration, or an array of
     step sizes.  A non-finite P raises :class:`NonFiniteStateError` naming its
     first grid time.
     """
-    t = step_grid(b.t, duration, h, "variance_path")
+    u, k = _step_units(duration, h, "variance_path")
+    t = b.t + u * k
     hs = np.broadcast_to(np.asarray(h, dtype=float), (t.size - 1,))
     # Runs of equal steps, as (step, count).
     first = np.flatnonzero(np.diff(hs, prepend=np.nan))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteStateError, UndefinedVarianceError
+from .errors import NonFiniteStateError
 from .signals import SignalTrace, _affine_rk4, _step_units, require_finite
 
 
@@ -53,14 +53,6 @@ class NormalGammaBelief:
             raise ValueError(f"beta must stay non-negative, got {self.beta}")
         if self.t < 0.0:
             raise ValueError(f"belief clock must be non-negative, got {self.t}")
-
-    def estimator_variance(self) -> float:
-        """Posterior variance of the mean estimate, beta / (kappa (alpha - 1))."""
-        if self.alpha <= 1.0:
-            raise UndefinedVarianceError(
-                f"variance undefined for alpha={self.alpha} <= 1"
-            )
-        return self.beta / (self.kappa * (self.alpha - 1.0))
 
 
 def belief_derivative(

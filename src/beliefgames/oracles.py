@@ -47,39 +47,13 @@ from .signals import SignalTrace
 
 
 @dataclass(frozen=True)
-class BayesGrid:
-    """Rectangular evaluation grid over (mean, precision)."""
-
-    mu_lo: float
-    mu_hi: float
-    n_mu: int
-    lam_lo: float
-    lam_hi: float
-    n_lam: int
-
-    def __post_init__(self):
-        for name in ("mu_lo", "mu_hi", "lam_lo", "lam_hi"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"grid bound {name} must be finite, got {getattr(self, name)}")
-        if self.mu_hi <= self.mu_lo or self.lam_hi <= self.lam_lo:
-            raise ValueError("grid bounds out of order")
-        if self.lam_lo <= 0.0:
-            raise ValueError("precision grid must be strictly positive")
-        if self.n_mu < 2 or self.n_lam < 2:
-            raise ValueError("grid needs at least 2 points per axis")
-
-    def axes(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.linspace(self.mu_lo, self.mu_hi, self.n_mu),
-            np.linspace(self.lam_lo, self.lam_hi, self.n_lam),
-        )
-
-
-@dataclass(frozen=True)
 class GridPosterior:
     mean: float
     variance: float
 
+
+# Points per axis of every grid pass.
+_CELLS = 400
 
 # A cell whose log weight lies this far below the peak's weighs exactly zero.
 # np.exp leaves its SIMD path for inputs below about -708, whose results are
@@ -88,16 +62,15 @@ _LOG_FLOOR = -700.0
 
 
 def _grid_moments(
-    xs: np.ndarray, prior: NormalGammaBelief, grid: BayesGrid
+    xs: np.ndarray, prior: NormalGammaBelief, mu: np.ndarray, lam: np.ndarray
 ) -> tuple[float, float, float, float]:
-    """Means and variances of both marginals on one grid.
+    """Means and variances of both marginals on the grid of axes ``mu``, ``lam``.
 
     The log weight less its peak, row(lam) - lam rate(mu) - peak, is one
     rank-2 matrix product, and each marginal one matrix-vector product.  It
     is floored at ``_LOG_FLOOR`` before ``exp`` and the floor's weight
     subtracted after, so a cell under e^-700 of the peak weighs exactly zero.
     """
-    mu, lam = grid.axes()
     n = xs.size
     xbar = float(xs.mean()) if n else 0.0
     # Normal-Gamma prior density (up to constants) times the normal likelihood
@@ -134,7 +107,7 @@ def _grid_moments(
     return mu_mean, mu_var, lam_mean, lam_var
 
 
-def _wide_grid(xs: np.ndarray, prior: NormalGammaBelief, n_mu, n_lam) -> BayesGrid:
+def _wide_grid(xs: np.ndarray, prior: NormalGammaBelief) -> tuple[np.ndarray, np.ndarray]:
     # First-pass ranges: generous enough to contain the posterior mass whether
     # the prior or the data dominates.
     prior_mu_sd = math.sqrt(prior.beta / (prior.kappa * prior.alpha))
@@ -154,22 +127,25 @@ def _wide_grid(xs: np.ndarray, prior: NormalGammaBelief, n_mu, n_lam) -> BayesGr
         msg = "the observations' spread overflows: squared residuals on a grid window"
         raise GridUnderflowError(f"{msg} {width:.3g} wide exceed the float range")
     lam_hi = 8.0 * max(prior_lam_mean, 1.0 / max(s * s, 1e-12))
-    _require_mu_step(centre_lo - spread, centre_hi + spread, n_mu)
-    return BayesGrid(
-        mu_lo=centre_lo - spread,
-        mu_hi=centre_hi + spread,
-        n_mu=n_mu,
-        lam_lo=lam_hi / (10.0 * n_lam),
-        lam_hi=lam_hi,
-        n_lam=n_lam,
-    )
+    return _window(centre_lo - spread, centre_hi + spread, lam_hi / (10.0 * _CELLS), lam_hi)
 
 
-def _require_mu_step(mu_lo: float, mu_hi: float, n_mu: int) -> None:
-    """Raise ``GridUnderflowError`` unless a window's mean step is at least
-    the float spacing at its largest |mean|: below it the n_mu points take
-    fewer distinct values, and the moments measure that quantization."""
-    step = (mu_hi - mu_lo) / (n_mu - 1)
+def _window(
+    mu_lo: float, mu_hi: float, lam_lo: float, lam_hi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and precision axes of one pass, ``_CELLS`` points each.
+
+    A non-finite bound raises ``ValueError``; a prior rate near zero puts the
+    precision bounds past the float range.  ``GridUnderflowError`` unless the
+    mean step is at least the float spacing at the window's largest |mean|:
+    below it the points take fewer distinct values, and the moments measure
+    that quantization.
+    """
+    bounds = {"mu_lo": mu_lo, "mu_hi": mu_hi, "lam_lo": lam_lo, "lam_hi": lam_hi}
+    for name, value in bounds.items():
+        if not math.isfinite(value):
+            raise ValueError(f"grid bound {name} must be finite, got {value}")
+    step = (mu_hi - mu_lo) / (_CELLS - 1)
     spacing = math.ulp(max(abs(mu_lo), abs(mu_hi)))
     if not step >= spacing:
         raise GridUnderflowError(
@@ -177,28 +153,22 @@ def _require_mu_step(mu_lo: float, mu_hi: float, n_mu: int) -> None:
             f"[{mu_lo!r}, {mu_hi!r}] has a mean step of {step:.3g}, below the "
             f"float spacing {spacing:.3g} at its largest |mean|"
         )
+    return np.linspace(mu_lo, mu_hi, _CELLS), np.linspace(lam_lo, lam_hi, _CELLS)
 
 
 # The zoom stops once the sd of the mean spans this share of the window (10
-# cells at the default 400), and gives up after this many passes.
+# cells), and gives up after this many passes.
 _RESOLVED_SHARE = 1.0 / 40.0
 _MAX_PASSES = 8
 
 
-def grid_bayes_posterior(
-    observations,
-    prior: NormalGammaBelief,
-    grid: BayesGrid | None = None,
-    n_mu: int = 400,
-    n_lam: int = 400,
-) -> GridPosterior:
+def grid_bayes_posterior(observations, prior: NormalGammaBelief) -> GridPosterior:
     """Posterior mean/variance of the unknown mean by 2-d grid integration.
 
-    Numerically normalizes likelihood times prior on a (mean, precision)
-    grid; shares no arithmetic with the conjugate updates it is used to
-    check.  An explicit grid is integrated once.  Otherwise the first pass
-    spans the prior and the data, and each further pass of the same
-    resolution is centred on the last one's means: +/- 10 max(sd, cell step)
+    Numerically normalizes likelihood times prior on a 400 x 400 (mean,
+    precision) grid; shares no arithmetic with the conjugate updates it is
+    used to check.  The first pass spans the prior and the data, and each
+    further pass is centred on the last one's means: +/- 10 max(sd, cell step)
     in the mean and +/- 8 max(sd, cell step) in the precision, so a posterior
     narrower than one cell still gets a window.  The zoom stops once the sd
     of the mean spans 1/40 of the window; ``GridUnderflowError`` if it has
@@ -214,28 +184,18 @@ def grid_bayes_posterior(
         xs = np.asarray(list(observations), dtype=float)
     if xs.size and not np.all(np.isfinite(xs)):
         raise ValueError("observations must be finite")
-    if grid is not None:
-        _require_mu_step(grid.mu_lo, grid.mu_hi, grid.n_mu)
-        mean, var, _, _ = _grid_moments(xs, prior, grid)
-        return GridPosterior(mean=mean, variance=var)
-    grid = _wide_grid(xs, prior, n_mu, n_lam)
+    mu, lam = _wide_grid(xs, prior)
     for passes in range(1, _MAX_PASSES + 1):
-        mu_mean, mu_var, lam_mean, lam_var = _grid_moments(xs, prior, grid)
+        mu_mean, mu_var, lam_mean, lam_var = _grid_moments(xs, prior, mu, lam)
         mu_sd = math.sqrt(mu_var)
-        width = grid.mu_hi - grid.mu_lo
+        # linspace's ends are its bounds, exactly.
+        width = float(mu[-1] - mu[0])
         if mu_sd >= _RESOLVED_SHARE * width:
             return GridPosterior(mean=mu_mean, variance=mu_var)
-        mu_half = 10.0 * max(mu_sd, width / (n_mu - 1))
-        lam_half = 8.0 * max(math.sqrt(lam_var), (grid.lam_hi - grid.lam_lo) / (n_lam - 1))
-        _require_mu_step(mu_mean - mu_half, mu_mean + mu_half, n_mu)
-        grid = BayesGrid(
-            mu_lo=mu_mean - mu_half,
-            mu_hi=mu_mean + mu_half,
-            n_mu=n_mu,
-            lam_lo=max(lam_mean - lam_half, lam_mean * 1e-3),
-            lam_hi=lam_mean + lam_half,
-            n_lam=n_lam,
-        )
+        mu_half = 10.0 * max(mu_sd, width / (_CELLS - 1))
+        lam_half = 8.0 * max(math.sqrt(lam_var), float(lam[-1] - lam[0]) / (_CELLS - 1))
+        lam_lo = max(lam_mean - lam_half, lam_mean * 1e-3)
+        mu, lam = _window(mu_mean - mu_half, mu_mean + mu_half, lam_lo, lam_mean + lam_half)
     raise GridUnderflowError(
         f"grid zoom did not resolve the posterior mean (pass {passes} of at most "
         f"{_MAX_PASSES}: sd {mu_sd:.3g} on a window of width {width:.3g})"

@@ -89,7 +89,7 @@ class SignalTrace:
 
     def held_steps(self, t_start: float, duration: float, h, what: str):
         """The grid from ``t_start`` over ``duration`` in steps ``h`` (see
-        :func:`step_grid`) and the value held over each step; the smallest step
+        :func:`_step_units`) and the value held over each step; the smallest step
         must divide the hold interval and the offset ``t_start - t0``, and no
         step may straddle a hold-interval boundary."""
         u, k = _step_units(duration, h, what)
@@ -135,7 +135,7 @@ class SignalTrace:
 
     def subsample(self, stride: int) -> "SignalTrace":
         """Keep every ``stride``-th sample; the hold interval grows accordingly."""
-        if stride < 1 or int(stride) != stride:
+        if not 1 <= stride < math.inf or stride % 1 != 0:
             raise ValueError("stride must be a positive integer")
         stride = int(stride)  # an integral float such as 2.0 slices as 2
         return SignalTrace(
@@ -146,17 +146,11 @@ class SignalTrace:
         )
 
 
-def step_grid(t_start: float, duration: float, h, what: str) -> np.ndarray:
-    """The grid from ``t_start`` over ``duration`` in steps ``h``: one step size
-    that divides the duration, or an array of step sizes, each a whole multiple
-    of the smallest, that together span it."""
-    u, k = _step_units(duration, h, what)
-    return t_start + u * k
-
-
 def _step_units(duration: float, h, what: str) -> tuple[float, np.ndarray]:
-    """``(u, k)``: the grid points of :func:`step_grid` sit at offsets ``u * k``
-    from its start, with ``u`` the smallest step and ``k`` whole numbers."""
+    """``(u, k)``: the grid over ``duration`` in steps ``h`` sits at offsets
+    ``u * k`` from its start, with ``u`` the smallest step and ``k`` whole
+    numbers.  ``h`` is one step size that divides the duration, or an array of
+    step sizes, each a whole multiple of the smallest, that together span it."""
     if duration < 0.0:
         raise ValueError("duration must be non-negative")
     if np.ndim(h) == 0:
@@ -216,10 +210,13 @@ def _affine_rk4(s0: float, h, c, l) -> np.ndarray:
 
 def _step_count(total: float, step: float, what: str) -> int:
     """Number of steps of size ``step`` in ``total``.  Raises ValueError unless
-    ``step`` is positive and divides ``total``; only a zero total gives 0."""
+    ``step`` is positive and divides ``total`` a finite number of times; only
+    a zero total gives 0."""
     if not step > 0.0:
         raise ValueError(f"{what}: step size must be positive, got {step}")
     q = total / step
+    if not math.isfinite(q):
+        raise ValueError(f"{what}: {total} is not a finite number of steps of {step}")
     r = round(q)
     if (r < 1 and total != 0.0) or abs(q - r) > 1e-9 * max(1.0, abs(q)):
         raise ValueError(f"{what}: {step} does not divide {total}")
@@ -410,7 +407,11 @@ def _write_csv(path: str | Path, head: list[str], table) -> None:
 
 
 def save_trace(trace: SignalTrace, path: str | Path) -> None:
-    """Write a trace as CSV: a `# label,dt,t0` comment row, then t,value rows."""
+    """Write a trace as CSV: a `# label,dt,t0` comment row, then t,value rows.
+    A label must hold no line break, as ``str.splitlines`` (and so
+    :func:`load_trace`) counts them."""
+    if trace.label.splitlines() not in ([], [trace.label]):
+        raise ValueError(f"trace label {trace.label!r} holds a line break")
     t = trace.t0 + np.arange(len(trace)) * trace.dt
     meta = f"# {trace.label},{trace.dt:.17g},{trace.t0:.17g}"
     _write_csv(path, [meta, "t,value"], np.column_stack((t, trace.values)))

@@ -109,8 +109,7 @@ def test_c3_grid_bayes_oracle():
         belief = NormalGammaBelief(0.0, 1.0, 2.0, 1.0)
         for x in xs:
             belief = step_discrete(belief, float(x), 1.0)
-        post = grid_bayes_posterior(xs, NormalGammaBelief(0.0, 1.0, 2.0, 1.0),
-                                    n_mu=400, n_lam=400)
+        post = grid_bayes_posterior(xs, NormalGammaBelief(0.0, 1.0, 2.0, 1.0))
         rel = abs(post.mean - belief.mu_hat) / abs(belief.mu_hat)
         assert rel <= 1e-3
     report("3 grid-bayes-oracle", f"relative gap {rel:.2e}", timer)

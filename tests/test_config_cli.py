@@ -366,6 +366,27 @@ def test_verify_reports_value_errors_without_traceback(runner, tmp_path):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize(
+    "args, culprit",
+    [
+        (["simulate", "--traces", "{dir}"], "{dir}/trace_ecological.csv"),
+        (["--config", "{dir}", "simulate"], "{dir}"),
+        (["--out", "{file}", "simulate"], "{file}"),
+    ],
+    ids=["missing-trace", "config-is-a-directory", "out-is-a-file"],
+)
+def test_file_errors_fail_with_one_error_line(runner, tmp_path, args, culprit):
+    paths = {"dir": tmp_path / "empty", "file": tmp_path / "taken"}
+    paths["dir"].mkdir()
+    paths["file"].write_text("")
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(main, [a.format(**paths) for a in args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    [line] = result.output.splitlines()
+    assert line.startswith("Error: ") and culprit.format(**paths) in line
+
+
 def test_verify_accepts_every_step_that_simulate_accepts(runner, tmp_path):
     # h_ode = 0.0025 divides the horizon 1.0025; the 1e-3 grid of the
     # signal interval does not.

@@ -10,7 +10,6 @@ from beliefgames import (
     NormalGammaBelief,
     SignalTrace,
     TraceCoverageError,
-    UndefinedVarianceError,
     belief_derivative,
     belief_path,
     closed_form_mean,
@@ -207,13 +206,6 @@ def test_binary_step_sizes_keep_affinity_bitwise():
         b = step_discrete(b, x, 0.25)
     assert b.kappa == 2.0
     assert b.alpha == 2.5
-
-
-def test_estimator_variance():
-    assert NormalGammaBelief(0, 2.0, 3.0, 4.0).estimator_variance() == 1.0
-    assert NormalGammaBelief(0, 7.0, 2.5, 0.0).estimator_variance() == 0.0
-    with pytest.raises(UndefinedVarianceError):
-        NormalGammaBelief(0, 1.0, 1.0, 1.0).estimator_variance()
 
 
 def test_mean_error_and_variance_shrink_with_horizon_across_seeds():

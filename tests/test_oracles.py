@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from beliefgames import (
-    BayesGrid,
     BeliefProfile,
     GameParams,
     GridUnderflowError,
@@ -61,23 +60,8 @@ def test_fifty_step_chain_agrees_with_grid():
     rng = np.random.default_rng(3)
     xs = 0.5 + 0.2 * rng.standard_normal(50)
     expect = conjugate_mean(xs)
-    post = grid_bayes_posterior(xs, PRIOR, n_mu=400, n_lam=400)
+    post = grid_bayes_posterior(xs, PRIOR)
     assert abs(post.mean - expect) / abs(expect) <= 1e-3
-
-
-def test_grid_refinement_does_not_worsen_agreement():
-    rng = np.random.default_rng(8)
-    xs = 0.5 + 0.2 * rng.standard_normal(30)
-    expect = conjugate_mean(xs)
-    coarse = abs(grid_bayes_posterior(xs, PRIOR, n_mu=200, n_lam=200).mean - expect)
-    fine = abs(grid_bayes_posterior(xs, PRIOR, n_mu=400, n_lam=400).mean - expect)
-    assert fine <= coarse + 1e-9
-
-
-def test_explicit_grid_far_from_data_underflows():
-    grid = BayesGrid(mu_lo=-1.0, mu_hi=1.0, n_mu=50, lam_lo=0.5, lam_hi=2.0, n_lam=50)
-    with pytest.raises(GridUnderflowError):
-        grid_bayes_posterior([1e160], PRIOR, grid=grid)
 
 
 @pytest.mark.parametrize("field", ["mu_lo", "mu_hi", "lam_lo", "lam_hi"])
@@ -86,7 +70,20 @@ def test_grid_bounds_must_be_finite(field, bad):
     bounds = {"mu_lo": -1.0, "mu_hi": 1.0, "lam_lo": 0.1, "lam_hi": 2.0}
     bounds[field] = bad
     with pytest.raises(ValueError, match=field):
-        BayesGrid(n_mu=10, n_lam=10, **bounds)
+        oracles._window(**bounds)
+
+
+@pytest.mark.parametrize("beta", [5e-324, 1e-310])
+def test_a_prior_rate_near_zero_raises_value_error(beta):
+    # alpha / beta overflows, and with it the first window's precision bounds.
+    with pytest.raises(ValueError, match="grid bound lam_lo must be finite, got inf"):
+        grid_bayes_posterior([0.5, 0.6], NormalGammaBelief(0.0, 1.0, 2.0, beta))
+
+
+def test_explicit_grid_far_from_data_underflows():
+    mu, lam = np.linspace(-1.0, 1.0, 50), np.linspace(0.5, 2.0, 50)
+    with pytest.raises(GridUnderflowError):
+        oracles._grid_moments(np.array([1e160]), PRIOR, mu, lam)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -100,26 +97,27 @@ def test_long_trace_zoom_stays_within_c3(seed):
 
 
 def pass_grids(xs):
-    """The wide, first zoomed and last grids of one grid_bayes_posterior run."""
+    """The (mu, lam) axes of the wide, first zoomed and last grids of one
+    grid_bayes_posterior run."""
     grids = []
     moments = oracles._grid_moments
 
-    def record(xs, prior, grid):
-        grids.append(grid)
-        return moments(xs, prior, grid)
+    def record(xs, prior, mu, lam):
+        grids.append((mu, lam))
+        return moments(xs, prior, mu, lam)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracles, "_grid_moments", record)
         grid_bayes_posterior(xs, PRIOR)
-    assert grids[0] == oracles._wide_grid(xs, PRIOR, 400, 400) and len(grids) >= 3
+    wide = oracles._wide_grid(xs, PRIOR)
+    assert all(map(np.array_equal, grids[0], wide)) and len(grids) >= 3
     return {"wide": grids[0], "first-zoom": grids[1], "last-zoom": grids[-1]}
 
 
-def plain_grid_moments(xs, prior, grid):
+def plain_grid_moments(xs, prior, mu, lam):
     """Mean and variance of the mean from the full log-weight grid, its max,
     a plain exp and plain axis sums; and the share of cells that weigh under
     e^-700 of the peak."""
-    mu, lam = grid.axes()
     n, xbar = xs.size, xs.mean()
     ss = np.sum((xs - xbar) ** 2)
     rate = prior.beta + 0.5 * (
@@ -141,10 +139,10 @@ MEAN_GATE, VARIANCE_GATE = 1e-14, 1e-12
 
 def grid_pass_gaps(seed, kind):
     xs = 0.5 + 0.2 * np.random.default_rng(seed).standard_normal(2000)
-    grid = pass_grids(xs)[kind]
-    mean, variance, dead = plain_grid_moments(xs, PRIOR, grid)
-    post = grid_bayes_posterior(xs, PRIOR, grid=grid)
-    gaps = abs(post.mean - mean) / abs(mean), abs(post.variance - variance) / variance
+    mu, lam = pass_grids(xs)[kind]
+    mean, variance, dead = plain_grid_moments(xs, PRIOR, mu, lam)
+    post_mean, post_variance, _, _ = oracles._grid_moments(xs, PRIOR, mu, lam)
+    gaps = abs(post_mean - mean) / abs(mean), abs(post_variance - variance) / variance
     return gaps, dead
 
 
@@ -189,12 +187,12 @@ def test_cells_under_the_floor_weigh_exactly_zero():
     # Every cell but mu = 0 lies some 1e295 below the peak in log weight, yet
     # each sits up to 1e150 from the mean: a weight of e^-700 there would
     # give a variance of about 0.016.
-    grid = BayesGrid(-1e150, 1e150, 401, 0.5, 2.0, 50)
+    mu, lam = np.linspace(-1e150, 1e150, 401), np.linspace(0.5, 2.0, 50)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        post = grid_bayes_posterior([0.5], PRIOR, grid=grid)
-    assert post.mean == 0.0
-    assert post.variance == 0.0
+        mean, variance, _, _ = oracles._grid_moments(np.array([0.5]), PRIOR, mu, lam)
+    assert mean == 0.0
+    assert variance == 0.0
 
 
 def test_unresolvable_zoom_raises_grid_underflow():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from beliefgames import (
     sample_cost_trace,
     sample_ecological_trace,
     save_trace,
+    variance_path,
 )
 from beliefgames.signals import _write_csv
 
@@ -179,8 +181,24 @@ def test_subsample_takes_an_integral_float_and_rejects_a_fraction():
     coarse = trace.subsample(2.0)
     assert coarse.dt == trace.subsample(2).dt
     assert np.array_equal(coarse.values, np.arange(0.0, 10.0, 2.0))
-    with pytest.raises(ValueError, match="positive integer"):
-        trace.subsample(2.5)
+    for stride in (2.5, math.inf, np.float64(math.inf), math.nan):
+        with pytest.raises(ValueError, match="positive integer"):
+            trace.subsample(stride)
+
+
+@pytest.mark.parametrize("duration", [math.inf, math.nan])
+def test_non_finite_durations_raise_value_error(duration):
+    trace = SignalTrace(t0=0.0, dt=0.5, values=np.arange(4.0))
+    b, kb = NormalGammaBelief(0.0, 1.0, 2.0, 1.0), KalmanBelief(0.0, 1.0, 1.0)
+    for what, run in (
+        ("belief_path", lambda: belief_path(b, trace, duration, 0.25)),
+        ("kalman_path", lambda: kalman_path(kb, trace, duration, 0.25)),
+        ("variance_path", lambda: variance_path(kb, duration, 0.25)),
+        ("variance_path", lambda: variance_path(kb, duration, [0.25, 0.5])),
+    ):
+        message = f"^{what} duration: {duration} is not a finite number of steps of 0.25$"
+        with pytest.raises(ValueError, match=message):
+            run()
 
 
 @settings(max_examples=60, derandomize=True)
@@ -194,6 +212,26 @@ def test_save_load_round_trip_is_bitwise(tmp_path_factory, values):
     assert back.t0 == trace.t0
     assert back.dt == trace.dt
     assert back.label == trace.label
+
+
+# Every line boundary of str.splitlines, which load_trace splits with.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029"]
+
+
+@pytest.mark.parametrize("label", [f"a{b}b" for b in LINE_BREAKS] + [f"ab{b}" for b in LINE_BREAKS])
+def test_save_refuses_a_label_with_a_line_break(tmp_path, label):
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match=f"trace label {re.escape(repr(label))} holds a line break"):
+        save_trace(SignalTrace(t0=0.0, dt=0.5, values=[1.0], label=label), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("label", ["", " ", "a\tb", "a\x1fb", "a\u2027b"])
+def test_labels_without_a_line_break_round_trip(tmp_path, label):
+    path = tmp_path / "trace.csv"
+    save_trace(SignalTrace(t0=0.0, dt=0.5, values=[1.0], label=label), path)
+    assert load_trace(path).label == label
 
 
 def test_load_rejects_malformed_files(tmp_path):
