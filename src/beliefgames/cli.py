@@ -101,7 +101,6 @@ def cmd_gen_traces(load):
 def cmd_simulate(load, dt, horizon, scheme, traces_dir):
     """Run one trajectory and write trajectory.csv."""
     cfg = load(dt_signal=dt, horizon=horizon, scheme=scheme)
-    out = _out_dir(cfg)
     if traces_dir is not None:
         paths = _trace_paths(Path(traces_dir), cfg.scenario.params.n)
         loaded = [load_trace(p) for p in paths]
@@ -109,7 +108,7 @@ def cmd_simulate(load, dt, horizon, scheme, traces_dir):
         traj = simulate(cfg.scenario, cfg.sim, traces=tset)
     else:
         traj = simulate(cfg.scenario, cfg.sim, seed=cfg.seed)
-    path = out / "trajectory.csv"
+    path = _out_dir(cfg) / "trajectory.csv"
     traj.to_csv(path)
     click.echo(f"wrote {path} ({traj.t.size} grid points)", file=sys.stdout)
 

@@ -15,10 +15,12 @@ they never abort a solve.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import SingularSystemError
 
@@ -221,6 +223,14 @@ def foc_residual(
     return worst
 
 
+@functools.cache
+def _intercept_system(n: int) -> np.ndarray:
+    # I + 11^T, eigenvalues 1 and n+1; built once per n and shared read-only.
+    system = np.eye(n) + np.ones((n, n))
+    system.flags.writeable = False
+    return system
+
+
 def solve_equilibrium(p: GameParams, b: BeliefProfile) -> EquilibriumSolution:
     """Equilibrium controls from coefficient matching plus the intercept system.
 
@@ -235,10 +245,11 @@ def solve_equilibrium(p: GameParams, b: BeliefProfile) -> EquilibriumSolution:
     f2 = 0.5 * b.x_bar * slope_unit
     n = p.n
     total_tb = sum(b.tau_bar)
-    rhs = np.array([p.a[i] - f2 * (total_tb - b.tau_bar[i]) for i in range(n)])
-    system = np.eye(n) + np.ones((n, n))
-    f1 = np.linalg.solve(system, rhs)  # I + 11^T has eigenvalues 1 and n+1
-    f1_t = tuple(float(v) for v in f1)
+    rhs = [p.a[i] - f2 * (total_tb - b.tau_bar[i]) for i in range(n)]
+    # np.linalg.solve's own LAPACK gufunc, without the wrapper's per-call type
+    # dispatch and singular-matrix error state: the system is float64 and
+    # never singular, so the bits are np.linalg.solve's.
+    f1_t = tuple(_umath_linalg.solve1(_intercept_system(n), rhs, signature="dd->d").tolist())
     controls = tuple(f1_t[i] + f2 * p.tau[i] for i in range(n))
     return EquilibriumSolution(
         f1=f1_t,

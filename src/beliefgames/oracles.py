@@ -231,8 +231,11 @@ def best_response_value(
     trapezoid quadrature of the discounted payoff over the ceil(t_trunc/h)
     steps covering [0, t_trunc].  The RK4 recurrence and the payoff sum are
     evaluated in closed form, so the cost does not grow with the number of
-    steps; a payoff beyond the float range raises ``OverflowError``.  Ties
-    resolve to the lowest grid index.
+    steps; a payoff beyond the float range raises ``OverflowError``.  The
+    margin is quadratic and the drive affine in the deviation d, so every
+    candidate's value is one quadratic k0 + k1*d + k2*d^2 whose coefficients
+    are computed once in floats, then evaluated over the grid by Horner's
+    rule.  Ties resolve to the lowest grid index.
     """
     if not 0 <= player < p.n:
         raise ValueError(f"player={player}: must lie in 0..{p.n - 1}")
@@ -241,40 +244,39 @@ def best_response_value(
     for name, value in (("t_trunc", t_trunc), ("h", h)):
         if not (value > 0.0 and math.isfinite(value)):
             raise ValueError(f"{name}={value}: must be positive and finite")
-    # A fresh array; only an iterable without a length goes through a list.
-    if not isinstance(deviations, (np.ndarray, Sequence)):
+    # A fresh array; only an iterable without a length goes through a list
+    # (``list`` is named to skip the slower abstract Sequence check).
+    if not isinstance(deviations, (np.ndarray, list, Sequence)):
         deviations = list(deviations)
     devs = np.array(deviations, dtype=float)
     if devs.size == 0:
         raise ValueError("empty deviation grid")
-    # A NaN would win argmax, or turn every value NaN.
-    if not (all(map(math.isfinite, controls)) and np.isfinite(devs).all()):
+    # A NaN would win argmax, or turn every value NaN.  A non-finite entry
+    # makes the sum of squares non-finite; one that merely overflows finds
+    # no culprit below.
+    if not (all(map(math.isfinite, controls)) and math.isfinite(devs.dot(devs))):
         for name, values in (("controls", controls), ("deviations", devs.tolist())):
             bad = next((v for v in values if not math.isfinite(v)), None)
             if bad is not None:
                 raise ValueError(f"{name}: entries must be finite, got {bad}")
     others_total = float(sum(controls) - controls[player])
-    a_i = p.a[player]
     tau_i = p.tau[player]
-    lam = 1.0 - b.x_bar * p.delta
+    x_bar = b.x_bar
+    lam = 1.0 - x_bar * p.delta
     n_steps = max(1, int(math.ceil(t_trunc / h - 1e-9)))
-    margin = devs * (a_i - devs - others_total)
-    drive = b.x_bar * (devs + others_total)
     # One RK4 step with a constant control is S <- g*S + h*phi*drive, with
     # z = lam*h, phi = 1 - z/2 + z^2/6 - z^3/24 and g = 1 - z*phi > 0, so
     # S_k = g^k s0 + h*phi*drive*E_k, E_k = sum_{j<k} g^j.  With q = exp(-rho*h)
     # and trapezoid weights w_k, the value h*sum_k w_k q^k (margin - tau*S_k)
-    # is a sum of geometric series in q and q*g.
+    # is a sum of geometric series in q and q*g: t_q = sum_k w_k q^k and
+    # t_qg = sum_k w_k (q*g)^k.
     z = lam * h
     phi = 1.0 - z / 2.0 + z * z / 6.0 - z**3 / 24.0
     log_q = -p.rho * h
     log_g = math.log1p(-z * phi)
     log_qg = log_q + log_g
-
-    def trapezoid(log_r):
-        return _geometric(log_r, n_steps) + 0.5 * math.expm1(n_steps * log_r)
-
-    t_q, t_qg = trapezoid(log_q), trapezoid(log_qg)
+    t_q = _geometric(log_q, n_steps) + 0.5 * math.expm1(n_steps * log_q)
+    t_qg = _geometric(log_qg, n_steps) + 0.5 * math.expm1(n_steps * log_qg)
     # e_sum = h*phi*sum_k w_k q^k E_k, in whichever form does not divide by a
     # small number: by 1 - g = z*phi (which gives the fixed point drive/lam)
     # or by 1 - q, after swapping the order of the double sum.
@@ -287,11 +289,16 @@ def best_response_value(
             (_geometric(log_qg, n_steps) - q_n * g_sum) / math.expm1(p.rho * h)
             - 0.5 * q_n * g_sum
         )
-    values = h * (margin * t_q - tau_i * (p.s0 * t_qg + drive * e_sum))
-    best = int(np.argmax(values))
+    # h*(margin*t_q - tau*(s0*t_qg + drive*e_sum)) with margin = d*(a - d -
+    # others) and drive = x_bar*(d + others), collected by powers of d.
+    k2 = -h * t_q
+    k1 = h * (t_q * (p.a[player] - others_total) - tau_i * x_bar * e_sum)
+    k0 = -h * tau_i * (p.s0 * t_qg + x_bar * others_total * e_sum)
+    values = (k2 * devs + k1) * devs + k0
+    best = int(values.argmax())
     return BestResponseResult(
-        best_value=float(values[best]),
-        best_control=float(devs[best]),
+        best_value=values.item(best),
+        best_control=devs.item(best),
         controls=devs,
         values=values,
     )

@@ -387,6 +387,18 @@ def test_file_errors_fail_with_one_error_line(runner, tmp_path, args, culprit):
     assert line.startswith("Error: ") and culprit.format(**paths) in line
 
 
+def test_failed_replay_leaves_no_output_directory(runner, tmp_path):
+    # The traces are read before the output directory is made.
+    traces = tmp_path / "empty"
+    traces.mkdir()
+    out = tmp_path / "o1"
+    result = runner.invoke(main, ["--out", str(out), "simulate", "--traces", str(traces)])
+    assert result.exit_code == 1
+    [line] = result.output.splitlines()
+    assert line.startswith("Error: ")
+    assert not out.exists()
+
+
 def test_verify_accepts_every_step_that_simulate_accepts(runner, tmp_path):
     # h_ode = 0.0025 divides the horizon 1.0025; the 1e-3 grid of the
     # signal interval does not.

@@ -22,6 +22,7 @@ from beliefgames import (
     value_intercepts,
     value_slope,
 )
+from beliefgames.equilibrium import _intercept_system as intercept_system
 from beliefgames.equilibrium import control_kernel
 
 
@@ -117,6 +118,24 @@ def test_kernel_agrees_with_solver():
         sol = solve_equilibrium(p, b)
         fast = control_kernel(p.a, p.tau, b.tau_bar, b.x_bar, p.delta, p.rho)
         assert max(abs(sol.controls[i] - fast[i]) for i in range(p.n)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_intercepts_are_the_matrix_solve_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(20):
+        p, b = random_case(rng, n)
+        sol = solve_equilibrium(p, b)
+        total_tb = sum(b.tau_bar)
+        rhs = np.array([p.a[i] - sol.f2 * (total_tb - b.tau_bar[i]) for i in range(n)])
+        expect = np.linalg.solve(np.eye(n) + np.ones((n, n)), rhs)
+        assert np.array(sol.f1).tobytes() == expect.tobytes()
+    # Every solve at this n shares one matrix, and nothing can write to it.
+    system = intercept_system(n)
+    assert system is intercept_system(n)
+    with pytest.raises(ValueError):
+        system[0, 0] = 0.0
+    np.testing.assert_array_equal(system, np.eye(n) + np.ones((n, n)))
 
 
 def test_permutation_equivariance():

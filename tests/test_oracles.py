@@ -362,6 +362,12 @@ def two_player_case(t_trunc):
     return p, b, believed_controls(sol, b), 1, devs, t_trunc
 
 
+def far_case():
+    # Deviations of +-50 around the control, where the d^2 term dominates.
+    p, b, controls, player, devs, t_trunc = two_player_case(60.0)
+    return p, b, controls, player, controls[player] + np.linspace(-50.0, 50.0, 101), t_trunc
+
+
 def limit_case(x_bar):
     p = GameParams(a=(2.0,), tau=(1.0,), delta=0.5, rho=0.25, s0=0.3)
     return p, BeliefProfile(x_bar, (1.0,)), [0.5], 0, np.linspace(0.1, 1.0, 11), 60.0
@@ -380,10 +386,17 @@ def unit_growth_x_bar(delta=0.5, rho=0.25, h=0.01):
         two_player_case(60.0),
         two_player_case(120.0),
         two_player_case(60.004),  # not a multiple of h: ceil(t/h) steps
+        two_player_case(0.004),  # t_trunc < h: one step
+        far_case(),
         limit_case(2.0),  # lam = 1 - x_bar*delta = 0, so g = 1
+        limit_case(1.9),  # 0 < |z| = 5e-4 < rho*h: e_sum by 1 - q
+        limit_case(2.1),  # the same with lam < 0
         limit_case(unit_growth_x_bar()),  # q*g = 1
     ],
-    ids=["horizon60", "horizon120", "off-grid-horizon", "lam0", "qg1"],
+    ids=[
+        "horizon60", "horizon120", "off-grid-horizon", "one-step", "far-deviations",
+        "lam0", "small-z", "small-negative-z", "qg1",
+    ],
 )
 def test_closed_form_values_match_rk4_loop(case):
     p, b, controls, player, devs, t_trunc = case
