@@ -9,7 +9,6 @@ from .engine import (
     Trajectory,
     compare_schemes,
     default_traces,
-    discounted_payoff,
     simulate,
     window_diagnostics,
 )
@@ -42,7 +41,6 @@ from .kalman import (
     KalmanBelief,
     kalman_derivative,
     kalman_path,
-    mean_closed_form,
     step_discrete_kalman,
     variance_closed_form,
     variance_path,
@@ -51,7 +49,6 @@ from .normal_gamma import (
     NormalGammaBelief,
     belief_derivative,
     belief_path,
-    closed_form_mean,
     step_discrete,
 )
 from .oracles import (

@@ -65,9 +65,6 @@ from .signals import (
     sample_ecological_trace,
 )
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
 def _broadcast(value, n: int, name: str) -> tuple[float, ...]:
     if isinstance(value, (int, float)):
         return (float(value),) * n
@@ -539,33 +536,3 @@ def window_diagnostics(
         p_max=float(np.max(traj.P[window])),
         control_gap=float(np.max(np.abs(traj.u[window] - u_known))),
     )
-
-
-@dataclass(frozen=True)
-class PayoffEstimate:
-    value: float
-    tail_bound: float
-
-
-def discounted_payoff(
-    traj: Trajectory, p: GameParams, player: int, t_trunc: float
-) -> PayoffEstimate:
-    """Truncated discounted payoff of one player by trapezoid quadrature.
-
-    The tail bound is exp(-rho*t_trunc) * C / rho with C the largest
-    instantaneous-payoff magnitude observed anywhere on the trajectory.
-    """
-    if not 0 <= player < p.n:
-        raise ValueError(f"player={player}: must lie in 0..{p.n - 1}")
-    if not (math.isfinite(t_trunc) and t_trunc >= traj.t[0]):
-        raise ValueError(f"t_trunc={t_trunc}: must be finite and >= t={traj.t[0]}")
-    if t_trunc > traj.t[-1] + 1e-9:
-        raise ValueError("t_trunc exceeds the simulated horizon")
-    total_u = traj.u.sum(axis=1)
-    g_full = traj.u[:, player] * (p.a[player] - total_u) - p.tau[player] * traj.S
-    mask = traj.t <= t_trunc + 1e-12
-    t = traj.t[mask]
-    value = float(_trapezoid(np.exp(-p.rho * t) * g_full[mask], t))
-    c_bound = float(np.max(np.abs(g_full)))
-    tail = math.exp(-p.rho * t_trunc) * c_bound / p.rho
-    return PayoffEstimate(value=value, tail_bound=tail)

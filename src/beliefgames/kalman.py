@@ -70,11 +70,6 @@ def variance_closed_form(p0: float, r: float, elapsed: float) -> float:
     return p0 * r / (elapsed * p0 + r)
 
 
-def mean_closed_form(trace: SignalTrace, p0: float, r: float, t):
-    """Closed form p0 * integral(y) / (t p0 + r) at time(s) t; needs tau_hat(0) = 0."""
-    return p0 * trace.integral(0.0, t) / (t * p0 + r)
-
-
 @dataclass(frozen=True)
 class KalmanPath:
     t: np.ndarray

@@ -90,14 +90,6 @@ class BeliefPath:
     alpha: np.ndarray
     beta: np.ndarray
 
-    def estimator_variance(self) -> np.ndarray:
-        # NaN where alpha <= 1 (statistic undefined there).
-        denom = self.kappa * (self.alpha - 1.0)
-        out = np.full_like(self.beta, np.nan)
-        ok = self.alpha > 1.0
-        out[ok] = self.beta[ok] / denom[ok]
-        return out
-
 
 def belief_path(
     b: NormalGammaBelief, trace: SignalTrace, duration: float, h
@@ -145,15 +137,3 @@ def belief_path(
         alpha=b.alpha + 0.5 * (t - b.t),
         beta=beta_arr,
     )
-
-
-def closed_form_mean(trace: SignalTrace, mu0: float, kappa0: float, t):
-    """Closed-form mean estimate (integral of x plus mu0*kappa0) / (kappa0 + t + 1).
-
-    ``t`` may be an array of times; the hold structure makes the integral an
-    exact finite sum.  The formula is anchored at belief clock 0; it agrees
-    with the ODE initial condition mu_hat(0) = mu0 only when mu0 = 0.
-    """
-    if np.any(np.asarray(t) < 0.0):
-        raise ValueError("t must be non-negative")
-    return (trace.integral(0.0, t) + mu0 * kappa0) / (kappa0 + t + 1.0)

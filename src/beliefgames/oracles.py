@@ -34,9 +34,7 @@ from .equilibrium import (
     _max_gap,
     closed_form_controls,
     closed_form_value_slope,
-    foc_residual,
     known_state_controls,
-    known_state_equilibrium,
     solve_equilibrium,
     value_slope,
 )
@@ -252,9 +250,9 @@ def best_response_value(
     if devs.size == 0:
         raise ValueError("empty deviation grid")
     # A NaN would win argmax, or turn every value NaN.  A non-finite entry
-    # makes the sum of squares non-finite; one that merely overflows finds
-    # no culprit below.
-    if not (all(map(math.isfinite, controls)) and math.isfinite(devs.dot(devs))):
+    # makes the largest |deviation| non-finite.
+    d_max = float(np.maximum.reduce(abs(devs)))
+    if not (all(map(math.isfinite, controls)) and math.isfinite(d_max)):
         for name, values in (("controls", controls), ("deviations", devs.tolist())):
             bad = next((v for v in values if not math.isfinite(v)), None)
             if bad is not None:
@@ -294,7 +292,17 @@ def best_response_value(
     k2 = -h * t_q
     k1 = h * (t_q * (p.a[player] - others_total) - tau_i * x_bar * e_sum)
     k0 = -h * tau_i * (p.s0 * t_qg + x_bar * others_total * e_sum)
-    values = (k2 * devs + k1) * devs + k0
+    # |k2| d^2 + |k1| d + |k0| at d = d_max bounds every step of Horner's
+    # rule: while it is finite no value can overflow.  Past it the rule runs
+    # with overflow silenced, and a value that did overflow raises.
+    if math.isfinite((abs(k2) * d_max + abs(k1)) * d_max + abs(k0)):
+        values = (k2 * devs + k1) * devs + k0
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = (k2 * devs + k1) * devs + k0
+        if not np.isfinite(values).all():
+            bad = devs.item(np.flatnonzero(~np.isfinite(values))[0])
+            raise OverflowError(f"the payoff of deviation {bad!r} exceeds the float range")
     best = int(values.argmax())
     return BestResponseResult(
         best_value=values.item(best),
@@ -471,8 +479,7 @@ def closed_form_cross_check(
     params, mu = scn.params, scn.mu_true
     beliefs = BeliefProfile(x_bar=mu, tau_bar=params.tau)
     sol = solve_equilibrium(params, beliefs)
-    res = foc_residual(params, beliefs, sol.f1, sol.f2, sol.value_slopes)
-    check("equilibrium-foc", res, 1e-9)
+    check("equilibrium-foc", sol.foc_residual, 1e-9)
 
     if cfg.scheme == "discrete":
         reference, method, over = _discrete_reference, "euler", "the epochs"
@@ -499,7 +506,7 @@ def closed_form_cross_check(
     cf_slope = closed_form_value_slope(1.0, mu, params.delta, params.rho)
     sol_slope = value_slope(1.0, mu, params.delta, params.rho)
     check("published-value-slope-delta", abs(cf_slope - sol_slope))
+    # sol is the known state's solution: x_bar = mu, tau_bar = tau.
     known_cf = known_state_controls(params, mu)
-    known_sol = known_state_equilibrium(params, mu)
-    check("published-known-state-delta", _max_gap(known_cf, known_sol.controls))
+    check("published-known-state-delta", _max_gap(known_cf, sol.controls))
     return VerificationReport(checks=checks)

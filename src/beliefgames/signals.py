@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -68,13 +68,6 @@ class SignalTrace:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @cached_property
-    def _cum(self) -> np.ndarray:
-        """Prefix sums of the exact step-function integral, one entry per node."""
-        cum = np.concatenate(([0.0], np.cumsum(self.values * self.dt)))
-        cum.setflags(write=False)
-        return cum
-
     def __len__(self) -> int:
         return self.values.size
 
@@ -107,31 +100,6 @@ class SignalTrace:
         if np.any((k0 + k[1:] - 1) // per_value != held):
             raise ValueError(f"{what}: a step straddles a hold-interval boundary")
         return t_start + u * k, self.values[held]
-
-    def integral(self, t_lo: float, t_hi):
-        """Exact integral of the step function over [t_lo, t_hi], for one or an
-        array of upper limits ``t_hi``."""
-        hi = np.asarray(t_hi, dtype=float)
-        if np.any(hi < t_lo):
-            raise ValueError("integration bounds out of order")
-        hi_max = float(np.max(hi))
-        if not self.covers(t_lo, hi_max):
-            raise TraceCoverageError(
-                f"integral bounds [{t_lo!r}, {hi_max!r}] exceed coverage "
-                f"[{self.t0!r}, {self.end!r}]"
-            )
-        return self._position(hi) - self._position(t_lo)
-
-    def _position(self, s):
-        # Antiderivative of the step function, valid on the closed interval [t0, end].
-        s = np.asarray(s, dtype=float)
-        k = np.floor((s - self.t0) / self.dt + _BOUNDARY_EPS)
-        kc = np.clip(k, 0, len(self) - 1).astype(int)
-        frac = np.maximum(s - (self.t0 + kc * self.dt), 0.0)
-        # Before t0, frac clamps to 0 and so does the position.
-        pos = self._cum[kc] + self.values[kc] * frac
-        pos = np.where(k >= len(self), self._cum[-1], pos)
-        return float(pos) if pos.ndim == 0 else pos
 
     def subsample(self, stride: int) -> "SignalTrace":
         """Keep every ``stride``-th sample; the hold interval grows accordingly."""

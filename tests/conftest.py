@@ -42,3 +42,13 @@ def max_rel_gap(observed: np.ndarray, expected: np.ndarray, floor: float = 1e-12
     return float(
         np.max(np.abs(observed - expected) / np.maximum(np.abs(expected), floor))
     )
+
+
+def zero_prior_mean(trace, c: float, t):
+    """The published zero-prior filter mean at time(s) ``t``: the integral of
+    the held signal over [t0, t] over (c + t), with c = kappa0 + 1 for the
+    Normal-Gamma mean and R / P0 for the Kalman mean.  The integral
+    interpolates the prefix sums at the hold edges, exact for a step function."""
+    edges = trace.t0 + trace.dt * np.arange(len(trace) + 1)
+    cum = np.concatenate(([0.0], np.cumsum(trace.values * trace.dt)))
+    return np.interp(t, edges, cum) / (c + t)

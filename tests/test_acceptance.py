@@ -21,7 +21,6 @@ from beliefgames import (
     belief_path,
     best_response_value,
     check_nonnegativity,
-    closed_form_mean,
     compare_schemes,
     equilibrium_report,
     grid_bayes_posterior,
@@ -35,6 +34,7 @@ from beliefgames import (
     window_diagnostics,
 )
 from beliefgames.cli import main as cli_main
+from conftest import zero_prior_mean
 
 
 class budget:
@@ -79,9 +79,7 @@ def test_c2_belief_closed_forms():
         trace = sample_ecological_trace(0.5, 0.2, 0.02, 10.0, seed=42)
         prior = NormalGammaBelief(0.0, 1.0, 2.0, 1.0)
         path = belief_path(prior, trace, 10.0, 0.001)
-        expected = np.array(
-            [closed_form_mean(trace, 0.0, 1.0, float(t)) for t in path.t]
-        )
+        expected = zero_prior_mean(trace, 1.0 + 1.0, path.t)
         rel = np.abs(path.mu_hat - expected) / np.maximum(np.abs(expected), 1e-12)
         assert float(rel.max()) <= 1e-8
         assert np.all(path.kappa == 1.0 + path.t)

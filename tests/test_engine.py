@@ -27,7 +27,6 @@ from beliefgames import (
     closed_form_cross_check,
     compare_schemes,
     default_traces,
-    discounted_payoff,
     kalman_path,
     known_state_equilibrium,
     sample_cost_trace,
@@ -598,57 +597,6 @@ def test_trajectory_csv_format(two_player_scenario, base_config, tmp_path):
     assert out.read_bytes() == again.read_bytes()
 
 
-def test_discounted_payoff_zero_run():
-    p = GameParams(a=(0.0, 0.0), tau=(1.0, 1.0), delta=0.8, rho=0.1, s0=0.0)
-    scn = Scenario(params=p, mu_true=0.0, sigma=1e-18, mu0=0.0)
-    traj = simulate(scn, SimConfig(), traces=constant_traces(2, 0.02, 500, eco=0.0))
-    est = discounted_payoff(traj, p, 0, 10.0)
-    assert est.value == 0.0
-    assert est.tail_bound == 0.0
-
-
-def test_discounted_payoff_rejects_player_out_of_range(two_player_scenario):
-    traj = simulate(two_player_scenario, SimConfig(horizon=1.0), seed=7)
-    for player in (-1, 2):
-        with pytest.raises(ValueError, match=rf"player={player}: must lie in 0\.\.1$"):
-            discounted_payoff(traj, two_player_scenario.params, player, 1.0)
-
-
-def test_discounted_payoff_truncation_bound(two_player_scenario):
-    cfg = SimConfig(dt_signal=0.05, h_ode=0.05, horizon=40.0)
-    traj = simulate(two_player_scenario, cfg, seed=7)
-    p = two_player_scenario.params
-    half = discounted_payoff(traj, p, 0, 20.0)
-    full = discounted_payoff(traj, p, 0, 40.0)
-    assert abs(full.value - half.value) <= half.tail_bound
-    with pytest.raises(ValueError):
-        discounted_payoff(traj, p, 0, 41.0)
-
-
-@pytest.mark.parametrize("t_trunc", [-1.0, -1e-9, math.nan, -math.inf])
-def test_discounted_payoff_rejects_truncation_before_the_run(two_player_scenario, t_trunc):
-    # Before the run the quadrature sums nothing and would report 0.0.
-    traj = simulate(two_player_scenario, SimConfig(horizon=1.0), seed=7)
-    with pytest.raises(ValueError, match=r"t_trunc=.*: must be finite and >= t=0\.0$"):
-        discounted_payoff(traj, two_player_scenario.params, 0, t_trunc)
-
-
-def test_discounted_payoff_large_rho_asymptotics(two_player_params):
-    p = GameParams(
-        a=two_player_params.a,
-        tau=two_player_params.tau,
-        delta=two_player_params.delta,
-        rho=40.0,
-        s0=two_player_params.s0,
-    )
-    scn = Scenario(params=p, mu_true=0.5, sigma=0.2, tau0=(0.6, 0.6))
-    cfg = SimConfig(dt_signal=0.02, h_ode=0.001, horizon=2.0)
-    traj = simulate(scn, cfg, seed=7)
-    est = discounted_payoff(traj, p, 0, 2.0)
-    g0 = traj.u[0, 0] * (p.a[0] - traj.u[0].sum()) - p.tau[0] * traj.S[0]
-    assert est.value * p.rho == pytest.approx(g0, rel=0.1)
-
-
 def test_csv_matches_per_cell_reference(tmp_path):
     n, rows = 3, 9
     rng = np.random.default_rng(17)
@@ -785,7 +733,11 @@ def test_continuous_beliefs_match_rk4_oracles(
         return np.max(np.abs(observed - expected)) / np.max(np.abs(expected))
 
     assert sup_rel(traj.x_bar, motion.mu_hat[::stride]) <= 1e-10
-    var_ref = motion.estimator_variance()[::stride]
+    # The estimator variance beta / (kappa (alpha - 1)), NaN where alpha <= 1.
+    kappa, alpha, beta = motion.kappa[::stride], motion.alpha[::stride], motion.beta[::stride]
+    var_ref = np.full(alpha.shape, np.nan)
+    ok = alpha > 1.0
+    var_ref[ok] = beta[ok] / (kappa[ok] * (alpha[ok] - 1.0))
     assert np.array_equal(np.isnan(traj.var_mu), motion.alpha[::stride] <= 1.0)
     assert max_rel_gap(np.nan_to_num(traj.var_mu), np.nan_to_num(var_ref)) <= 1e-10
     for j in range(n):

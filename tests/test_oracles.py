@@ -21,7 +21,7 @@ from beliefgames import (
     solve_equilibrium,
     step_discrete,
 )
-from beliefgames import engine, oracles
+from beliefgames import engine, equilibrium, oracles
 from beliefgames.config import default_config
 from beliefgames.oracles import CheckResult
 
@@ -328,6 +328,22 @@ def test_best_response_rejects_a_non_finite_control(bad):
             best_response_value(p, b, controls, 0, [0.5, 1.0, 1.5], 10.0)
 
 
+@pytest.mark.parametrize("huge", [1e200, -1e160])
+def test_best_response_raises_overflow_for_a_finite_deviation_past_the_float_range(huge):
+    # A finite deviation whose payoff overflows raises, with no numpy warning,
+    # and a grid just inside the range keeps its finite values.
+    p = GameParams(a=(3.0, 3.0), tau=(1.0, 1.2), delta=0.5, rho=0.25)
+    b = BeliefProfile(0.5, (1.0, 1.2))
+    controls = solve_equilibrium(p, b).controls
+    message = f"the payoff of deviation {huge!r} exceeds the float range"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=rf"^{re.escape(message)}$"):
+            best_response_value(p, b, controls, 0, [0.5, huge, 1.5], 10.0)
+        res = best_response_value(p, b, controls, 0, [0.5, 1e150, 1.5], 10.0)
+    assert np.all(np.isfinite(res.values)) and res.best_control == 0.5
+
+
 def loop_values(p, b, controls, player, devs, t_trunc, h):
     """Reference: step RK4 and the trapezoid rule one time step at a time."""
     devs = np.asarray(devs, dtype=float)
@@ -434,11 +450,12 @@ def test_cross_check_passes_on_default_scenario():
 
 
 def test_cross_check_fault_injection_fails_foc(monkeypatch):
-    def perturbed(params, beliefs):
-        sol = solve_equilibrium(params, beliefs)
-        return replace(sol, f2=sol.f2 + 1e-3)
+    # A fault inside the solver, which reports the stationarity residual of
+    # the (f1, f2, slopes) it returns: its intercept system is off by 1e-3.
+    def perturbed(n):
+        return np.eye(n) * (1.0 + 1e-3) + np.ones((n, n))
 
-    monkeypatch.setattr(oracles, "solve_equilibrium", perturbed)
+    monkeypatch.setattr(equilibrium, "_intercept_system", perturbed)
     report = closed_form_cross_check(*default_case())
     assert not report.all_passed
     failing = {c.name for c in report.checks if not c.passed}

@@ -138,37 +138,6 @@ def test_held_steps_take_an_array_of_step_sizes():
             trace.held_steps(1.0, 1.5, steps, "test")
 
 
-def test_integral_matches_manual_sum():
-    trace = SignalTrace(t0=0.0, dt=0.5, values=np.array([1.0, 2.0, 4.0]))
-    assert trace.integral(0.0, 1.5) == pytest.approx(0.5 * (1 + 2 + 4), rel=1e-15)
-    assert trace.integral(0.25, 0.75) == pytest.approx(0.25 * 1 + 0.25 * 2, rel=1e-15)
-    with pytest.raises(TraceCoverageError):
-        trace.integral(0.0, 2.0)
-
-
-def test_integral_over_an_array_of_upper_limits_matches_scalar_calls():
-    trace = sample_ecological_trace(0.5, 0.2, dt=0.02, horizon=3.0, seed=4)
-    # Hold-interval edges (k*dt, up to trace.end) plus off-edge points.
-    edges = trace.dt * np.arange(len(trace) + 1)
-    ts = np.concatenate((edges, np.linspace(0.0, trace.end, 777), [trace.end]))
-    scalar = np.array([trace.integral(0.0, float(s)) for s in ts])
-    assert np.array_equal(trace.integral(0.0, ts), scalar)
-    with pytest.raises(TraceCoverageError):
-        trace.integral(0.0, np.append(ts, trace.end + trace.dt))
-    with pytest.raises(ValueError):
-        trace.integral(0.0, np.append(ts, -0.5))
-
-
-@settings(max_examples=60, derandomize=True)
-@given(values=finite_values, cut=st.floats(min_value=0.0, max_value=1.0))
-def test_integral_is_additive(values, cut):
-    trace = SignalTrace(t0=0.0, dt=0.25, values=np.array(values))
-    mid = cut * trace.end
-    whole = trace.integral(0.0, trace.end)
-    split = trace.integral(0.0, mid) + trace.integral(mid, trace.end)
-    assert split == pytest.approx(whole, rel=1e-12, abs=1e-12)
-
-
 def test_subsample_keeps_every_stride_value():
     trace = SignalTrace(t0=0.0, dt=0.02, values=np.arange(10.0))
     coarse = trace.subsample(4)
