@@ -74,6 +74,12 @@ def _broadcast(value, n: int, name: str) -> tuple[float, ...]:
     return out
 
 
+def _finite_var_mu0(kappa0, alpha0, beta0):
+    # var_mu at t = 0; a kappa0 that is not positive breaks its own rule.
+    den = kappa0 * (alpha0 - 1.0)
+    return alpha0 <= 1.0 or kappa0 <= 0.0 or (den > 0.0 and math.isfinite(beta0 / den))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Game constants plus the true signal laws and the belief priors."""
@@ -96,6 +102,8 @@ class Scenario:
         (("alpha0",), lambda x: x > 0.0, "must be positive, got {}"),
         (("beta0",), lambda x: x >= 0.0, "must be non-negative, got {}"),
         (("p0",), lambda v: min(v) > 0.0, "entries must be positive"),
+        (("kappa0", "alpha0", "beta0"), _finite_var_mu0, "the prior's var_mu = beta0 / "
+         "(kappa0 (alpha0 - 1)) must be finite, got {2} / ({0} ({1} - 1))"),
     )
 
     def __post_init__(self):

@@ -10,8 +10,8 @@ P(t) = P0 R / (t P0 + R): ``kalman_path`` reads P from it and integrates only
 tau_hat, whose rate is affine in tau_hat, by the RK4 for affine ODEs that
 the stock and the Normal-Gamma mean share (``signals._affine_rk4``).
 ``variance_path`` integrates P's ODE alone, in the scaled unknown h P / R, as
-the reference for the closed form.  Both step in one size or in a given size
-each (``verify`` grades them with time).
+the reference for the closed form.  Both step from t = 0 on a grid of whole
+multiples of one step (``verify`` grades the steps with time).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteStateError
-from .signals import SignalTrace, _affine_rk4, _step_units, require_finite
+from .signals import SignalTrace, _affine_rk4, require_finite
 
 
 @dataclass(frozen=True)
@@ -30,18 +30,15 @@ class KalmanBelief:
     tau_hat: float
     P: float
     R: float
-    t: float = 0.0
 
     def __post_init__(self):
-        for name in ("tau_hat", "P", "R", "t"):
+        for name in ("tau_hat", "P", "R"):
             if not math.isfinite(getattr(self, name)):
                 raise NonFiniteStateError(f"non-finite Kalman field {name}")
         if self.P <= 0.0:
             raise ValueError(f"error variance P must be positive, got {self.P}")
         if self.R <= 0.0:
             raise ValueError(f"noise variance R must be positive, got {self.R}")
-        if self.t < 0.0:
-            raise ValueError(f"belief clock must be non-negative, got {self.t}")
 
 
 def kalman_derivative(b: KalmanBelief, y: float) -> tuple[float, float]:
@@ -61,7 +58,6 @@ def step_discrete_kalman(b: KalmanBelief, y: float, dt: float) -> KalmanBelief:
         tau_hat=b.tau_hat + dt * d_tau,
         P=b.P + dt * d_p,
         R=b.R,
-        t=b.t + dt,
     )
 
 
@@ -78,25 +74,21 @@ class KalmanPath:
 
 
 def kalman_path(
-    b: KalmanBelief, trace: SignalTrace, duration: float, h
+    b: KalmanBelief, trace: SignalTrace, u: float, k: np.ndarray
 ) -> KalmanPath:
-    """Integrate tau_hat over ``duration`` by RK4, recording every grid point.
-
-    P is read off its closed form, anchored at ``b``, at each step's start,
-    middle and end.  ``h`` is one step size, which must divide both the
-    duration and the trace's hold interval, or an array of step sizes (see
-    :meth:`SignalTrace.held_steps`).  A non-finite state raises
-    :class:`NonFiniteStateError` naming its first grid time.
-    """
-    t, ys = trace.held_steps(b.t, duration, h, "kalman_path")
-    u, k = _step_units(duration, h, "kalman_path")
-    t_rel = u * k[:-1]
+    """Integrate tau_hat by RK4 over the grid t = u * k (``k`` increasing
+    whole numbers from 0), recording every point, with P read off its closed
+    form from ``b`` at each step's start, middle and end.  No step may
+    straddle a signal jump (:meth:`SignalTrace.held_values`); a non-finite
+    state raises :class:`NonFiniteStateError` naming its first grid time."""
+    ys = trace.held_values(u, k, "kalman_path")
+    t, h = u * k, u * np.diff(k)
     r, half = b.R, 0.5 * h
     # P off the closed form at each step's start, middle and end; then
     # tau_hat' = g y - g tau_hat with the gain g = P/R.  A gain past the
     # float range runs on to the finiteness check.
     with np.errstate(over="ignore", invalid="ignore"):
-        p = np.stack([variance_closed_form(b.P, r, t_rel + s) for s in (0.0, half, h)])
+        p = np.stack([variance_closed_form(b.P, r, t[:-1] + s) for s in (0.0, half, h)])
         g = p / r
         tau_arr = _affine_rk4(b.tau_hat, h, g * ys, g)
     p_arr = np.concatenate(([b.P], p[2]))
@@ -104,19 +96,15 @@ def kalman_path(
     return KalmanPath(t=t, tau_hat=tau_arr, P=p_arr)
 
 
-def variance_path(b: KalmanBelief, duration: float, h) -> np.ndarray:
-    """Integrate P' = -P^2/R over ``duration`` by RK4 in w = h*P/R: the
-    reference for :func:`variance_closed_form`, from ``b.t``.
-
-    ``h`` is one step size, which must divide the duration, or an array of
-    step sizes.  A non-finite P raises :class:`NonFiniteStateError` naming its
-    first grid time.
-    """
-    u, k = _step_units(duration, h, "variance_path")
-    t = b.t + u * k
-    hs = np.broadcast_to(np.asarray(h, dtype=float), (t.size - 1,))
+def variance_path(b: KalmanBelief, u: float, k: np.ndarray) -> np.ndarray:
+    """Integrate P' = -P^2/R by RK4 in w = h*P/R over the grid t = u * k
+    (``k`` increasing whole numbers from 0): the reference for
+    :func:`variance_closed_form`.  A non-finite P raises
+    :class:`NonFiniteStateError` naming its first grid time."""
+    t, units = u * k, np.diff(k)
+    hs = u * units
     # Runs of equal steps, as (step, count).
-    first = np.flatnonzero(np.diff(hs, prepend=np.nan))
+    first = np.flatnonzero(np.diff(units, prepend=0))
     runs = zip(hs[first].tolist(), np.diff(np.append(first, hs.size)).tolist())
     # In w = h*P/R the ODE reads w' = -w^2/h, so each RK4 stage slope times h
     # is the square of its stage value; w follows h from run to run (exactly,
@@ -137,7 +125,7 @@ def variance_path(b: KalmanBelief, duration: float, h) -> np.ndarray:
                 w = w - (k1 + 2.0 * (k2 + k3) + v * v) / 6.0
                 yield w
 
-    h0 = float(np.ravel(h)[0])
+    h0 = float(hs[0])
     with np.errstate(over="ignore"):
         p_arr = np.fromiter(walk(h0 * b.P / b.R, h0), float, t.size)
         p_arr *= b.R / np.append(h0, hs)

@@ -10,9 +10,9 @@ updating they evolve by the ODE system
     beta'   = kappa (x - mu_hat)^2 / (2 (kappa + 1))
 
 driven by the held signal x(t).  kappa and alpha are affine in time and are
-always propagated in closed form; mu_hat and beta are integrated with the
-classical fourth-order scheme, in steps of one size or of a given size each
-(``verify`` grades them with time).  mu_hat's rate is affine in
+always propagated in closed form; mu_hat and beta are integrated from t = 0
+with the classical fourth-order scheme on a grid of whole multiples of one
+step (``verify`` grades the steps with time).  mu_hat's rate is affine in
 mu_hat, so it steps by the RK4 for affine ODEs that the stock and the
 Kalman mean share (``signals._affine_rk4``); beta never feeds back and
 follows from the recorded mu_hat.  The discrete counterpart is one
@@ -28,21 +28,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteStateError
-from .signals import SignalTrace, _affine_rk4, _step_units, require_finite
+from .signals import SignalTrace, _affine_rk4, require_finite
 
 
 @dataclass(frozen=True)
 class NormalGammaBelief:
-    """Belief state (mu_hat, kappa, alpha, beta) with its own clock t."""
+    """Belief state (mu_hat, kappa, alpha, beta)."""
 
     mu_hat: float
     kappa: float
     alpha: float
     beta: float
-    t: float = 0.0
 
     def __post_init__(self):
-        for name in ("mu_hat", "kappa", "alpha", "beta", "t"):
+        for name in ("mu_hat", "kappa", "alpha", "beta"):
             if not math.isfinite(getattr(self, name)):
                 raise NonFiniteStateError(f"non-finite belief field {name}")
         if self.kappa <= 0.0:
@@ -51,8 +50,6 @@ class NormalGammaBelief:
             raise ValueError(f"alpha must stay positive, got {self.alpha}")
         if self.beta < 0.0:
             raise ValueError(f"beta must stay non-negative, got {self.beta}")
-        if self.t < 0.0:
-            raise ValueError(f"belief clock must be non-negative, got {self.t}")
 
 
 def belief_derivative(
@@ -76,7 +73,6 @@ def step_discrete(b: NormalGammaBelief, x: float, dt: float) -> NormalGammaBelie
         kappa=b.kappa + dt,
         alpha=b.alpha + 0.5 * dt,
         beta=b.beta + dt * d_beta,
-        t=b.t + dt,
     )
 
 
@@ -92,21 +88,17 @@ class BeliefPath:
 
 
 def belief_path(
-    b: NormalGammaBelief, trace: SignalTrace, duration: float, h
+    b: NormalGammaBelief, trace: SignalTrace, u: float, k: np.ndarray
 ) -> BeliefPath:
-    """Integrate the belief over ``duration`` by RK4, recording every grid point.
-
-    ``h`` is one step size, which must divide both the duration and the
-    trace's hold interval, or an array of step sizes (see
-    :meth:`SignalTrace.held_steps`); either way no integration step straddles
-    a signal jump.  A non-finite state raises :class:`NonFiniteStateError`
-    naming its first grid time.
-    """
-    t, xs = trace.held_steps(b.t, duration, h, "belief_path")
-    u, k = _step_units(duration, h, "belief_path")
+    """Integrate the belief by RK4 over the grid t = u * k (``k`` increasing
+    whole numbers from 0), recording every point.  No step may straddle a
+    signal jump (:meth:`SignalTrace.held_values`); a non-finite state raises
+    :class:`NonFiniteStateError` naming its first grid time."""
+    xs = trace.held_values(u, k, "belief_path")
+    t, h = u * k, u * np.diff(k)
     half = 0.5 * h
     # kappa at each step's start, middle and end, and the rates' denominators.
-    k1 = b.kappa + u * k[:-1]
+    k1 = b.kappa + t[:-1]
     k2, k4 = k1 + half, k1 + h
     d1, d2, d4 = d = np.stack((k1, k2, k4)) + 1.0
     # mu_hat' = x/d - mu_hat/d; beta never feeds back.
@@ -133,7 +125,7 @@ def belief_path(
     return BeliefPath(
         t=t,
         mu_hat=mu_arr,
-        kappa=b.kappa + (t - b.t),
-        alpha=b.alpha + 0.5 * (t - b.t),
+        kappa=b.kappa + t,
+        alpha=b.alpha + 0.5 * t,
         beta=beta_arr,
     )

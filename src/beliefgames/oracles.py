@@ -334,10 +334,11 @@ def _var_mu(scn: Scenario, beta: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _graded_steps(h_ode: float, horizon: float, c: float) -> tuple:
-    """RK4 steps h_ode/2^j (j >= 0) over the horizon, and the indices of the
-    grid points at the multiples of h_ode.  A step from t is at most
-    0.01 (t + c), and the step doubles only at a multiple of the doubled step,
-    so every multiple of h_ode is a step end."""
+    """``(u, k, rows)``: RK4 steps h_ode/2^j (j >= 0) over the horizon, as
+    the grid points t = u * k with ``k`` increasing whole numbers from 0, and
+    the indices of the grid points at the multiples of h_ode.  A step from t
+    is at most 0.01 (t + c), and the step doubles only at a multiple of the
+    doubled step, so every multiple of h_ode is a step end."""
     j = 0
     while h_ode * 2.0**-j > 0.01 * c:
         j += 1
@@ -361,9 +362,8 @@ def _graded_steps(h_ode: float, horizon: float, c: float) -> tuple:
         sizes.append(m)
         counts.append((nxt - pos) // m)
         pos, m = nxt, 2 * m
-    units = np.repeat(sizes, counts)
-    rows = np.flatnonzero(np.concatenate(([0], np.cumsum(units))) % per_ode == 0)
-    return u * units, rows
+    k = np.concatenate(([0], np.cumsum(np.repeat(sizes, counts))))
+    return u, k, np.flatnonzero(k % per_ode == 0)
 
 
 def _continuous_reference(
@@ -375,15 +375,15 @@ def _continuous_reference(
     # P/R = 1/(t + R/P0), so steps h <= 0.01 (t + c) hold h * rate <= 0.01 at
     # every step.  RK4's error in P then stays below about 5e-11 of P0.
     c = min(scn.kappa0 + 1.0, scn.r[0] / scn.p0[0])
-    h, rows = _graded_steps(cfg.h_ode, cfg.horizon, c)
+    u, k, rows = _graded_steps(cfg.h_ode, cfg.horizon, c)
     prior = NormalGammaBelief(scn.mu0, scn.kappa0, scn.alpha0, scn.beta0)
     # Indexing by rows copies, so each walk's arrays are freed before the next.
-    path = belief_path(prior, traces.ecological, cfg.horizon, h)
+    path = belief_path(prior, traces.ecological, u, k)
     mu_hat, beta = path.mu_hat[rows], path.beta[rows]
     del path
     kb = KalmanBelief(scn.tau0[0], scn.p0[0], scn.r[0])
-    tau_hat = kalman_path(kb, traces.cost[0], cfg.horizon, h).tau_hat[rows]
-    P = variance_path(kb, cfg.horizon, h)[rows]
+    tau_hat = kalman_path(kb, traces.cost[0], u, k).tau_hat[rows]
+    P = variance_path(kb, u, k)[rows]
     return slice(None), traj.t, mu_hat, beta, [tau_hat], [P]
 
 

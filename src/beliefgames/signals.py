@@ -18,11 +18,6 @@ import numpy as np
 
 from .errors import NonFiniteStateError, TraceCoverageError, TraceFormatError
 
-# Fraction of one hold interval used to absorb float roundoff when a query
-# time sits on (or within a hair of) an interval boundary.
-_BOUNDARY_EPS = 1e-9
-
-
 @dataclass(frozen=True)
 class TraceSeed:
     """Root seed plus a per-source stream id.
@@ -71,35 +66,21 @@ class SignalTrace:
     def __len__(self) -> int:
         return self.values.size
 
-    @property
-    def end(self) -> float:
-        """Right edge of the covered interval [t0, end)."""
-        return self.t0 + len(self) * self.dt
-
-    def covers(self, t_lo: float, t_hi: float) -> bool:
-        tol = _BOUNDARY_EPS * self.dt
-        return self.t0 - tol <= t_lo and t_hi <= self.end + tol
-
-    def held_steps(self, t_start: float, duration: float, h, what: str):
-        """The grid from ``t_start`` over ``duration`` in steps ``h`` (see
-        :func:`_step_units`) and the value held over each step; the smallest step
-        must divide the hold interval and the offset ``t_start - t0``, and no
-        step may straddle a hold-interval boundary."""
-        u, k = _step_units(duration, h, what)
+    def held_values(self, u: float, k: np.ndarray, what: str) -> np.ndarray:
+        """The value held over each step of the grid ``t = u * k``, where
+        ``k`` holds increasing whole numbers from 0.  ``u`` must divide the
+        hold interval, no step may straddle a hold-interval boundary, and the
+        trace must start at t = 0 and cover ``u * k[-1]``."""
         per_value = _step_count(self.dt, u, f"{what} hold interval")
-        if not self.covers(t_start, t_start + duration):
+        if self.t0 != 0.0 or k[-1] > per_value * len(self):
             raise TraceCoverageError(
-                f"trace [{self.t0!r}, {self.end!r}) does not cover the update "
-                f"window [{t_start!r}, {t_start + duration!r}]"
+                f"trace [{self.t0!r}, {self.t0 + len(self) * self.dt!r}) does not "
+                f"cover the update window [0.0, {u * k[-1]!r}]"
             )
-        offset = t_start - self.t0
-        if abs(offset) <= _BOUNDARY_EPS * self.dt:  # covers()'s tolerance
-            offset = 0.0
-        k0 = _step_count(offset, u, f"{what} start offset from t0")
-        held = (k0 + k[:-1]) // per_value
-        if np.any((k0 + k[1:] - 1) // per_value != held):
+        held = k[:-1] // per_value
+        if np.any((k[1:] - 1) // per_value != held):
             raise ValueError(f"{what}: a step straddles a hold-interval boundary")
-        return t_start + u * k, self.values[held]
+        return self.values[held]
 
     def subsample(self, stride: int) -> "SignalTrace":
         """Keep every ``stride``-th sample; the hold interval grows accordingly."""
@@ -112,31 +93,6 @@ class SignalTrace:
             values=self.values[::stride],
             label=self.label,
         )
-
-
-def _step_units(duration: float, h, what: str) -> tuple[float, np.ndarray]:
-    """``(u, k)``: the grid over ``duration`` in steps ``h`` sits at offsets
-    ``u * k`` from its start, with ``u`` the smallest step and ``k`` whole
-    numbers.  ``h`` is one step size that divides the duration, or an array of
-    step sizes, each a whole multiple of the smallest, that together span it."""
-    if duration < 0.0:
-        raise ValueError("duration must be non-negative")
-    if np.ndim(h) == 0:
-        return h, np.arange(_step_count(duration, h, f"{what} duration") + 1)
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 1 or h.size == 0 or not np.all((h > 0.0) & np.isfinite(h)):
-        msg = "step sizes must be a non-empty 1-d array of positive floats"
-        raise ValueError(f"{what}: {msg}")
-    u = float(h.min())
-    m = h / u
-    whole = np.rint(m)
-    if np.any(np.abs(m - whole) > 1e-9 * whole):
-        raise ValueError(f"{what}: every step size must be a whole multiple of {u}")
-    k = np.concatenate(([0], np.cumsum(whole.astype(np.int64))))
-    if k[-1] != _step_count(duration, u, f"{what} duration"):
-        span = float(u * k[-1])
-        raise ValueError(f"{what}: the steps span {span!r}, not {duration!r}")
-    return u, k
 
 
 def require_finite(t: np.ndarray, what: str, *columns: np.ndarray) -> None:

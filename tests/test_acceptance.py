@@ -78,14 +78,14 @@ def test_c2_belief_closed_forms():
     with budget(5.0) as timer:
         trace = sample_ecological_trace(0.5, 0.2, 0.02, 10.0, seed=42)
         prior = NormalGammaBelief(0.0, 1.0, 2.0, 1.0)
-        path = belief_path(prior, trace, 10.0, 0.001)
+        path = belief_path(prior, trace, 0.001, np.arange(10001))
         expected = zero_prior_mean(trace, 1.0 + 1.0, path.t)
         rel = np.abs(path.mu_hat - expected) / np.maximum(np.abs(expected), 1e-12)
         assert float(rel.max()) <= 1e-8
         assert np.all(path.kappa == 1.0 + path.t)
         assert np.all(path.alpha == 2.0 + 0.5 * path.t)
 
-        p_ode = variance_path(KalmanBelief(0.0, 1.0, 0.25), 10.0, 0.001)
+        p_ode = variance_path(KalmanBelief(0.0, 1.0, 0.25), 0.001, np.arange(10001))
         t_ode = 0.001 * np.arange(p_ode.size)
         p_expected = np.array(
             [variance_closed_form(1.0, 0.25, float(t)) for t in t_ode]

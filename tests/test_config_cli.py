@@ -387,6 +387,32 @@ def test_file_errors_fail_with_one_error_line(runner, tmp_path, args, culprit):
     assert line.startswith("Error: ") and culprit.format(**paths) in line
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_a_prior_whose_var_mu_overflows_is_one_error_line(tmp_path, command):
+    # beta0 / (kappa0 (alpha0 - 1)) = 1 / 1e-320 overflows: the run would
+    # write var_mu = inf at t = 0, and verify would compare inf with inf.
+    cfg = tmp_path / "kappa0.ini"
+    cfg.write_text(default_config_text().replace("kappa0 = 1.0\n", "kappa0 = 1e-320\n"))
+    src = str(Path(beliefgames.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "artifacts"
+    args = ["--config", str(cfg), "--out", str(out), command]
+    result = subprocess.run(
+        [sys.executable, "-m", "beliefgames.cli", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 1
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error: ")]
+    assert len(errors) == 1
+    assert "[priors] kappa0: the prior's var_mu" in result.stderr
+    assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+    assert not out.exists()
+
+
 def test_failed_replay_leaves_no_output_directory(runner, tmp_path):
     # The traces are read before the output directory is made.
     traces = tmp_path / "empty"

@@ -726,8 +726,9 @@ def test_continuous_beliefs_match_rk4_oracles(
     traces = default_traces(scn, cfg, seed)
     traj = simulate(scn, cfg, traces=traces)
     h_oracle, stride = dt / 50, 50 // ratio
+    k_oracle = np.arange(50 * epochs + 1)
     prior = NormalGammaBelief(mu0, kappa0, alpha0, beta0)
-    motion = belief_path(prior, traces.ecological, cfg.horizon, h_oracle)
+    motion = belief_path(prior, traces.ecological, h_oracle, k_oracle)
 
     def sup_rel(observed, expected):
         return np.max(np.abs(observed - expected)) / np.max(np.abs(expected))
@@ -742,5 +743,5 @@ def test_continuous_beliefs_match_rk4_oracles(
     assert max_rel_gap(np.nan_to_num(traj.var_mu), np.nan_to_num(var_ref)) <= 1e-10
     for j in range(n):
         prior = KalmanBelief(tau0[j], p0[j], r[j])
-        payoff = kalman_path(prior, traces.cost[j], cfg.horizon, h_oracle)
+        payoff = kalman_path(prior, traces.cost[j], h_oracle, k_oracle)
         assert sup_rel(traj.tau_bar[:, j], payoff.tau_hat[::stride]) <= 1e-10

@@ -44,7 +44,7 @@ def test_validation():
     # non-finite grid time instead of returning it.
     trace = SignalTrace(t0=0.0, dt=0.5, values=np.ones(10))
     with pytest.raises(NonFiniteStateError, match=r"non-finite Kalman state at t="):
-        variance_path(KalmanBelief(0.0, 6.0, 0.25), 5.0, 0.125)
+        variance_path(KalmanBelief(0.0, 6.0, 0.25), 0.125, np.arange(41))
 
 
 def test_step_discrete_substitution_example():
@@ -61,7 +61,7 @@ def test_step_at_current_estimate_only_shrinks_variance():
 def test_exact_variance_fixed_point():
     assert variance_closed_form(1.0, 1.0, 1.0) == 0.5
     trace = SignalTrace(t0=0.0, dt=1.0, values=np.zeros(1))
-    out = kalman_path(KalmanBelief(0.0, 1.0, 1.0), trace, 1.0, 0.001)
+    out = kalman_path(KalmanBelief(0.0, 1.0, 1.0), trace, 0.001, np.arange(1001))
     assert out.P[-1] == pytest.approx(0.5, rel=1e-12)
 
 
@@ -70,13 +70,13 @@ def test_variance_vanishes_for_long_horizons():
 
 
 def test_ode_variance_matches_closed_form():
-    p = variance_path(KalmanBelief(0.0, 1.0, 0.5), 10.0, 0.001)
+    p = variance_path(KalmanBelief(0.0, 1.0, 0.5), 0.001, np.arange(10001))
     assert p[-1] == pytest.approx(variance_closed_form(1.0, 0.5, 10.0), rel=1e-6)
 
 
 def test_zero_prior_mean_matches_printed_solution():
     trace = sample_cost_trace(1.2, 0.25, 0.02, 10.0, seed=17)
-    out = kalman_path(KalmanBelief(0.0, 1.0, 0.25), trace, 10.0, 0.001)
+    out = kalman_path(KalmanBelief(0.0, 1.0, 0.25), trace, 0.001, np.arange(10001))
     assert out.tau_hat[-1] == pytest.approx(
         zero_prior_mean(trace, 0.25 / 1.0, 10.0), rel=1e-10
     )
@@ -88,7 +88,7 @@ def test_path_p_is_the_closed_form():
     # kalman_path reads P from the closed form anchored at P0, not composed
     # step by step.  A dyadic step makes the step-end time i*h + h equal to
     # the grid time t exactly.
-    path = kalman_path(b, trace, 5.0, 0.125)
+    path = kalman_path(b, trace, 0.125, np.arange(41))
     assert path.P[0] == b.P
     assert np.array_equal(path.P[1:], variance_closed_form(b.P, b.R, path.t[1:]))
 
@@ -96,7 +96,7 @@ def test_path_p_is_the_closed_form():
 def test_nonzero_prior_matches_exact_interval_propagation():
     trace = sample_cost_trace(1.2, 0.25, 0.1, 5.0, seed=3)
     b = KalmanBelief(0.4, 2.0, 0.25)
-    out = kalman_path(b, trace, 5.0, 0.001)
+    out = kalman_path(b, trace, 0.001, np.arange(5001))
     tau, p = b.tau_hat, b.P
     for k in range(50):
         tau = exact_interval_tau(tau, p, b.R, float(trace.values[k]), 0.1)
@@ -107,7 +107,7 @@ def test_nonzero_prior_matches_exact_interval_propagation():
 
 def test_discrete_updates_approach_continuous_at_first_order():
     trace = SignalTrace(t0=0.0, dt=4.0, values=np.array([2.0]))
-    cont = kalman_path(KalmanBelief(0.0, 1.0, 1.0), trace, 4.0, 0.0005).tau_hat[-1]
+    cont = kalman_path(KalmanBelief(0.0, 1.0, 1.0), trace, 0.0005, np.arange(8001)).tau_hat[-1]
 
     def gap(dt):
         cur = KalmanBelief(0.0, 1.0, 1.0)
@@ -131,9 +131,10 @@ def test_gain_bounds_and_monotone_variance(p0, r, spans, ys):
     P/R stays within (0, P0/R]."""
     b = KalmanBelief(0.0, p0, r)
     for i, span in enumerate(spans):
-        trace = SignalTrace(t0=b.t, dt=span, values=np.array([ys[i]]))
-        path = kalman_path(b, trace, span, span / 4)
-        nxt = KalmanBelief(float(path.tau_hat[-1]), float(path.P[-1]), r, b.t + span)
+        # Each epoch's walk starts at 0 from the belief the last one reached.
+        trace = SignalTrace(t0=0.0, dt=span, values=np.array([ys[i]]))
+        path = kalman_path(b, trace, span / 4, np.arange(5))
+        nxt = KalmanBelief(float(path.tau_hat[-1]), float(path.P[-1]), r)
         assert 0.0 < nxt.P < b.P
         assert 0.0 < nxt.P / r <= p0 / r
         b = nxt
@@ -148,7 +149,7 @@ def test_estimates_tighten_with_horizon_across_seeds():
     wins = 0
     for seed in range(100):
         trace = sample_cost_trace(tau, r, 0.5, 200.0, seed=seed)
-        path = kalman_path(KalmanBelief(0.0, 1.0, r), trace, 200.0, 0.5)
+        path = kalman_path(KalmanBelief(0.0, 1.0, r), trace, 0.5, np.arange(401))
         err = np.abs(path.tau_hat - tau)
         early = err[(path.t >= 10.0) & (path.t <= 20.0)].max()
         late = err[(path.t >= 190.0) & (path.t <= 200.0)].max()
@@ -158,6 +159,6 @@ def test_estimates_tighten_with_horizon_across_seeds():
 
 def test_path_recording_and_export():
     trace = SignalTrace(t0=0.0, dt=0.5, values=np.array([1.0, 2.0]))
-    path = kalman_path(KalmanBelief(0.0, 1.0, 1.0), trace, 1.0, 0.25)
+    path = kalman_path(KalmanBelief(0.0, 1.0, 1.0), trace, 0.25, np.arange(5))
     assert path.t.size == 5
     assert np.all(np.diff(path.P) < 0)

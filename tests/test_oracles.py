@@ -651,12 +651,12 @@ def test_continuous_laws_hold_on_the_configured_run(case):
 
 
 def recorded_steps(monkeypatch) -> dict:
-    """The step argument of every call to each of verify's three RK4 walks."""
+    """The grid ``(u, k)`` of every call to each of verify's three RK4 walks."""
     calls = {name: [] for name in ("belief_path", "kalman_path", "variance_path")}
     for name, steps in calls.items():
 
         def walk(*args, _walk=getattr(oracles, name), _steps=steps):
-            _steps.append(args[-1])
+            _steps.append(args[-2:])
             return _walk(*args)
 
         monkeypatch.setattr(oracles, name, walk)
@@ -669,21 +669,21 @@ def test_verify_walks_once_each_on_a_graded_dyadic_grid(monkeypatch, horizon, mo
     sim = replace(sim, horizon=horizon)
     calls = recorded_steps(monkeypatch)
     assert closed_form_cross_check(scn, sim, seed).all_passed
-    (h,) = calls["belief_path"]
-    assert all(len(c) == 1 and c[0] is h for c in calls.values())
-    assert h.size <= most
+    ((u, k),) = calls["belief_path"]
+    assert all(len(c) == 1 and c[0][0] == u and c[0][1] is k for c in calls.values())
+    units = np.diff(k)
+    h = u * units
+    assert k[0] == 0 and units.min() == 1 and h.size <= most
     # Every step is h_ode/2^j, j >= 0, and starts at a multiple of itself,
     # so every multiple of h_ode is a step end.
     j = np.log2(sim.h_ode / h)
     assert np.array_equal(j, np.round(j)) and j.min() == 0 and np.all(np.diff(j) <= 0)
-    units = np.round(h / h.min()).astype(int)
-    k = np.concatenate(([0], np.cumsum(units)))
     assert np.all(k[:-1] % units == 0)
-    per_ode = round(sim.h_ode / h.min())
+    per_ode = round(sim.h_ode / u)
     assert np.isin(np.arange(0, k[-1] + 1, per_ode), k).all()
     # h <= 0.01 (t + c) at each step's start t, with c = min(kappa0 + 1, R/P0).
     c = min(scn.kappa0 + 1.0, scn.r[0] / scn.p0[0])
-    assert np.all(h <= 0.01 * (h.min() * k[:-1] + c))
+    assert np.all(h <= 0.01 * (u * k[:-1] + c))
 
 
 @pytest.mark.parametrize("p0, r, most", [(25000.0, 0.25, 2200), (1e6, 0.01, 3200)])
@@ -697,7 +697,8 @@ def test_verify_passes_a_stiff_kalman_prior(monkeypatch, p0, r, most):
     assert report.all_passed
     variance = next(c for c in report.checks if c.name == "continuous-variance-rk4")
     assert variance.observed <= 1e-12
-    assert calls["variance_path"][0].size <= most
+    ((_, k),) = calls["variance_path"]
+    assert k.size - 1 <= most
 
 
 def test_verify_names_a_prior_too_stiff_for_its_reference_grid():

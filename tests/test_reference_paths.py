@@ -5,8 +5,9 @@
 ODEs s' = c - l*s by one helper, ``signals._affine_rk4``, which sums each
 step's stage slopes in numpy and walks the steps in Python; ``belief_path``
 derives beta's stages from the recorded mu_hat; ``variance_path`` steps P in
-the scaled unknown h*P/R.  Each reference takes one step size or an array of
-them, such as the graded dyadic grid ``verify`` steps on.  Here they are
+the scaled unknown h*P/R.  Each reference walks from t = 0 over the grid
+points t = u*k, with k increasing whole numbers from 0: uniform steps, or the
+graded dyadic grid ``verify`` steps on.  Here they are
 held, entry by entry, within 2e-14 relative of the same RK4 steps run in
 ``decimal`` on the exact values of the float inputs: the (mu_hat, beta)
 subsystem with kappa advancing through the stages, tau_hat with P read off
@@ -96,27 +97,23 @@ def _rk4_pair(tau, p, r, y, h, p_exact):
     return tau_next, p + h * (k1p + 2.0 * (k2p + k3p) + k4p) / 6.0
 
 
-def steps_from(h, steps):
-    """(start offset from the grid start, size) of each step, for one step
-    size ``h`` or a list of one per step."""
-    if np.ndim(h) == 0:
-        return [(i * h, h) for i in range(steps)]
-    sizes = np.asarray(h).tolist()
-    return list(zip(accumulate(sizes[:-1], initial=0.0), sizes))
+def steps_from(u, k):
+    """(start time, size) of each step of the grid t = u*k."""
+    return list(zip((u * k[:-1]).tolist(), (u * np.diff(k)).tolist()))
 
 
-def reference_belief(b, xs, h):
+def reference_belief(b, xs, u, k):
     mu, beta = [b.mu_hat], [b.beta]
-    for (s, step), x in zip(steps_from(h, len(xs)), map(float, xs)):
+    for (s, step), x in zip(steps_from(u, k), map(float, xs)):
         m, bt = _rk4_mu_beta(mu[-1], beta[-1], b.kappa + s, x, step)
         mu.append(m)
         beta.append(bt)
     return np.array(mu), np.array(beta)
 
 
-def reference_kalman(b, ys, h, exact):
+def reference_kalman(b, ys, u, k, exact):
     tau, p = [b.tau_hat], [b.P]
-    for (t_rel, h), y in zip(steps_from(h, len(ys)), map(float, ys)):
+    for (t_rel, h), y in zip(steps_from(u, k), map(float, ys)):
         stages = (t_rel, t_rel + 0.5 * h, t_rel + h)
         p_exact = [variance_closed_form(b.P, b.R, s) for s in stages] if exact else None
         tn, pn = _rk4_pair(tau[-1], p[-1], b.R, y, h, p_exact)
@@ -125,19 +122,18 @@ def reference_kalman(b, ys, h, exact):
     return np.array(tau), np.array(p)
 
 
-def grid_50_digits(h, steps):
-    """The grid's offsets from its start and its step sizes, in ``Decimal``."""
-    sizes = [Decimal(v) for v in (np.broadcast_to(h, steps).tolist())]
+def grid_50_digits(u, k):
+    """The grid's times and its step sizes, in ``Decimal``."""
+    sizes = [Decimal(v) for v in (u * np.diff(k)).tolist()]
     with localcontext() as ctx:
         ctx.prec = 50
         return list(accumulate(sizes, initial=Decimal(0))), sizes
 
 
-def rk4_50_digits(y0, rates, h, steps):
-    """Every point of ``steps`` RK4 steps of y' = rates(i, s, y) in 50-digit
-    arithmetic, one row per component; ``h`` is the step size or a list of one
-    per step, and s is the stage's time from the grid start."""
-    grid, sizes = grid_50_digits(h, steps)
+def rk4_50_digits(y0, rates, u, k):
+    """Every point of RK4 on the grid t = u*k of y' = rates(i, s, y) in
+    50-digit arithmetic, one row per component; s is the stage's time."""
+    grid, sizes = grid_50_digits(u, k)
     with localcontext() as ctx:
         ctx.prec = 50
         y = [Decimal(v) for v in y0]
@@ -156,7 +152,7 @@ def rk4_50_digits(y0, rates, h, steps):
     return np.array(out, dtype=float).T
 
 
-def decimal_belief(b, xs, h):
+def decimal_belief(b, xs, u, k):
     """mu_hat and beta, kappa advancing through the stages."""
     x = [Decimal(v) for v in xs.tolist()]
     kappa0 = Decimal(b.kappa)
@@ -166,10 +162,10 @@ def decimal_belief(b, xs, h):
         den = kappa + 1
         return innov / den, kappa * innov * innov / (2 * den)
 
-    return rk4_50_digits((b.mu_hat, b.beta), rates, h, len(x))
+    return rk4_50_digits((b.mu_hat, b.beta), rates, u, k)
 
 
-def decimal_kalman(b, ys, h):
+def decimal_kalman(b, ys, u, k):
     """tau_hat with P read off its exact solution, and that P on the grid."""
     y = [Decimal(v) for v in ys.tolist()]
     p0, r = Decimal(b.P), Decimal(b.R)
@@ -180,20 +176,22 @@ def decimal_kalman(b, ys, h):
     def rates(i, s, state):
         return (exact(s) / r * (y[i] - state[0]),)
 
-    (tau,) = rk4_50_digits((b.tau_hat,), rates, h, len(y))
+    (tau,) = rk4_50_digits((b.tau_hat,), rates, u, k)
     with localcontext() as ctx:
         ctx.prec = 50
-        p = np.array([exact(t) for t in grid_50_digits(h, len(y))[0]], dtype=float)
+        p = np.array([exact(t) for t in grid_50_digits(u, k)[0]], dtype=float)
     return tau, p
 
 
-def decimal_variance(b, steps, h):
+def decimal_variance(b, u, k):
     """P stepped by its own ODE, P' = -P^2/R."""
     r = Decimal(b.R)
-    (p,) = rk4_50_digits((b.P,), lambda i, s, state: (-state[0] ** 2 / r,), h, steps)
+    (p,) = rk4_50_digits((b.P,), lambda i, s, state: (-state[0] ** 2 / r,), u, k)
     return p
 
 
+# t0 is the time the walk resumes at: the Normal-Gamma prior is the state
+# that (kappa, alpha) = (1.5, 2.0) reach there, and the walk's grid starts at 0.
 CASES = [
     (t0, div, p0, r)
     for t0 in (0.0, 1.3)
@@ -202,45 +200,49 @@ CASES = [
 ]
 
 
+def resumed_prior(t0):
+    return NormalGammaBelief(0.3, 1.5 + t0, 2.0 + 0.5 * t0, 0.7)
+
+
 @pytest.mark.parametrize("t0,div,p0,r", CASES)
 def test_paths_match_the_stage_loops_bit_for_bit(t0, div, p0, r):
     """Paths and float stage loops alike within REL of 50-digit RK4 (the name
     dates from when the paths copied the stage loops' arithmetic)."""
     dt = 0.05
-    h = dt / div
+    u, k = dt / div, np.arange(30 * div + 1)
     rng = np.random.default_rng(div)
-    trace = SignalTrace(t0=t0, dt=dt, values=0.5 + rng.standard_normal(40))
-    duration = 30 * dt
-    t, xs = trace.held_steps(t0, duration, h, "reference")
+    trace = SignalTrace(t0=0.0, dt=dt, values=0.5 + rng.standard_normal(40))
+    t, xs = u * k, trace.held_values(u, k, "reference")
 
-    b = NormalGammaBelief(0.3, 1.5, 2.0, 0.7, t=t0)
-    path = belief_path(b, trace, duration, h)
-    mu, beta = decimal_belief(b, xs, h)
+    b = resumed_prior(t0)
+    path = belief_path(b, trace, u, k)
+    mu, beta = decimal_belief(b, xs, u, k)
     assert np.array_equal(path.t, t)
+    assert np.array_equal(path.kappa, b.kappa + t)
     assert step_rel_gap(path.mu_hat, mu) <= REL
     assert step_rel_gap(path.beta, beta) <= REL
-    mu_loop, beta_loop = reference_belief(b, xs, h)
+    mu_loop, beta_loop = reference_belief(b, xs, u, k)
     assert max(step_rel_gap(mu_loop, mu), step_rel_gap(beta_loop, beta)) <= REL
 
-    kb = KalmanBelief(0.4, p0, r, t=t0)
-    kpath = kalman_path(kb, trace, duration, h)
-    tau, p_exact = decimal_kalman(kb, xs, h)
+    kb = KalmanBelief(0.4, p0, r)
+    kpath = kalman_path(kb, trace, u, k)
+    tau, p_exact = decimal_kalman(kb, xs, u, k)
     assert np.array_equal(kpath.t, t)
     assert step_rel_gap(kpath.tau_hat, tau) <= REL
     assert step_rel_gap(kpath.P, p_exact) <= REL
-    tau_loop, p_loop = reference_kalman(kb, xs, h, exact=True)
+    tau_loop, p_loop = reference_kalman(kb, xs, u, k, exact=True)
     assert max(step_rel_gap(tau_loop, tau), step_rel_gap(p_loop, p_exact)) <= REL
 
     # At h*P0/R = 1.8 the stage loop on P leaves the finite range.
-    _, p_ode_loop = reference_kalman(kb, xs, h, exact=False)
+    _, p_ode_loop = reference_kalman(kb, xs, u, k, exact=False)
     bad = np.flatnonzero(~np.isfinite(p_ode_loop))
     if bad.size:
         first = re.escape(f"at t={float(t[bad[0]])!r}")
         with pytest.raises(NonFiniteStateError, match=first):
-            variance_path(kb, duration, h)
+            variance_path(kb, u, k)
     else:
-        p_ode = decimal_variance(kb, xs.size, h)
-        assert step_rel_gap(variance_path(kb, duration, h), p_ode) <= REL
+        p_ode = decimal_variance(kb, u, k)
+        assert step_rel_gap(variance_path(kb, u, k), p_ode) <= REL
         assert step_rel_gap(p_ode_loop, p_ode) <= REL
 
 
@@ -250,27 +252,27 @@ def test_paths_match_the_stage_loops_at_the_verify_shape():
     dt, duration = 0.02, 2.0
     b = NormalGammaBelief(0.35, 1.2, 2.5, 0.9)
     kb = KalmanBelief(0.8, 1.7, 0.3)
-    h, _ = _graded_steps(dt, duration, min(b.kappa + 1.0, kb.R / kb.P))
+    u, k, _ = _graded_steps(dt, duration, min(b.kappa + 1.0, kb.R / kb.P))
     rng = np.random.default_rng(20)
     trace = SignalTrace(t0=0.0, dt=dt, values=0.5 + 0.2 * rng.standard_normal(100))
-    _, xs = trace.held_steps(0.0, duration, h, "reference")
-    assert xs.size >= 300 and np.unique(h).size >= 4
+    xs = trace.held_values(u, k, "reference")
+    assert xs.size >= 300 and np.unique(np.diff(k)).size >= 4
 
-    path = belief_path(b, trace, duration, h)
-    mu, beta = decimal_belief(b, xs, h)
+    path = belief_path(b, trace, u, k)
+    mu, beta = decimal_belief(b, xs, u, k)
     assert step_rel_gap(path.mu_hat, mu) <= REL
     assert step_rel_gap(path.beta, beta) <= REL
-    mu_loop, beta_loop = reference_belief(b, xs, h)
+    mu_loop, beta_loop = reference_belief(b, xs, u, k)
     assert max(step_rel_gap(mu_loop, mu), step_rel_gap(beta_loop, beta)) <= REL
 
-    tau, p_exact = decimal_kalman(kb, xs, h)
-    p_ode = decimal_variance(kb, xs.size, h)
-    kpath = kalman_path(kb, trace, duration, h)
+    tau, p_exact = decimal_kalman(kb, xs, u, k)
+    p_ode = decimal_variance(kb, u, k)
+    kpath = kalman_path(kb, trace, u, k)
     assert step_rel_gap(kpath.tau_hat, tau) <= REL
     assert step_rel_gap(kpath.P, p_exact) <= REL
-    assert step_rel_gap(variance_path(kb, duration, h), p_ode) <= REL
-    tau_loop, _ = reference_kalman(kb, xs, h, exact=True)
-    _, p_ode_loop = reference_kalman(kb, xs, h, exact=False)
+    assert step_rel_gap(variance_path(kb, u, k), p_ode) <= REL
+    tau_loop, _ = reference_kalman(kb, xs, u, k, exact=True)
+    _, p_ode_loop = reference_kalman(kb, xs, u, k, exact=False)
     assert max(step_rel_gap(tau_loop, tau), step_rel_gap(p_ode_loop, p_ode)) <= REL
 
 
@@ -279,47 +281,46 @@ def test_paths_match_50_digit_rk4_on_a_graded_dyadic_grid(t0, p0, r):
     """Steps dt/2^j that double three times or more over the span: every walk
     within REL of 50-digit RK4 on the same steps."""
     dt, duration = 0.05, 1.5
-    b = NormalGammaBelief(0.3, 1.5, 2.0, 0.7, t=t0)
-    kb = KalmanBelief(0.4, p0, r, t=t0)
-    h, _ = _graded_steps(dt, duration, min(b.kappa + 1.0, r / p0))
-    assert np.unique(h).size >= 4
+    b = resumed_prior(t0)
+    kb = KalmanBelief(0.4, p0, r)
+    u, k, _ = _graded_steps(dt, duration, min(b.kappa + 1.0, r / p0))
+    assert np.unique(np.diff(k)).size >= 4
     rng = np.random.default_rng(3)
-    trace = SignalTrace(t0=t0, dt=dt, values=0.5 + rng.standard_normal(40))
-    t, xs = trace.held_steps(t0, duration, h, "reference")
+    trace = SignalTrace(t0=0.0, dt=dt, values=0.5 + rng.standard_normal(40))
+    t, xs = u * k, trace.held_values(u, k, "reference")
 
-    path = belief_path(b, trace, duration, h)
-    mu, beta = decimal_belief(b, xs, h)
+    path = belief_path(b, trace, u, k)
+    mu, beta = decimal_belief(b, xs, u, k)
     assert np.array_equal(path.t, t)
     assert step_rel_gap(path.mu_hat, mu) <= REL
     assert step_rel_gap(path.beta, beta) <= REL
 
-    kpath = kalman_path(kb, trace, duration, h)
-    tau, p_exact = decimal_kalman(kb, xs, h)
+    kpath = kalman_path(kb, trace, u, k)
+    tau, p_exact = decimal_kalman(kb, xs, u, k)
     assert np.array_equal(kpath.t, t)
     assert step_rel_gap(kpath.tau_hat, tau) <= REL
     assert step_rel_gap(kpath.P, p_exact) <= REL
-    p_ode = decimal_variance(kb, xs.size, h)
-    assert step_rel_gap(variance_path(kb, duration, h), p_ode) <= REL
+    p_ode = decimal_variance(kb, u, k)
+    assert step_rel_gap(variance_path(kb, u, k), p_ode) <= REL
 
 
 def test_belief_path_overflow_mid_run_names_the_stage_loops_time_silently():
     # The signal jumps to 1e200 at the 13th hold interval; beta's stage rates
     # then square past the float range.
-    dt, h = 0.05, 0.01
+    dt, u, k = 0.05, 0.01, np.arange(101)
     values = np.full(20, 0.5)
     values[12:] = 1e200
     trace = SignalTrace(t0=0.0, dt=dt, values=values)
-    duration = 20 * dt
-    t, xs = trace.held_steps(0.0, duration, h, "reference")
+    t, xs = u * k, trace.held_values(u, k, "reference")
     b = NormalGammaBelief(0.3, 1.5, 2.0, 0.7)
-    mu, beta = reference_belief(b, xs, h)
+    mu, beta = reference_belief(b, xs, u, k)
     bad = np.flatnonzero(~(np.isfinite(mu) & np.isfinite(beta)))
     assert bad.size and t[bad[0]] > 0.5
     first = re.escape(f"at t={float(t[bad[0]])!r}")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteStateError, match=first):
-            belief_path(b, trace, duration, h)
+            belief_path(b, trace, u, k)
 
 
 def test_belief_path_steps_beta_like_the_stage_loop_one_step_at_a_time():
@@ -330,9 +331,10 @@ def test_belief_path_steps_beta_like_the_stage_loop_one_step_at_a_time():
         h = float(rng.choice([1e-3, 0.01, 0.05]))
         trace = SignalTrace(t0=0.0, dt=h, values=rng.normal(0.0, 3.0, 1))
         b = NormalGammaBelief(rng.normal(), rng.uniform(0.1, 5.0), 2.0, 0.0)
-        mu, beta = reference_belief(b, trace.values, h)
-        path = belief_path(b, trace, h, h)
-        assert step_rel_gap(path.mu_hat, decimal_belief(b, trace.values, h)[0]) <= REL
+        k = np.arange(2)
+        mu, beta = reference_belief(b, trace.values, h, k)
+        path = belief_path(b, trace, h, k)
+        assert step_rel_gap(path.mu_hat, decimal_belief(b, trace.values, h, k)[0]) <= REL
         assert np.array_equal(path.beta, beta)
 
 
@@ -340,13 +342,14 @@ def decimal_stock(s0, h, c, l):
     """S' = c - l*S, with ``c`` and ``l`` read off their rows at each step's
     start, middle and end."""
     c, l = ([[Decimal(v) for v in row.tolist()] for row in a] for a in (c, l))
-    grid, sizes = grid_50_digits(h, len(c[0]))
+    k = np.arange(len(c[0]) + 1)
+    grid, sizes = grid_50_digits(h, k)
 
     def rates(i, s, state):
         k = round(2 * (s - grid[i]) / sizes[i])  # 0, 1, 2 at start, middle, end
         return (c[k][i] - l[k][i] * state[0],)
 
-    (stock,) = rk4_50_digits((s0,), rates, h, len(c[0]))
+    (stock,) = rk4_50_digits((s0,), rates, h, k)
     return stock
 
 

@@ -27,6 +27,8 @@ BREAKING = {
     ("kappa0",): ("kappa0", "-1", -1.0),
     ("beta0",): ("beta0", "-0.5", -0.5),
     ("p0",): ("p0", "0, 1", (0.0, 1.0)),
+    # beta0 / (kappa0 (alpha0 - 1)) = 1 / 1e-320 overflows.
+    ("kappa0", "alpha0", "beta0"): ("kappa0", "1e-320", 1e-320),
     ("scheme",): ("scheme", "implicit", "implicit"),
     ("dynamics_mode",): ("dynamics_mode", "mean", "mean"),
     ("dt_signal",): ("dt_signal", "-0.02", -0.02),

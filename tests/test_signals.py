@@ -19,7 +19,6 @@ from beliefgames import (
     sample_cost_trace,
     sample_ecological_trace,
     save_trace,
-    variance_path,
 )
 from beliefgames.signals import _write_csv
 
@@ -85,57 +84,32 @@ def test_cost_trace_mean_obeys_law_of_large_numbers():
 
 def test_hold_value_examples():
     trace = SignalTrace(t0=0.0, dt=0.02, values=np.arange(5.0), label="x")
-    _, held = trace.held_steps(0.0, 0.1, 0.01, "x")
+    held = trace.held_values(0.01, np.arange(11), "x")
     assert held.tolist() == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0]
-    assert trace.held_steps(0.02, 0.01, 0.01, "x")[1].tolist() == [1.0]
-    assert trace.held_steps(0.09, 0.01, 0.01, "x")[1].tolist() == [4.0]
-    for t_start, duration in ((0.0, 0.11), (-0.01, 0.01), (float("nan"), 0.01)):
+    assert trace.held_values(0.01, np.arange(2), "x").tolist() == [0.0]
+    assert trace.held_values(0.02, np.arange(6), "x").tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    late = SignalTrace(t0=0.01, dt=0.02, values=trace.values)
+    early = SignalTrace(t0=-0.02, dt=0.02, values=trace.values)
+    for tr, k in ((trace, np.arange(12)), (late, np.arange(3)), (early, np.arange(3))):
         with pytest.raises(TraceCoverageError):
-            trace.held_steps(t_start, duration, 0.01, "x")
+            tr.held_values(0.01, k, "x")
 
 
 def test_hold_value_is_right_continuous_with_boundary_jumps():
-    trace = SignalTrace(t0=1.0, dt=0.5, values=np.array([2.0, -3.0, 7.0]))
-    for k, expect in enumerate(trace.values):
-        edge = 1.0 + 0.5 * k
-        assert trace.held_steps(edge, 0.5, 0.25, "test")[1].tolist() == [expect] * 2
-    t, held = trace.held_steps(1.0, 1.5, 0.25, "test")
-    assert t.tolist() == [1.0 + 0.25 * i for i in range(7)]
+    trace = SignalTrace(t0=0.0, dt=0.5, values=np.array([2.0, -3.0, 7.0]))
+    held = trace.held_values(0.25, np.arange(7), "test")
     assert held.tolist() == [2.0, 2.0, -3.0, -3.0, 7.0, 7.0]
-    # From a start inside a hold interval, the values follow the steps.
-    assert trace.held_steps(1.25, 0.5, 0.25, "test")[1].tolist() == [2.0, -3.0]
-    # A start within rounding of t0 is t0.
-    shifted = SignalTrace(t0=0.1 + 0.2, dt=0.5, values=trace.values)
-    assert shifted.held_steps(0.3, 1.5, 0.25, "test")[1].tolist() == held.tolist()
+    # The step from each jump holds the value that starts there.
+    assert trace.held_values(0.5, np.arange(4), "test").tolist() == trace.values.tolist()
 
 
-def test_held_steps_reject_a_start_off_the_step_grid():
-    # A step from 0.025 would straddle the jump at 0.1.
-    trace = SignalTrace(0.0, 0.1, [0.0, 1.0, 0.0, 0.0])
-    message = r"^x start offset from t0: 0\.05 does not divide 0\.025$"
-    with pytest.raises(ValueError, match=message):
-        trace.held_steps(0.025, 0.1, 0.05, "x")
-    b = NormalGammaBelief(0.0, 1.0, 2.0, 1.0, t=0.025)
-    with pytest.raises(ValueError, match="belief_path start offset from t0"):
-        belief_path(b, trace, 0.1, 0.05)
-    kb = KalmanBelief(0.0, 1.0, 1.0, t=0.025)
-    with pytest.raises(ValueError, match="kalman_path start offset from t0"):
-        kalman_path(kb, trace, 0.1, 0.05)
-
-
-def test_held_steps_take_an_array_of_step_sizes():
-    trace = SignalTrace(t0=1.0, dt=0.5, values=np.array([2.0, -3.0, 7.0]))
-    t, held = trace.held_steps(1.0, 1.5, [0.125, 0.125, 0.25, 0.5, 0.5], "test")
-    assert t.tolist() == [1.0, 1.125, 1.25, 1.5, 2.0, 2.5]
+def test_held_values_follow_a_graded_step_grid():
+    trace = SignalTrace(t0=0.0, dt=0.5, values=np.array([2.0, -3.0, 7.0]))
+    held = trace.held_values(0.125, np.array([0, 1, 2, 4, 8, 12]), "test")
     assert held.tolist() == [2.0, 2.0, 2.0, -3.0, 7.0]
-    for steps, message in (
-        ([0.25, 0.375, 0.375, 0.5], "every step size must be a whole multiple of 0.25"),
-        ([0.25, 0.25, 0.5], r"the steps span 1\.0, not 1\.5"),
-        ([0.25, 0.5, 0.25, 0.5], "a step straddles a hold-interval boundary"),
-        ([0.5, -0.5, 1.5], "step sizes must be a non-empty 1-d array of positive floats"),
-    ):
-        with pytest.raises(ValueError, match=f"^test: {message}$"):
-            trace.held_steps(1.0, 1.5, steps, "test")
+    # The step from 0.25 to 0.75 would straddle the jump at 0.5.
+    with pytest.raises(ValueError, match="^test: a step straddles a hold-interval boundary$"):
+        trace.held_values(0.25, np.array([0, 1, 3, 4, 6]), "test")
 
 
 def test_subsample_keeps_every_stride_value():
@@ -155,18 +129,15 @@ def test_subsample_takes_an_integral_float_and_rejects_a_fraction():
             trace.subsample(stride)
 
 
-@pytest.mark.parametrize("duration", [math.inf, math.nan])
-def test_non_finite_durations_raise_value_error(duration):
+@pytest.mark.parametrize("u", [math.inf, math.nan])
+def test_non_finite_steps_raise_value_error(u):
     trace = SignalTrace(t0=0.0, dt=0.5, values=np.arange(4.0))
     b, kb = NormalGammaBelief(0.0, 1.0, 2.0, 1.0), KalmanBelief(0.0, 1.0, 1.0)
     for what, run in (
-        ("belief_path", lambda: belief_path(b, trace, duration, 0.25)),
-        ("kalman_path", lambda: kalman_path(kb, trace, duration, 0.25)),
-        ("variance_path", lambda: variance_path(kb, duration, 0.25)),
-        ("variance_path", lambda: variance_path(kb, duration, [0.25, 0.5])),
+        ("belief_path", lambda: belief_path(b, trace, u, np.arange(3))),
+        ("kalman_path", lambda: kalman_path(kb, trace, u, np.arange(3))),
     ):
-        message = f"^{what} duration: {duration} is not a finite number of steps of 0.25$"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{what} hold interval: "):
             run()
 
 
