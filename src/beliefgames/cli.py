@@ -24,14 +24,15 @@ _NOTE = "scenario constants are repository defaults, not published values"
 
 
 class _Group(click.Group):
-    """Reports the package's typed errors, invalid values and file errors
-    (whose message names the path) as one-line CLI errors (exit 1, no
-    traceback), whichever command raises them."""
+    """Reports the package's typed errors, invalid values, file errors
+    (whose message names the path) and arrays too large to allocate as
+    one-line CLI errors (exit 1, no traceback), whichever command raises
+    them."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (BeliefGameError, ValueError, OSError) as exc:
+        except (BeliefGameError, ValueError, OSError, MemoryError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -74,8 +75,8 @@ def _trace_paths(out: Path, n: int) -> list[Path]:
 def cmd_gen_traces(load):
     """Persist the seeded signal traces for later replay."""
     cfg = load()
-    out = _out_dir(cfg)
     traces = default_traces(cfg.scenario, cfg.sim, cfg.seed)
+    out = _out_dir(cfg)
     paths = _trace_paths(out, cfg.scenario.params.n)
     for path, trace in zip(paths, (traces.ecological, *traces.cost)):
         save_trace(trace, path)

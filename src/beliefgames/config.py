@@ -3,10 +3,10 @@
 Sections: [scenario] game constants and true signal laws, [priors] belief
 hyperparameters, [sim] scheme and grid settings plus the seed, [output] the
 artifact directory.  One table declares every key and its kind; the range
-rules are the settings dataclasses' own, with alpha0 > 1 and the seed range
-added here.  Keyword overrides (the CLI's flags) replace the file's values
-before any check, so both pass the same rules.  Validation reports every
-violation it finds, not just the first.
+rules are the settings dataclasses' own, plus the seed range.  Keyword
+overrides (the CLI's flags) replace the file's values before any check, so
+both pass the same rules.  Validation reports every violation it finds, not
+just the first.
 """
 
 from __future__ import annotations
@@ -53,16 +53,13 @@ _KEYS = (
 
 _SECTION = {key: section for section, key, _ in _KEYS}
 
-_ALPHA0 = "must exceed 1 so the estimator variance is defined from t=0, got {}"
 _SEED = "must fit in an unsigned 64-bit integer, got {}"
 
 # Range rules in report order: the settings dataclasses' (see
-# equilibrium.violations), with the estimator's alpha0 > 1 in place of
-# Scenario's alpha0 > 0, and the seed range.
-_RULES = [
-    (("alpha0",), lambda x: x > 1.0, _ALPHA0) if rule[0] == ("alpha0",) else rule
-    for rule in GameParams.RULES + Scenario.RULES + SimConfig.RULES
-] + [(("seed",), lambda s: 0 <= s < 2**64, _SEED)]
+# equilibrium.violations), then the seed range.
+_RULES = GameParams.RULES + Scenario.RULES + SimConfig.RULES + (
+    (("seed",), lambda s: 0 <= s < 2**64, _SEED),
+)
 
 
 @dataclass(frozen=True)

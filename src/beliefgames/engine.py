@@ -75,7 +75,7 @@ def _broadcast(value, n: int, name: str) -> tuple[float, ...]:
 
 
 def _finite_var_mu0(kappa0, alpha0, beta0):
-    # var_mu at t = 0; a kappa0 that is not positive breaks its own rule.
+    # var_mu at t = 0; a kappa0 or alpha0 out of range breaks its own rule.
     den = kappa0 * (alpha0 - 1.0)
     return alpha0 <= 1.0 or kappa0 <= 0.0 or (den > 0.0 and math.isfinite(beta0 / den))
 
@@ -99,7 +99,8 @@ class Scenario:
         (("sigma",), lambda x: x > 0.0, "must be positive, got {}"),
         (("r",), lambda v: min(v) > 0.0, "entries must be positive"),
         (("kappa0",), lambda x: x > 0.0, "must be positive, got {}"),
-        (("alpha0",), lambda x: x > 0.0, "must be positive, got {}"),
+        (("alpha0",), lambda x: x > 1.0,
+         "must exceed 1 so the estimator variance is defined from t=0, got {}"),
         (("beta0",), lambda x: x >= 0.0, "must be non-negative, got {}"),
         (("p0",), lambda v: min(v) > 0.0, "entries must be positive"),
         (("kappa0", "alpha0", "beta0"), _finite_var_mu0, "the prior's var_mu = beta0 / "
@@ -424,19 +425,19 @@ def _run(scn: Scenario, cfg: SimConfig, traces: TraceSet) -> Trajectory:
     else:
         xd = path.x_ctrl[stage]
     S = _affine_rk4(p.s0, h, xd * u.sum(axis=1)[stage], 1.0 - xd * p.delta)
+    var_mu = path.beta / (path.kappa * (path.alpha - 1.0))
     finite = (
-        np.isfinite(x_bar) & np.isfinite(path.beta) & np.isfinite(tau_bar).all(axis=0)
+        np.isfinite(x_bar) & np.isfinite(var_mu) & np.isfinite(tau_bar).all(axis=0)
     )
     finite[: S.size] &= np.isfinite(S)
     kernel_hit = (path.t_ctrl[m], float(den[m])) if m < den.size else None
     _guard(t, finite, path.P, kernel_hit)
-    beta, kappa, alpha = path.beta, path.kappa, path.alpha
     return Trajectory(
         t=t,
         S=S,
         x_real=eco[np.minimum(epoch, eco.size - 1)],
         x_bar=x_bar,
-        var_mu=np.where(alpha > 1.0, beta / (kappa * (alpha - 1.0)), np.nan),
+        var_mu=var_mu,
         tau_bar=tau_bar.T,
         P=path.P.T,
         u=u[path.record],

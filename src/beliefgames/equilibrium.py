@@ -179,17 +179,12 @@ def control_kernel(
     solve; must stay numerically equal to solve_equilibrium (pinned by tests).
     ``x_bar`` of shape (T,) with ``tau_bar`` of shape (T, n) gives a (T, n)
     array.  Players are summed in order, so each row equals the scalar call
-    bit for bit.
+    bit for bit.  The caller keeps 1 + rho - x_bar*delta off zero: the engine
+    solves only the points before the first singular one.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     tau_bar = np.asarray(tau_bar, dtype=float)
-    den = 1.0 + rho - x_bar * delta
-    singular = np.abs(den) <= EPS_SINGULAR
-    if singular.any():
-        raise SingularSystemError(
-            f"value-slope denominator {float(den[singular][0])!r} ~ 0"
-        )
-    f2 = -0.5 * x_bar / den
+    f2 = -0.5 * x_bar / (1.0 + rho - x_bar * delta)
     n = len(a)
     total_tb = 0.0
     for i in range(n):

@@ -314,23 +314,11 @@ def best_response_value(
 
 def _gap(observed, expected) -> float:
     """Largest gap of the run's columns from the expected ones (one per row),
-    relative to each column's sup norm; a NaN in only one of the two is NaN."""
+    relative to each column's sup norm; NaN if either holds a NaN."""
     expected = np.array(expected)
-    both = np.isnan(observed) & np.isnan(expected)
-    diff = np.abs(np.where(both, 0.0, observed - expected)).max(axis=-1)
-    scale = np.abs(np.where(both, 0.0, expected)).max(axis=-1)
+    diff = np.abs(observed - expected).max(axis=-1)
+    scale = np.abs(expected).max(axis=-1)
     return float(np.max(diff / np.maximum(scale, np.finfo(float).tiny)))
-
-
-def _var_mu(scn: Scenario, beta: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """A reference's beta over kappa (alpha - 1) at the run's affine kappa0 + t
-    and alpha0 + t/2, NaN where alpha <= 1.  var_mu is singular at alpha = 1,
-    where the reference's own alpha, a few ulps off, would decide between NaN
-    and 1e16."""
-    alpha = scn.alpha0 + 0.5 * t
-    var_mu = np.full(t.shape, np.nan)
-    np.divide(beta, (scn.kappa0 + t) * (alpha - 1.0), out=var_mu, where=alpha > 1.0)
-    return var_mu
 
 
 def _graded_steps(h_ode: float, horizon: float, c: float) -> tuple:
@@ -487,9 +475,13 @@ def closed_form_cross_check(
         reference, method, over = _continuous_reference, "rk4", "the grid"
     # The run's rows it covers, their times, and its columns for len(P) players.
     rows, t, mu_hat, beta, tau_hat, P = reference(scn, cfg, traces, traj)
+    # The reference's beta over the run's affine kappa0 + t and alpha0 + t/2:
+    # near alpha0 = 1 the factor alpha - 1 cancels, and would magnify the few
+    # ulps by which a reference's own alpha strays from alpha0 + t/2.
+    var_mu = beta / ((scn.kappa0 + t) * (scn.alpha0 + 0.5 * t - 1.0))
     gaps = {
         "mean": _gap(traj.x_bar[rows], mu_hat),
-        "var-mu": _gap(traj.var_mu[rows], _var_mu(scn, beta, t)),
+        "var-mu": _gap(traj.var_mu[rows], var_mu),
         "kalman-mean": _gap(traj.tau_bar[rows, : len(P)].T, tau_hat),
         "variance": _gap(traj.P[rows, : len(P)].T, P),
     }

@@ -425,6 +425,20 @@ def test_failed_replay_leaves_no_output_directory(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen-traces", "simulate", "compare-dt", "verify"])
+def test_a_grid_too_large_to_allocate_is_one_error_line(runner, tmp_path, command):
+    # horizon / dt_signal = 5e16 samples, 355 PiB per trace: more than a 64-bit
+    # process can map, so the allocation fails at once.
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(default_config_text().replace("horizon = 10.0\n", "horizon = 1e15\n"))
+    out = tmp_path / "artifacts"
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(out), command])
+    assert result.exit_code == 1
+    [line] = result.output.splitlines()
+    assert line.startswith("Error: Unable to allocate ")
+    assert not out.exists()
+
+
 def test_verify_accepts_every_step_that_simulate_accepts(runner, tmp_path):
     # h_ode = 0.0025 divides the horizon 1.0025; the 1e-3 grid of the
     # signal interval does not.

@@ -191,10 +191,8 @@ def test_mean_error_and_variance_shrink_with_horizon_across_seeds():
         early = (path.t >= 10.0) & (path.t <= 20.0)
         late = (path.t >= 190.0) & (path.t <= 200.0)
         err = np.abs(path.mu_hat - mu)
-        # The estimator variance beta / (kappa (alpha - 1)), NaN where alpha <= 1.
-        var = np.full(path.t.shape, np.nan)
-        ok = path.alpha > 1.0
-        var[ok] = path.beta[ok] / (path.kappa[ok] * (path.alpha[ok] - 1.0))
+        # The estimator variance beta / (kappa (alpha - 1)).
+        var = path.beta / (path.kappa * (path.alpha - 1.0))
         mean_wins += err[late].max() < err[early].max()
         var_wins += var[late].max() < var[early].max()
     assert mean_wins >= 95

@@ -552,14 +552,10 @@ def five_player_case(**sim):
         five_player_case(),
         # h = dt/5, and the horizon ends 0.06 into an epoch.
         five_player_case(dt_signal=0.1, h_ode=0.02, horizon=20.06),
-        # alpha_k = 0.5 + 0.05 k lands on 1 at k = 10, where var_mu is NaN.
-        (
-            replace(default_case()[0], alpha0=0.5),
-            replace(default_case()[1], dt_signal=0.1, h_ode=0.1, horizon=2.0),
-            3,
-        ),
+        # var_mu = beta / (kappa (alpha - 1)) starts at about 1e6 beta0.
+        (replace(default_case()[0], alpha0=1.000001), default_case()[1], 3),
     ],
-    ids=["default", "five-players", "five-players-partial-epoch", "alpha-lands-on-one"],
+    ids=["default", "five-players", "five-players-partial-epoch", "alpha0-near-one"],
 )
 def test_discrete_laws_hold_on_the_configured_run(case):
     scn, sim, seed = case
@@ -623,9 +619,8 @@ CONTINUOUS_LAWS = {
     [
         default_case(),
         (replace(default_case()[0], mu0=0.3), default_case()[1], 11),
-        # alpha = 0.5 + t/2 lands on 1 at the grid point t = 1, where var_mu is
-        # NaN in the run and in the reference.
-        (replace(default_case()[0], alpha0=0.5), default_case()[1], 3),
+        # var_mu = beta / (kappa (alpha - 1)) starts at about 1e6 beta0.
+        (replace(default_case()[0], alpha0=1.000001), default_case()[1], 3),
         # P0/R = 40: the reference's first steps are 0.02/128.
         (
             replace(default_case()[0], p0=10.0),
@@ -633,7 +628,7 @@ CONTINUOUS_LAWS = {
             5,
         ),
     ],
-    ids=["default", "nonzero-mu0", "alpha-lands-on-one", "large-p0-over-r"],
+    ids=["default", "nonzero-mu0", "alpha0-near-one", "large-p0-over-r"],
 )
 def test_continuous_laws_hold_on_the_configured_run(case):
     scn, sim, seed = case

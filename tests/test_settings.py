@@ -25,6 +25,7 @@ BREAKING = {
     ("sigma",): ("sigma", "0", 0.0),
     ("r",): ("r", "0.25, 0", (0.25, 0.0)),
     ("kappa0",): ("kappa0", "-1", -1.0),
+    ("alpha0",): ("alpha0", "0.5", 0.5),
     ("beta0",): ("beta0", "-0.5", -0.5),
     ("p0",): ("p0", "0, 1", (0.0, 1.0)),
     # beta0 / (kappa0 (alpha0 - 1)) = 1 / 1e-320 overflows.
@@ -52,7 +53,7 @@ def _settings(key: str):
     return next(s for s in settings if hasattr(s, key))
 
 
-@pytest.mark.parametrize("rule", [r for r in RULES if r != ("alpha0",)], ids="-".join)
+@pytest.mark.parametrize("rule", RULES, ids="-".join)
 def test_dataclass_and_ini_report_each_rule_alike(rule):
     key, text, value = BREAKING[rule]
     with pytest.raises(ValueError) as built:
@@ -61,19 +62,6 @@ def test_dataclass_and_ini_report_each_rule_alike(rule):
         parse_config_text(_edited(key, text))
     assert parsed.value.violations == [f"<string>: [{_SECTION[key]}] {built.value}"]
     assert str(built.value).startswith(f"{rule[0]}: ")
-
-
-def test_alpha0_rules_of_library_and_ini():
-    # The library accepts alpha0 in (0, 1], where var_mu is NaN; the INI asks
-    # for alpha0 > 1.
-    tail = "must exceed 1 so the estimator variance is defined from t=0, got"
-    assert replace(_settings("alpha0"), alpha0=0.5).alpha0 == 0.5
-    for text, value in (("0.5", 0.5), ("0", 0.0)):
-        with pytest.raises(ConfigError) as parsed:
-            parse_config_text(_edited("alpha0", text))
-        assert parsed.value.violations == [f"<string>: [priors] alpha0: {tail} {value}"]
-    with pytest.raises(ValueError, match=r"^alpha0: must be positive, got 0\.0$"):
-        replace(_settings("alpha0"), alpha0=0.0)
 
 
 def test_compare_dt_names_the_step_that_does_not_divide(tmp_path):
