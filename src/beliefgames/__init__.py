@@ -58,7 +58,6 @@ from .oracles import (
 )
 from .signals import (
     SignalTrace,
-    TraceSeed,
     load_trace,
     sample_cost_trace,
     sample_ecological_trace,

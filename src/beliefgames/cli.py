@@ -15,7 +15,7 @@ import click
 
 from .config import ScenarioConfig, default_config, parse_config
 from .engine import SCHEMES, TraceSet, compare_schemes, default_traces, simulate
-from .equilibrium import BeliefProfile, equilibrium_report
+from .equilibrium import equilibrium_report
 from .errors import BeliefGameError
 from .oracles import closed_form_cross_check
 from .signals import _write_csv, load_trace, save_trace
@@ -139,9 +139,7 @@ def cmd_compare_dt(load, dt_list):
 def cmd_equilibrium(load):
     """Solve the equilibrium at converged beliefs and write equilibrium.json."""
     cfg = load()
-    scn = cfg.scenario
-    beliefs = BeliefProfile(x_bar=scn.mu_true, tau_bar=scn.params.tau)
-    report = equilibrium_report(scn.params, beliefs, mu_true=scn.mu_true)
+    report = equilibrium_report(cfg.scenario.params, cfg.scenario.mu_true)
     path = _out_dir(cfg) / "equilibrium.json"
     _write_json(path, {**report, "note": _NOTE})
     click.echo(f"wrote {path}", file=sys.stdout)

@@ -33,7 +33,6 @@ view, and ``Trajectory`` receives (T, n) views, its public shape.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -56,7 +55,6 @@ from .errors import (
 )
 from .signals import (
     SignalTrace,
-    TraceSeed,
     _affine_rk4,
     _sample_count,
     _step_count,
@@ -161,24 +159,10 @@ class TraceSet:
 
 def default_traces(scn: Scenario, cfg: SimConfig, seed: int) -> TraceSet:
     """Seeded traces for one run; stream 0 is ecological, stream j+1 is cost j."""
-    base = operator.index(seed)
-    eco = sample_ecological_trace(
-        scn.mu_true,
-        scn.sigma,
-        cfg.dt_signal,
-        cfg.horizon,
-        TraceSeed(base, 0),
-        label="ecological",
-    )
+    grid = (cfg.dt_signal, cfg.horizon, seed)
+    eco = sample_ecological_trace(scn.mu_true, scn.sigma, *grid, 0, label="ecological")
     cost = tuple(
-        sample_cost_trace(
-            scn.params.tau[j],
-            scn.r[j],
-            cfg.dt_signal,
-            cfg.horizon,
-            TraceSeed(base, j + 1),
-            label=f"cost_{j + 1}",
-        )
+        sample_cost_trace(scn.params.tau[j], scn.r[j], *grid, j + 1, label=f"cost_{j + 1}")
         for j in range(scn.params.n)
     )
     return TraceSet(ecological=eco, cost=cost)
@@ -225,8 +209,6 @@ def _validate_traces(traces: TraceSet, cfg: SimConfig, n: int) -> None:
             raise TraceCoverageError(
                 f"trace {tr.label!r} hold interval {tr.dt} != dt_signal {cfg.dt_signal}"
             )
-        if abs(tr.t0) > 1e-12:
-            raise TraceCoverageError(f"trace {tr.label!r} must start at t=0")
         if len(tr) < needed:
             raise TraceCoverageError(
                 f"trace {tr.label!r} has {len(tr)} samples, needs {needed} "

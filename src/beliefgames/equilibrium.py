@@ -119,20 +119,13 @@ def c_bar(x_bar: float, delta: float, rho: float) -> float:
     return -x_bar / _published_denominator(x_bar, delta, rho)
 
 
-def _maximized_rhs(
-    s: float,
-    slope: float,
-    a_i: float,
-    tau_i: float,
-    others_total: float,
-    x_bar: float,
-    delta: float,
-) -> float:
+def _maximized_rhs(s: float, slope: float, tau_i: float, x_bar: float, delta: float) -> float:
     # Right side of the stationarity equation at stock level s, with the
-    # candidate value slope inserted and the player's control maximized out.
-    u = 0.5 * (a_i - others_total + slope * x_bar)
-    payoff = u * (a_i - u - others_total) - tau_i * s
-    drift = x_bar * (u + others_total) - (1.0 - x_bar * delta) * s
+    # candidate value slope inserted and the player's control maximized out;
+    # a_i = 1 and the other players' controls at zero.
+    u = 0.5 * (1.0 + slope * x_bar)
+    payoff = u * (1.0 - u) - tau_i * s
+    drift = x_bar * u - (1.0 - x_bar * delta) * s
     return payoff + slope * drift
 
 
@@ -146,8 +139,8 @@ def value_slope(tau_i: float, x_bar: float, delta: float, rho: float) -> float:
     """
 
     def s_coeff(slope: float) -> float:
-        hi = _maximized_rhs(1.0, slope, 1.0, tau_i, 0.0, x_bar, delta)
-        lo = _maximized_rhs(0.0, slope, 1.0, tau_i, 0.0, x_bar, delta)
+        hi = _maximized_rhs(1.0, slope, tau_i, x_bar, delta)
+        lo = _maximized_rhs(0.0, slope, tau_i, x_bar, delta)
         return hi - lo
 
     c0 = s_coeff(0.0)
@@ -363,16 +356,17 @@ def check_nonnegativity(p: GameParams, trajectory=None) -> NonnegativityReport:
     )
 
 
-def equilibrium_report(p: GameParams, b: BeliefProfile, mu_true: float) -> dict:
-    """JSON-ready equilibrium report: solver output, value intercepts,
-    closed-form comparison deltas, the non-negativity condition booleans, and
-    the known-state controls at the true ecological mean ``mu_true``."""
+def equilibrium_report(p: GameParams, mu_true: float) -> dict:
+    """JSON-ready equilibrium report at the known state (x_bar = ``mu_true``,
+    tau_bar = tau): solver output, value intercepts, closed-form comparison
+    deltas, the non-negativity condition booleans, and the published
+    known-state controls against the same solve."""
+    b = BeliefProfile(x_bar=mu_true, tau_bar=p.tau)
     sol = solve_equilibrium(p, b)
     cf = closed_form_controls(p, b)
     cf_slopes = tuple(
         closed_form_value_slope(t, b.x_bar, p.delta, p.rho) for t in p.tau
     )
-    known_sol = known_state_equilibrium(p, mu_true)
     known_cf = known_state_controls(p, mu_true)
     return {
         "inputs": {
@@ -399,8 +393,8 @@ def equilibrium_report(p: GameParams, b: BeliefProfile, mu_true: float) -> dict:
         "nonnegativity": check_nonnegativity(p).as_dict(),
         "value_intercepts": list(value_intercepts(p, b, sol)),
         "known_state": {
-            "solver_controls": list(known_sol.controls),
+            "solver_controls": list(sol.controls),
             "closed_form_controls": list(known_cf),
-            "control_delta_max": _max_gap(known_cf, known_sol.controls),
+            "control_delta_max": _max_gap(known_cf, sol.controls),
         },
     }

@@ -1,9 +1,8 @@
 """Stochastic signal traces with zero-order-hold semantics.
 
-A trace is an immutable sequence of values sampled on a regular grid; the
-signal is the step function that holds ``values[k]`` on
-``[t0 + k*dt, t0 + (k+1)*dt)``.  Traces are generated from seeded RNG
-streams and can be persisted to CSV so that a run can be replayed exactly.
+A trace holds ``values[k]`` on ``[k*dt, (k+1)*dt)`` from t = 0.  Traces are
+drawn from stream ``stream`` of an integer ``seed`` and can be persisted to
+CSV so that a run can be replayed exactly.
 """
 
 from __future__ import annotations
@@ -18,43 +17,23 @@ import numpy as np
 
 from .errors import NonFiniteStateError, TraceCoverageError, TraceFormatError
 
-@dataclass(frozen=True)
-class TraceSeed:
-    """Root seed plus a per-source stream id.
-
-    Identical (seed, stream) pairs reproduce identical traces within this
-    implementation.  Cross-implementation reproducibility is provided by
-    persisted trace files, not by the generator.
-    """
-
-    seed: int
-    stream: int = 0
-
-    def rng(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
-        return np.random.default_rng(ss)
-
-
-def _as_seed(seed: TraceSeed | int) -> TraceSeed:
-    if isinstance(seed, TraceSeed):
-        return seed
-    return TraceSeed(operator.index(seed))
-
 
 @dataclass(frozen=True, eq=False)
 class SignalTrace:
-    """Zero-order-hold signal: ``values[k]`` holds on ``[t0+k*dt, t0+(k+1)*dt)``."""
+    """Zero-order-hold signal: ``values[k]`` holds on ``[k*dt, (k+1)*dt)``.
+    Every trace starts at t = 0; ``t0`` is kept as a field, and in the trace
+    file's metadata row, and must be 0."""
 
-    t0: float
     dt: float
     values: np.ndarray
     label: str = ""
+    t0: float = 0.0
 
     def __post_init__(self):
         if not (self.dt > 0.0) or not math.isfinite(self.dt):
             raise ValueError(f"hold interval dt must be positive, got {self.dt}")
-        if not math.isfinite(self.t0):
-            raise ValueError(f"start time t0 must be finite, got {self.t0}")
+        if self.t0 != 0.0:  # NaN too
+            raise ValueError(f"a trace starts at t0 = 0, got {self.t0}")
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("trace needs a non-empty 1-d value sequence")
@@ -70,11 +49,11 @@ class SignalTrace:
         """The value held over each step of the grid ``t = u * k``, where
         ``k`` holds increasing whole numbers from 0.  ``u`` must divide the
         hold interval, no step may straddle a hold-interval boundary, and the
-        trace must start at t = 0 and cover ``u * k[-1]``."""
+        trace must cover ``u * k[-1]``."""
         per_value = _step_count(self.dt, u, f"{what} hold interval")
-        if self.t0 != 0.0 or k[-1] > per_value * len(self):
+        if k[-1] > per_value * len(self):
             raise TraceCoverageError(
-                f"trace [{self.t0!r}, {self.t0 + len(self) * self.dt!r}) does not "
+                f"trace [0.0, {len(self) * self.dt!r}) does not "
                 f"cover the update window [0.0, {u * k[-1]!r}]"
             )
         held = k[:-1] // per_value
@@ -84,15 +63,9 @@ class SignalTrace:
 
     def subsample(self, stride: int) -> "SignalTrace":
         """Keep every ``stride``-th sample; the hold interval grows accordingly."""
-        if not 1 <= stride < math.inf or stride % 1 != 0:
-            raise ValueError("stride must be a positive integer")
-        stride = int(stride)  # an integral float such as 2.0 slices as 2
-        return SignalTrace(
-            t0=self.t0,
-            dt=self.dt * stride,
-            values=self.values[::stride],
-            label=self.label,
-        )
+        if operator.index(stride) < 1:
+            raise ValueError(f"stride must be a positive integer, got {stride}")
+        return SignalTrace(dt=self.dt * stride, values=self.values[::stride], label=self.label)
 
 
 def require_finite(t: np.ndarray, what: str, *columns: np.ndarray) -> None:
@@ -155,13 +128,15 @@ def _sample_count(horizon: float, dt: float) -> int:
     return int(math.ceil(q))
 
 
-def _draws(dt: float, horizon: float, seed: TraceSeed | int, **scale) -> np.ndarray:
-    """Standard normal draws, one per hold interval over the horizon, once the
-    named scale argument, dt and horizon are found positive and finite."""
+def _draws(dt: float, horizon: float, seed: int, stream: int, **scale) -> np.ndarray:
+    """Standard normal draws from stream ``stream`` of ``seed``, one per hold
+    interval over the horizon, once the named scale argument, dt and horizon
+    are found positive and finite."""
     for name, value in {**scale, "dt": dt, "horizon": horizon}.items():
         if not (value > 0.0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    return _as_seed(seed).rng().standard_normal(_sample_count(horizon, dt))
+    ss = np.random.SeedSequence(operator.index(seed), spawn_key=(stream,))
+    return np.random.default_rng(ss).standard_normal(_sample_count(horizon, dt))
 
 
 def sample_ecological_trace(
@@ -169,12 +144,13 @@ def sample_ecological_trace(
     sigma: float,
     dt: float,
     horizon: float,
-    seed: TraceSeed | int,
+    seed: int,
+    stream: int = 0,
     label: str = "ecological",
 ) -> SignalTrace:
     """i.i.d. normal draws N(mu, sigma^2), one per hold interval over the horizon."""
-    values = mu + sigma * _draws(dt, horizon, seed, sigma=sigma)
-    return SignalTrace(t0=0.0, dt=dt, values=values, label=label)
+    values = mu + sigma * _draws(dt, horizon, seed, stream, sigma=sigma)
+    return SignalTrace(dt=dt, values=values, label=label)
 
 
 def sample_cost_trace(
@@ -182,13 +158,14 @@ def sample_cost_trace(
     noise_var: float,
     dt: float,
     horizon: float,
-    seed: TraceSeed | int,
+    seed: int,
+    stream: int = 0,
     label: str = "cost",
 ) -> SignalTrace:
     """Noisy observations tau + N(0, noise_var) of a constant cost type."""
-    draws = _draws(dt, horizon, seed, noise_var=noise_var)
+    draws = _draws(dt, horizon, seed, stream, noise_var=noise_var)
     values = tau + math.sqrt(noise_var) * draws
-    return SignalTrace(t0=0.0, dt=dt, values=values, label=label)
+    return SignalTrace(dt=dt, values=values, label=label)
 
 
 # _write_csv encodes its cells in blocks of about this many.
@@ -331,20 +308,21 @@ def _write_csv(path: str | Path, head: list[str], table) -> None:
 
 
 def save_trace(trace: SignalTrace, path: str | Path) -> None:
-    """Write a trace as CSV: a `# label,dt,t0` comment row, then t,value rows.
-    A label must hold no line break, as ``str.splitlines`` (and so
-    :func:`load_trace`) counts them."""
+    """Write a trace as CSV: a `# label,dt,t0` comment row, t0 always 0, then
+    t,value rows.  A label must hold no line break, as ``str.splitlines`` (and
+    so :func:`load_trace`) counts them."""
     if trace.label.splitlines() not in ([], [trace.label]):
         raise ValueError(f"trace label {trace.label!r} holds a line break")
-    t = trace.t0 + np.arange(len(trace)) * trace.dt
-    meta = f"# {trace.label},{trace.dt:.17g},{trace.t0:.17g}"
+    t = np.arange(len(trace)) * trace.dt
+    meta = f"# {trace.label},{trace.dt:.17g},0"
     _write_csv(path, [meta, "t,value"], np.column_stack((t, trace.values)))
 
 
 def load_trace(path: str | Path) -> SignalTrace:
     """Read a trace written by :func:`save_trace`; round-trips bit-exactly.
 
-    Each row's t must lie within 1e-9*dt of t0 + k*dt for data row k.
+    The metadata t0 must be 0, and each row's t must lie within 1e-9*dt of
+    k*dt for data row k.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -363,6 +341,8 @@ def load_trace(path: str | Path) -> SignalTrace:
         t0 = float(parts[2])
     except ValueError as exc:
         raise TraceFormatError(f"{path}: non-numeric metadata: {exc}") from exc
+    if t0 != 0.0:
+        raise TraceFormatError(f"{path}: a trace starts at t0 = 0, got {t0}")
     if header != "t,value":
         raise TraceFormatError(f"{path}: expected header 't,value', got {header!r}")
     try:
@@ -372,7 +352,7 @@ def load_trace(path: str | Path) -> SignalTrace:
     if table.shape[1] != 2:
         raise TraceFormatError(f"{path}: rows need 2 cells, got {table.shape[1]}")
     t, values = table.T
-    expected = t0 + np.arange(len(rows)) * dt
+    expected = np.arange(len(rows)) * dt
     off = np.flatnonzero(~(np.abs(t - expected) <= 1e-9 * dt))  # NaN is off-grid
     if off.size:
         k = int(off[0])
@@ -380,4 +360,4 @@ def load_trace(path: str | Path) -> SignalTrace:
             f"{path}: data row {k + 1} {rows[k]!r} has t={float(t[k])!r}, "
             f"expected {float(expected[k])!r} from t0 and dt"
         )
-    return SignalTrace(t0=t0, dt=dt, values=values, label=label)
+    return SignalTrace(dt=dt, values=values, label=label)

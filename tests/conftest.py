@@ -49,6 +49,6 @@ def zero_prior_mean(trace, c: float, t):
     the held signal over [t0, t] over (c + t), with c = kappa0 + 1 for the
     Normal-Gamma mean and R / P0 for the Kalman mean.  The integral
     interpolates the prefix sums at the hold edges, exact for a step function."""
-    edges = trace.t0 + trace.dt * np.arange(len(trace) + 1)
+    edges = trace.dt * np.arange(len(trace) + 1)
     cum = np.concatenate(([0.0], np.cumsum(trace.values * trace.dt)))
     return np.interp(t, edges, cum) / (c + t)

@@ -177,9 +177,7 @@ def test_c5_closed_form_comparison_report():
                 delta=0.8,
                 rho=0.1,
             )
-            rep = equilibrium_report(
-                p, BeliefProfile(0.5, p.tau), mu_true=0.5
-            )
+            rep = equilibrium_report(p, 0.5)
             cf = rep["closed_form"]
             known = rep["known_state"]
             assert np.isfinite(cf["control_delta_max"])

@@ -425,6 +425,22 @@ def test_failed_replay_leaves_no_output_directory(runner, tmp_path):
     assert not out.exists()
 
 
+def test_a_trace_file_that_starts_late_is_one_error_line_naming_it(runner, tmp_path):
+    gen = tmp_path / "gen"
+    assert runner.invoke(main, ["--out", str(gen), "gen-traces"]).exit_code == 0
+    eco = gen / "trace_ecological.csv"
+    meta, header, *rows = eco.read_text().splitlines()
+    assert meta == "# ecological,0.02,0"
+    shifted = [f"{0.5 + 0.02 * k!r},{row.split(',')[1]}" for k, row in enumerate(rows)]
+    eco.write_text("\n".join(["# ecological,0.02,0.5", header, *shifted]) + "\n")
+    out = tmp_path / "o1"
+    result = runner.invoke(main, ["--out", str(out), "simulate", "--traces", str(gen)])
+    assert result.exit_code == 1
+    [line] = result.output.splitlines()
+    assert line == f"Error: {eco}: a trace starts at t0 = 0, got 0.5"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["gen-traces", "simulate", "compare-dt", "verify"])
 def test_a_grid_too_large_to_allocate_is_one_error_line(runner, tmp_path, command):
     # horizon / dt_signal = 5e16 samples, 355 PiB per trace: more than a 64-bit

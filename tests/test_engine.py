@@ -18,7 +18,6 @@ from beliefgames import (
     SimConfig,
     SingularSystemError,
     TraceCoverageError,
-    TraceSeed,
     TraceSet,
     Trajectory,
     UndefinedVarianceError,
@@ -78,17 +77,15 @@ def test_requires_exactly_one_signal_source(two_player_scenario, base_config):
 
 
 def test_seeds_are_plain_integers(two_player_scenario, base_config):
-    # A TraceSeed's stream would be dropped: each run draws its own streams.
     # A float would be truncated: 1.7 would run seed 1.
-    for seed in (TraceSeed(5, 3), 1.7):
-        with pytest.raises(TypeError):
-            simulate(two_player_scenario, base_config, seed=seed)
-        with pytest.raises(TypeError):
-            default_traces(two_player_scenario, base_config, seed)
-        with pytest.raises(TypeError):
-            compare_schemes(two_player_scenario, base_config, [0.04, 0.02], seed)
-        with pytest.raises(TypeError):
-            closed_form_cross_check(two_player_scenario, base_config, seed)
+    with pytest.raises(TypeError):
+        simulate(two_player_scenario, base_config, seed=1.7)
+    with pytest.raises(TypeError):
+        default_traces(two_player_scenario, base_config, 1.7)
+    with pytest.raises(TypeError):
+        compare_schemes(two_player_scenario, base_config, [0.04, 0.02], 1.7)
+    with pytest.raises(TypeError):
+        closed_form_cross_check(two_player_scenario, base_config, 1.7)
     for sample in (sample_ecological_trace, sample_cost_trace):
         with pytest.raises(TypeError):
             sample(0.5, 0.2, 0.02, 1.0, 1.7)
@@ -255,8 +252,8 @@ def test_discrete_scan_hazards_raise_typed_errors_at_their_time(
     """The discrete closed forms and the P recursion let overflow and a
     non-positive P run on to the guard pass, which names the earliest bad
     time; no ZeroDivisionError or OverflowError escapes it."""
-    eco_tr = SignalTrace(0.0, 0.02, np.full(500, 0.5) if eco is None else eco)
-    cost_tr = SignalTrace(0.0, 0.02, np.full(500, 0.7) if cost is None else cost)
+    eco_tr = SignalTrace(dt=0.02, values=np.full(500, 0.5) if eco is None else eco)
+    cost_tr = SignalTrace(dt=0.02, values=np.full(500, 0.7) if cost is None else cost)
     traces = TraceSet(eco_tr, (cost_tr, constant_traces(1, 0.02, 500).cost[0]))
     scn = Scenario(
         params=two_player_params, mu_true=0.5, sigma=0.2, mu0=0.5,

@@ -66,8 +66,8 @@ def test_value_slope_matching_residual():
         (2.0, 0.9, 0.95, 0.04),
     ]:
         a = value_slope(tau_i, x_bar, delta, rho)
-        coeff = _maximized_rhs(1.0, a, 1.0, tau_i, 0.0, x_bar, delta) - _maximized_rhs(
-            0.0, a, 1.0, tau_i, 0.0, x_bar, delta
+        coeff = _maximized_rhs(1.0, a, tau_i, x_bar, delta) - _maximized_rhs(
+            0.0, a, tau_i, x_bar, delta
         )
         assert abs(rho * a - coeff) <= 1e-12
 
@@ -79,11 +79,7 @@ def test_value_slope_vs_published_form_delta_is_reported():
     published = closed_form_value_slope(1.0, 0.5, 0.5, 0.25)
     assert matched == pytest.approx(-1.0, rel=1e-12)
     assert published == pytest.approx(-2.0, rel=1e-12)
-    rep = equilibrium_report(
-        GameParams(a=(2.0,), tau=(1.0,), delta=0.5, rho=0.25),
-        BeliefProfile(0.5, (1.0,)),
-        mu_true=0.5,
-    )
+    rep = equilibrium_report(GameParams(a=(2.0,), tau=(1.0,), delta=0.5, rho=0.25), 0.5)
     assert rep["closed_form"]["value_slope_delta_max"] == pytest.approx(1.0, rel=1e-12)
 
 
@@ -281,7 +277,7 @@ def test_fault_injection_breaks_stationarity():
 
 def test_report_is_json_serializable_and_complete():
     p = GameParams(a=(3.0, 3.0), tau=(1.0, 1.2), delta=0.8, rho=0.1)
-    rep = equilibrium_report(p, BeliefProfile(0.5, (1.1, 1.0)), mu_true=0.5)
+    rep = equilibrium_report(p, 0.5)
     payload = json.dumps(rep)
     back = json.loads(payload)
     for key in ("inputs", "f1", "f2", "controls", "foc_residual", "closed_form",
@@ -301,7 +297,7 @@ def test_matched_slope_always_solves_its_equation(x_bar, delta, rho, tau_i):
     from beliefgames.equilibrium import _maximized_rhs
 
     a = value_slope(tau_i, x_bar, delta, rho)
-    coeff = _maximized_rhs(1.0, a, 1.0, tau_i, 0.0, x_bar, delta) - _maximized_rhs(
-        0.0, a, 1.0, tau_i, 0.0, x_bar, delta
+    coeff = _maximized_rhs(1.0, a, tau_i, x_bar, delta) - _maximized_rhs(
+        0.0, a, tau_i, x_bar, delta
     )
     assert abs(rho * a - coeff) <= 1e-10 * max(1.0, abs(a))

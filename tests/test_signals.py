@@ -12,7 +12,6 @@ from beliefgames import (
     SignalTrace,
     TraceCoverageError,
     TraceFormatError,
-    TraceSeed,
     belief_path,
     kalman_path,
     load_trace,
@@ -35,14 +34,14 @@ def test_sample_count_matches_protocol():
 
 
 def test_same_seed_reproduces_trace():
-    a = sample_ecological_trace(0.5, 0.2, 0.02, 10.0, TraceSeed(99, 3))
-    b = sample_ecological_trace(0.5, 0.2, 0.02, 10.0, TraceSeed(99, 3))
+    a = sample_ecological_trace(0.5, 0.2, 0.02, 10.0, 99, 3)
+    b = sample_ecological_trace(0.5, 0.2, 0.02, 10.0, 99, 3)
     assert np.array_equal(a.values, b.values)
 
 
 def test_different_stream_differs():
-    a = sample_ecological_trace(0.5, 0.2, 0.02, 10.0, TraceSeed(99, 0))
-    b = sample_ecological_trace(0.5, 0.2, 0.02, 10.0, TraceSeed(99, 1))
+    a = sample_ecological_trace(0.5, 0.2, 0.02, 10.0, 99, 0)
+    b = sample_ecological_trace(0.5, 0.2, 0.02, 10.0, 99, 1)
     assert not np.array_equal(a.values, b.values)
 
 
@@ -88,11 +87,8 @@ def test_hold_value_examples():
     assert held.tolist() == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0]
     assert trace.held_values(0.01, np.arange(2), "x").tolist() == [0.0]
     assert trace.held_values(0.02, np.arange(6), "x").tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
-    late = SignalTrace(t0=0.01, dt=0.02, values=trace.values)
-    early = SignalTrace(t0=-0.02, dt=0.02, values=trace.values)
-    for tr, k in ((trace, np.arange(12)), (late, np.arange(3)), (early, np.arange(3))):
-        with pytest.raises(TraceCoverageError):
-            tr.held_values(0.01, k, "x")
+    with pytest.raises(TraceCoverageError, match=r"^trace \[0\.0, 0\.1\) does not cover"):
+        trace.held_values(0.01, np.arange(12), "x")
 
 
 def test_hold_value_is_right_continuous_with_boundary_jumps():
@@ -119,12 +115,12 @@ def test_subsample_keeps_every_stride_value():
     assert np.array_equal(coarse.values, np.array([0.0, 4.0, 8.0]))
 
 
-def test_subsample_takes_an_integral_float_and_rejects_a_fraction():
-    trace = SignalTrace(t0=0.0, dt=0.02, values=np.arange(10.0))
-    coarse = trace.subsample(2.0)
-    assert coarse.dt == trace.subsample(2).dt
-    assert np.array_equal(coarse.values, np.arange(0.0, 10.0, 2.0))
-    for stride in (2.5, math.inf, np.float64(math.inf), math.nan):
+def test_subsample_takes_a_positive_int_only():
+    trace = SignalTrace(dt=0.02, values=np.arange(10.0))
+    for stride in (2.0, 2.5, math.inf, np.float64(math.inf), math.nan):
+        with pytest.raises(TypeError):
+            trace.subsample(stride)
+    for stride in (0, -1):
         with pytest.raises(ValueError, match="positive integer"):
             trace.subsample(stride)
 
@@ -145,11 +141,11 @@ def test_non_finite_steps_raise_value_error(u):
 @given(values=finite_values)
 def test_save_load_round_trip_is_bitwise(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("traces") / "trace.csv"
-    trace = SignalTrace(t0=0.25, dt=0.125, values=np.array(values), label="lab,el")
+    trace = SignalTrace(dt=0.125, values=np.array(values), label="lab,el")
     save_trace(trace, path)
     back = load_trace(path)
     assert np.array_equal(back.values, trace.values)
-    assert back.t0 == trace.t0
+    assert back.t0 == 0.0
     assert back.dt == trace.dt
     assert back.label == trace.label
 
@@ -210,15 +206,21 @@ def test_load_rejects_malformed_files(tmp_path):
     with pytest.raises(TraceFormatError):
         load_trace(inline_hash)
 
+    late = tmp_path / "late.csv"
+    late.write_text("# lab,0.5,0.25\nt,value\n0.25,1\n0.75,2\n")
+    with pytest.raises(TraceFormatError, match=rf"^{re.escape(str(late))}: a trace starts at t0 = 0, got 0\.25$"):
+        load_trace(late)
+
 
 def test_load_rejects_tampered_time_column(tmp_path):
     path = tmp_path / "trace.csv"
-    save_trace(SignalTrace(t0=0.5, dt=0.25, values=np.arange(6.0), label="eco"), path)
+    save_trace(SignalTrace(dt=0.25, values=np.arange(6.0), label="eco"), path)
     lines = path.read_text().splitlines()
-    assert lines[5] == "1.25,3"
-    lines[5] = "1.2500001,3"  # data row 4, off by 4e-7*dt
+    assert lines[0] == "# eco,0.25,0"
+    assert lines[5] == "0.75,3"
+    lines[5] = "0.7500001,3"  # data row 4, off by 4e-7*dt
     path.write_text("\n".join(lines) + "\n")
-    msg = r"data row 4 '1\.2500001,3' has t=1\.2500001, expected 1\.25 from t0 and dt"
+    msg = r"data row 4 '0\.7500001,3' has t=0\.7500001, expected 0\.75 from t0 and dt"
     with pytest.raises(TraceFormatError, match=msg):
         load_trace(path)
     path.write_text("# eco,0.5,0\nt,value\nnan,1\n0.5,2\n")
@@ -330,9 +332,7 @@ def test_trace_rejects_non_finite_values():
         SignalTrace(t0=0.0, dt=0.0, values=np.array([1.0]))
 
 
-@pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
-def test_trace_rejects_non_finite_start_time(t0):
-    # A NaN t0 would pass the engine's start check (abs(nan) > 1e-12 is
-    # False) and be saved as rows that load_trace rejects.
-    with pytest.raises(ValueError, match=r"t0 must be finite"):
-        SignalTrace(t0=t0, dt=0.1, values=np.array([1.0, 2.0]))
+@pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf, 1e-13, -0.02, 0.25])
+def test_trace_rejects_a_start_other_than_zero(t0):
+    with pytest.raises(ValueError, match=r"^a trace starts at t0 = 0, got "):
+        SignalTrace(dt=0.1, values=np.array([1.0, 2.0]), t0=t0)
